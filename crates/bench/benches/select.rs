@@ -339,9 +339,10 @@ fn main() {
         }
     }
     // Snapshot the gated speedups before the map moves into the report.
-    // `batched_memo` is deliberately ungated: the memoized variant pays for
-    // cache population here and wins back across AL iterations, which this
-    // single-shot bench cannot see.
+    // `batched_memo` is deliberately ungated: it differs from `batched` only
+    // by the cached row norms, whose benefit across AL iterations this
+    // single-shot bench cannot see and nobody has measured yet (ROADMAP
+    // item 4 keeps the on/off A/B of the memo open).
     let gated: Vec<(String, f64)> = speedups
         .iter()
         .filter(|(key, _)| {

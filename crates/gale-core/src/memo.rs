@@ -2,12 +2,15 @@
 //!
 //! GALE's iterative loop re-runs query selection every iteration, whose
 //! dominant costs are (a) pairwise embedding distances and (b) recomputing
-//! node typicality. The paper's optimization keeps: a distance store, a
+//! node typicality. The paper's optimization keeps a distance store, a
 //! per-node dirty flag tracking whether the learned embedding changed
 //! between consecutive iterations (element-wise within a tolerance), a
 //! typicality dictionary, and the pre-computed (static) propagation
-//! operator. `U_GALE` — the un-memoized ablation — simply runs with
-//! `enabled = false`, recomputing everything from scratch.
+//! operator. This cache keeps the dirty flags, the typicality dictionary
+//! and the squared row norms, but no distance store: QSelect computes each
+//! round's fan-out with one blocked kernel over the cached norms and never
+//! looks a pair up again. `U_GALE` — the un-memoized ablation — simply
+//! runs with `enabled = false`, recomputing everything from scratch.
 
 use gale_tensor::Matrix;
 use std::collections::HashMap;
@@ -41,14 +44,13 @@ pub struct MemoCache {
     snapshot: Option<Matrix>,
     /// Bumps every time a row's embedding changes materially.
     versions: Vec<u64>,
-    /// `(lo, hi) -> (version_lo, version_hi, distance)`.
-    distances: HashMap<(usize, usize), (u64, u64, f64)>,
     /// Cached per-node typicality from the previous iteration, with the
     /// version each entry was computed at.
     typicality: HashMap<usize, (u64, f64)>,
-    /// Statistics: cache interrogations and hits (for the Fig. 7(f) bench).
+    /// Statistics: typicality-cache interrogations and hits (for the
+    /// Fig. 7(f) bench).
     pub lookups: u64,
-    /// Distance-cache hits.
+    /// Typicality-cache hits.
     pub hits: u64,
     /// Cached selection state from the previous full typicality pass.
     pub selection_state: Option<SelectionState>,
@@ -62,19 +64,6 @@ pub struct MemoCache {
     norms: Vec<f64>,
     /// Version each cached norm was computed at (`u64::MAX` = never).
     norm_versions: Vec<u64>,
-    /// Number of [`MemoCache::insert_row`] batch-fills performed.
-    pub batch_inserted: u64,
-}
-
-/// Canonical distance-map key: the unordered pair `(lo, hi)`. All inserts
-/// and lookups go through this one normalization point.
-#[inline]
-fn canonical(i: usize, j: usize) -> (usize, usize) {
-    if i <= j {
-        (i, j)
-    } else {
-        (j, i)
-    }
 }
 
 impl MemoCache {
@@ -85,7 +74,6 @@ impl MemoCache {
             tolerance,
             snapshot: None,
             versions: Vec::new(),
-            distances: HashMap::new(),
             typicality: HashMap::new(),
             lookups: 0,
             hits: 0,
@@ -94,7 +82,6 @@ impl MemoCache {
             typicality_reuses: 0,
             norms: Vec::new(),
             norm_versions: Vec::new(),
-            batch_inserted: 0,
         }
     }
 
@@ -136,14 +123,12 @@ impl MemoCache {
 
     /// One selection round's distance fan-out: Euclidean distances from
     /// embedding row `target` to every row in `candidates`, computed by a
-    /// single blocked kernel call instead of `candidates.len()` scalar
-    /// euclidean calls or HashMap round-trips. With the cache enabled the
-    /// whole row is then batch-filled into the distance store via
-    /// [`MemoCache::insert_row`]. Both the memoized and un-memoized paths
-    /// evaluate the identical kernel, so toggling memoization cannot change
-    /// which nodes a selection round picks.
+    /// single blocked kernel call over the cached row norms instead of
+    /// `candidates.len()` scalar euclidean calls. The memoized and
+    /// un-memoized paths evaluate the identical kernel, so toggling
+    /// memoization cannot change which nodes a selection round picks.
     pub fn fanout_distances(
-        &mut self,
+        &self,
         h: &Matrix,
         candidates: &[usize],
         target: usize,
@@ -157,31 +142,6 @@ impl MemoCache {
         out.clear();
         out.resize(candidates.len(), 0.0);
         gale_tensor::distance::indexed_dists_to_row_into(h, &self.norms, candidates, target, out);
-        if self.enabled {
-            self.insert_row(candidates, target, out);
-        }
-    }
-
-    /// Batch-fills the distance store with a fan-out row: `dists[i]` is the
-    /// distance between `candidates[i]` and `target`, stored at both rows'
-    /// current versions (self-pairs are skipped). Stored values come from
-    /// the blocked Gram-trick kernel and agree with the scalar reference
-    /// within its documented 1e-9 relative tolerance, which the paper's
-    /// Section VII memoization explicitly permits.
-    pub fn insert_row(&mut self, candidates: &[usize], target: usize, dists: &[f64]) {
-        if !self.enabled {
-            return;
-        }
-        for (&v, &d) in candidates.iter().zip(dists) {
-            if v == target {
-                continue;
-            }
-            let key = canonical(v, target);
-            let vers = (self.version(key.0), self.version(key.1));
-            self.distances.insert(key, (vers.0, vers.1, d));
-        }
-        self.batch_inserted += 1;
-        gale_obs::counter_add!("memo.batch_inserts", 1);
     }
 
     /// Installs the iteration's embeddings, diffing against the previous
@@ -232,38 +192,24 @@ impl MemoCache {
         changed
     }
 
-    /// Euclidean distance between embedding rows `i` and `j`, reusing the
-    /// stored value when both rows are unchanged since it was computed.
-    pub fn distance(&mut self, h: &Matrix, i: usize, j: usize) -> f64 {
-        if !self.enabled {
-            return gale_tensor::distance::euclidean(h.row(i), h.row(j));
-        }
-        self.lookups += 1;
-        gale_obs::counter_add!("memo.lookups", 1);
-        let key = canonical(i, j);
-        let (vi, vj) = (self.versions[key.0], self.versions[key.1]);
-        if let Some(&(ci, cj, d)) = self.distances.get(&key) {
-            if ci == vi && cj == vj {
-                self.hits += 1;
-                gale_obs::counter_add!("memo.hits", 1);
-                return d;
-            }
-        }
-        gale_obs::counter_add!("memo.misses", 1);
-        let d = gale_tensor::distance::euclidean(h.row(i), h.row(j));
-        self.distances.insert(key, (vi, vj, d));
-        d
-    }
-
     /// Cached typicality of a node, if its embedding hasn't changed since
-    /// the value was stored.
-    pub fn typicality(&self, node: usize) -> Option<f64> {
+    /// the value was stored. With the cache enabled every call counts as a
+    /// lookup and every returned value as a hit.
+    pub fn typicality(&mut self, node: usize) -> Option<f64> {
         if !self.enabled {
             return None;
         }
-        self.typicality
+        self.lookups += 1;
+        gale_obs::counter_add!("memo.lookups", 1);
+        let cached = self
+            .typicality
             .get(&node)
-            .and_then(|&(v, t)| (v == self.versions[node]).then_some(t))
+            .and_then(|&(v, t)| (v == self.versions[node]).then_some(t));
+        if cached.is_some() {
+            self.hits += 1;
+            gale_obs::counter_add!("memo.hits", 1);
+        }
+        cached
     }
 
     /// Stores a node's typicality at its current version.
@@ -273,55 +219,12 @@ impl MemoCache {
         }
     }
 
-    /// Pre-sizes the distance map for an expected number of lookups, so a
-    /// query batch's fan-out never rehashes mid-selection. Sized to the
-    /// *miss* population (`expected` minus entries already present), capped
-    /// by the unordered-pair count when `n` nodes are known.
-    pub fn reserve_queries(&mut self, expected: usize) {
-        if !self.enabled {
-            return;
-        }
-        let n = self.versions.len();
-        let cap = if n > 1 { n * (n - 1) / 2 } else { expected };
-        let want = expected.min(cap).saturating_sub(self.distances.len());
-        if want > 0 {
-            self.distances.reserve(want);
-            gale_obs::counter_add!("memo.reserve", want as u64);
-        }
-    }
-
-    /// Grows the version vector to cover `n` nodes (new nodes start at
-    /// version 0) without touching existing entries. Graph deltas can add
-    /// nodes between embedding installs, and [`MemoCache::distance`] /
-    /// [`MemoCache::typicality`] index the version vector directly, so it
-    /// must cover every live node id before those are consulted.
-    pub fn ensure_len(&mut self, n: usize) {
-        if self.versions.len() < n {
-            self.versions.resize(n, 0);
-        }
-    }
-
-    /// Bumps the dirty version of each listed node directly — the
-    /// graph-delta generalization of [`MemoCache::update_embeddings`]'s
-    /// AL-iteration snapshot diffing. Cached distances, typicality
-    /// entries, and row norms involving these nodes go stale immediately,
-    /// without waiting for the next embedding install.
-    pub fn invalidate_nodes(&mut self, nodes: &[usize]) {
-        if let Some(max) = nodes.iter().copied().max() {
-            self.ensure_len(max + 1);
-        }
-        for &v in nodes {
-            self.versions[v] += 1;
-        }
-        gale_obs::counter_add!("memo.dirty_rows", nodes.len() as u64);
-    }
-
     /// Current version of a node's embedding (diagnostics).
     pub fn version(&self, node: usize) -> u64 {
         self.versions.get(node).copied().unwrap_or(0)
     }
 
-    /// Distance-cache hit rate so far.
+    /// Typicality-cache hit rate so far (0 before the first lookup).
     pub fn hit_rate(&self) -> f64 {
         if self.lookups == 0 {
             0.0
@@ -341,47 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_cache_hits_on_unchanged() {
-        let mut rng = Rng::seed_from_u64(1);
-        let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.update_embeddings(&h);
-        let d1 = memo.distance(&h, 2, 7);
-        let d2 = memo.distance(&h, 7, 2); // symmetric key
-        assert_eq!(d1, d2);
-        assert_eq!(memo.hits, 1);
-        // Unchanged re-install keeps versions.
-        let changed = memo.update_embeddings(&h);
-        assert_eq!(changed, 0);
-        let d3 = memo.distance(&h, 2, 7);
-        assert_eq!(d3, d1);
-        assert_eq!(memo.hits, 2);
-    }
-
-    #[test]
-    fn changed_row_invalidates_its_distances() {
-        let mut rng = Rng::seed_from_u64(2);
-        let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.update_embeddings(&h);
-        let _ = memo.distance(&h, 0, 1);
-        let _ = memo.distance(&h, 2, 3);
-        let mut h2 = h.clone();
-        h2[(0, 0)] += 1.0; // row 0 changes
-        let changed = memo.update_embeddings(&h2);
-        assert_eq!(changed, 1);
-        memo.hits = 0;
-        memo.lookups = 0;
-        let _ = memo.distance(&h2, 0, 1); // invalidated
-        let _ = memo.distance(&h2, 2, 3); // still valid
-        assert_eq!(memo.hits, 1);
-        assert_eq!(memo.lookups, 2);
-        // And the refreshed value is correct.
-        let exact = gale_tensor::distance::euclidean(h2.row(0), h2.row(1));
-        assert_eq!(memo.distance(&h2, 0, 1), exact);
-    }
-
-    #[test]
     fn tolerance_ignores_tiny_drift() {
         let mut rng = Rng::seed_from_u64(3);
         let h = embeddings(&mut rng);
@@ -398,15 +260,14 @@ mod tests {
         let h = embeddings(&mut rng);
         let mut memo = MemoCache::new(false, 1e-9);
         memo.update_embeddings(&h);
-        let _ = memo.distance(&h, 1, 2);
-        let _ = memo.distance(&h, 1, 2);
-        assert_eq!(memo.hits, 0);
-        assert_eq!(memo.hit_rate(), 0.0);
+        memo.store_typicality(1, 0.4);
         assert!(memo.typicality(1).is_none());
+        assert_eq!(memo.lookups, 0);
+        assert_eq!(memo.hit_rate(), 0.0);
     }
 
     #[test]
-    fn typicality_cache_tracks_versions() {
+    fn typicality_cache_tracks_versions_and_counts_hits() {
         let mut rng = Rng::seed_from_u64(5);
         let h = embeddings(&mut rng);
         let mut memo = MemoCache::new(true, 1e-9);
@@ -418,6 +279,8 @@ mod tests {
         h2[(3, 0)] += 1.0;
         memo.update_embeddings(&h2);
         assert_eq!(memo.typicality(3), None, "stale typicality survived");
+        assert_eq!((memo.lookups, memo.hits), (3, 1));
+        assert_eq!(memo.hit_rate(), 1.0 / 3.0);
     }
 
     #[test]
@@ -436,7 +299,7 @@ mod tests {
         let before = memo.row_norms().to_vec();
         let mut h2 = h.clone();
         h2[(0, 0)] += 1.0;
-        memo.update_embeddings(&h2);
+        assert_eq!(memo.update_embeddings(&h2), 1, "one changed row");
         memo.ensure_row_norms(&h2);
         assert_eq!(
             memo.row_norms()[0],
@@ -446,105 +309,28 @@ mod tests {
     }
 
     #[test]
-    fn fanout_matches_scalar_and_fills_store() {
+    fn fanout_matches_scalar_with_and_without_memoization() {
         let mut rng = Rng::seed_from_u64(8);
         let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.update_embeddings(&h);
-        memo.ensure_row_norms(&h);
-        let candidates: Vec<usize> = (0..h.rows()).filter(|&v| v != 3).collect();
-        let mut out = Vec::new();
-        memo.fanout_distances(&h, &candidates, 3, &mut out);
-        for (i, &v) in candidates.iter().enumerate() {
-            let exact = gale_tensor::distance::euclidean(h.row(v), h.row(3));
-            assert!(
-                (out[i] - exact).abs() <= 1e-9 * (1.0 + exact),
-                "candidate {v}: {} vs scalar {exact}",
-                out[i]
-            );
-        }
-        assert_eq!(memo.batch_inserted, 1);
-        // The whole fan-out row is now in the distance store: scalar lookups
-        // hit without recomputation and return the batch-inserted values.
-        memo.lookups = 0;
-        memo.hits = 0;
-        for (i, &v) in candidates.iter().enumerate() {
-            assert_eq!(memo.distance(&h, v, 3), out[i]);
-        }
-        assert_eq!(memo.hits, candidates.len() as u64);
-    }
-
-    #[test]
-    fn disabled_fanout_computes_but_stores_nothing() {
-        let mut rng = Rng::seed_from_u64(9);
-        let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(false, 1e-9);
-        memo.update_embeddings(&h);
-        memo.ensure_row_norms(&h);
-        let candidates = [0usize, 2, 5];
-        let mut out = Vec::new();
-        memo.fanout_distances(&h, &candidates, 5, &mut out);
-        let exact = gale_tensor::distance::euclidean(h.row(0), h.row(5));
-        assert!((out[0] - exact).abs() <= 1e-9 * (1.0 + exact));
-        assert_eq!(out[2], 0.0, "self pair");
-        assert_eq!(memo.batch_inserted, 0);
-    }
-
-    #[test]
-    fn distances_are_exact_values() {
-        let mut rng = Rng::seed_from_u64(6);
-        let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.update_embeddings(&h);
-        for i in 0..10 {
-            for j in 0..10 {
-                let exact = gale_tensor::distance::euclidean(h.row(i), h.row(j));
-                assert_eq!(memo.distance(&h, i, j), exact);
+        let candidates: Vec<usize> = (0..h.rows()).collect();
+        let mut rows = Vec::new();
+        for enabled in [true, false] {
+            let mut memo = MemoCache::new(enabled, 1e-9);
+            memo.update_embeddings(&h);
+            memo.ensure_row_norms(&h);
+            let mut out = Vec::new();
+            memo.fanout_distances(&h, &candidates, 3, &mut out);
+            for (i, &v) in candidates.iter().enumerate() {
+                let exact = gale_tensor::distance::euclidean(h.row(v), h.row(3));
+                assert!(
+                    (out[i] - exact).abs() <= 1e-9 * (1.0 + exact),
+                    "candidate {v}: {} vs scalar {exact}",
+                    out[i]
+                );
             }
+            assert_eq!(out[3], 0.0, "self pair");
+            rows.push(out);
         }
-    }
-
-    #[test]
-    fn invalidate_nodes_busts_cached_pairs() {
-        let mut rng = Rng::seed_from_u64(10);
-        let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.update_embeddings(&h);
-        let _ = memo.distance(&h, 2, 7);
-        let _ = memo.distance(&h, 2, 7);
-        assert_eq!(memo.hits, 1, "second lookup should hit");
-        memo.invalidate_nodes(&[7]);
-        let _ = memo.distance(&h, 2, 7);
-        assert_eq!(memo.hits, 1, "invalidated pair must recompute");
-        // Unrelated pairs keep hitting.
-        let _ = memo.distance(&h, 0, 1);
-        let _ = memo.distance(&h, 0, 1);
-        assert_eq!(memo.hits, 2);
-    }
-
-    #[test]
-    fn invalidate_nodes_busts_typicality() {
-        let mut rng = Rng::seed_from_u64(11);
-        let h = embeddings(&mut rng);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.update_embeddings(&h);
-        memo.store_typicality(3, 0.5);
-        assert_eq!(memo.typicality(3), Some(0.5));
-        memo.invalidate_nodes(&[3]);
-        assert_eq!(memo.typicality(3), None);
-    }
-
-    #[test]
-    fn ensure_len_grows_for_delta_added_nodes() {
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.ensure_len(4);
-        assert_eq!(memo.version(3), 0);
-        // Invalidating past the current length grows the vector too.
-        memo.invalidate_nodes(&[9]);
-        assert_eq!(memo.version(9), 1);
-        assert_eq!(memo.version(5), 0);
-        // Shrinking never happens.
-        memo.ensure_len(2);
-        assert_eq!(memo.version(9), 1);
+        assert_eq!(rows[0], rows[1], "memoization changed the fan-out");
     }
 }

@@ -135,7 +135,8 @@ pub struct GaleOutcome {
     pub history: Vec<IterationRecord>,
     /// Total queries sent to the oracle.
     pub queries_issued: usize,
-    /// Distance-cache hit rate (0 when memoization is off).
+    /// Typicality-cache hit rate: the share of typicality lookups answered
+    /// from the memo (0 when memoization is off or never reused state).
     pub memo_hit_rate: f64,
     /// Iterations whose typicality was re-scored from the cached selection
     /// state instead of recomputed (0 when memoization is off).
@@ -230,8 +231,8 @@ impl GaleOutcome {
                 gale_obs::metrics::gauge("par.utilization").get(),
             );
             // Selection-kernel telemetry (DESIGN.md §6b.2): Lloyd iteration
-            // count, distance evaluations skipped by the Hamerly bounds,
-            // distance-store batch fills, and mean qselect round time.
+            // count, distance evaluations skipped by the Hamerly bounds, and
+            // mean qselect round time.
             rep.total(
                 "kmeans_iters",
                 gale_obs::metrics::counter("kmeans.iters").get() as f64,
@@ -239,10 +240,6 @@ impl GaleOutcome {
             rep.total(
                 "kmeans_pruned",
                 gale_obs::metrics::counter("kmeans.pruned").get() as f64,
-            );
-            rep.total(
-                "memo_batch_inserts",
-                gale_obs::metrics::counter("memo.batch_inserts").get() as f64,
             );
             rep.total(
                 "select_round_us_mean",
@@ -268,7 +265,34 @@ impl GaleOutcome {
 /// * `val_examples` — labeled validation examples for early stopping (may
 ///   be empty);
 /// * `oracle` — the label source.
+///
+/// The loop's working set is dropped before this returns, and its pages
+/// are handed back to the operating system
+/// ([`gale_tensor::heap::release_free_pages`]), so the caller keeps
+/// resident only what is still live.
 pub fn run_gale(
+    g: &Graph,
+    constraints: &[Constraint],
+    split: &DataSplit,
+    initial_examples: &[Example],
+    val_examples: &[Example],
+    oracle: &mut dyn Oracle,
+    cfg: &GaleConfig,
+) -> GaleOutcome {
+    let outcome = gale_loop(
+        g,
+        constraints,
+        split,
+        initial_examples,
+        val_examples,
+        oracle,
+        cfg,
+    );
+    gale_tensor::heap::release_free_pages();
+    outcome
+}
+
+fn gale_loop(
     g: &Graph,
     constraints: &[Constraint],
     split: &DataSplit,

@@ -14,10 +14,8 @@
 //! and `GALE_EXACT_DIST=1` paths.
 //!
 //! Each round's distance fan-out (picked node → every remaining candidate)
-//! is one blocked [`MemoCache::fanout_distances`] kernel call feeding both
-//! the running diversity sums and (when memoization is on) a batch-fill of
-//! the distance store, instead of `n` scalar euclidean calls or `n` HashMap
-//! round-trips.
+//! is one blocked [`MemoCache::fanout_distances`] kernel call feeding the
+//! running diversity sums, instead of `n` scalar euclidean calls.
 
 use crate::memo::MemoCache;
 use gale_tensor::Matrix;
@@ -29,7 +27,7 @@ use gale_tensor::Matrix;
 /// * `typicality` — `T(v)` per candidate (parallel to `unlabeled`);
 /// * `k` — query budget;
 /// * `lambda` — diversity weight λ;
-/// * `memo` — distance cache (pass a disabled cache for `U_GALE`).
+/// * `memo` — row-norm cache (pass a disabled cache for `U_GALE`).
 ///
 /// Returns at most `k` node ids.
 pub fn qselect(
@@ -49,10 +47,6 @@ pub fn qselect(
     if k == 0 {
         return Vec::new();
     }
-    // Expected fan-out: every round queries a distance from each remaining
-    // candidate to the freshly-picked node. Reserving up front keeps the
-    // distance map from rehashing mid-selection.
-    memo.reserve_queries(k * unlabeled.len());
     // The fan-out kernel reads cached |x|² row norms; refresh them once per
     // selection (the embeddings cannot change mid-selection).
     memo.ensure_row_norms(embeddings);
@@ -90,9 +84,9 @@ pub fn qselect(
         let picked_node = unlabeled[pick];
         selected.push(picked_node);
         // Update diversity sums against the new member: one blocked kernel
-        // call covering every candidate, batch-filling the distance store
-        // when memoization is on. Memoized and un-memoized runs evaluate
-        // the identical kernel, so the toggle cannot change selections.
+        // call covering every candidate. Memoized and un-memoized runs
+        // evaluate the identical kernel, so the toggle cannot change
+        // selections.
         memo.fanout_distances(embeddings, unlabeled, picked_node, &mut fan);
         // Fused merge + next-round argmax: one streaming pass over the
         // fan-out row folds each candidate's new distance into its running

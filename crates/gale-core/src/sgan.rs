@@ -1114,24 +1114,41 @@ mod tests {
 
     #[test]
     fn f64_infer_replica_matches_probs3_bitwise() {
+        // Every served f64 score rests on this parity. The row counts are
+        // the shapes a coalesced serving batch can take, crossing the 4x8
+        // GEMM tile edges; each runs at 1, 2 and 8 threads. Probabilities
+        // and the embedding tap must both match bit for bit.
         let mut rng = Rng::seed_from_u64(5);
         let (mut sgan, x_r) = tiny_trained_sgan(&mut rng);
-        let mut want = Matrix::zeros(0, 0);
-        sgan.probs3_into(&x_r, &mut want);
         let mut replica = sgan.to_infer::<f64>();
-        let mut got = Matrix::zeros(0, 0);
-        replica.probs3_into(&x_r, &mut got);
-        assert_eq!(got.shape(), want.shape());
-        for (g, w) in got.data().iter().zip(want.data()) {
-            assert_eq!(g.to_bits(), w.to_bits());
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut batches = vec![x_r];
+        for rows in [1usize, 3, 4, 7, 64, 65, 129] {
+            batches.push(Matrix::randn(rows, 5, 1.5, &mut rng));
         }
-        // Embedding tap parity too.
-        let mut h64 = Matrix::zeros(0, 0);
-        let mut href = Matrix::zeros(0, 0);
-        replica.embeddings_into(&x_r, &mut h64);
-        sgan.embeddings_into(&x_r, &mut href);
-        for (g, w) in h64.data().iter().zip(href.data()) {
-            assert_eq!(g.to_bits(), w.to_bits());
+        let (mut want, mut got) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for x in &batches {
+            for threads in [1usize, 2, 8] {
+                gale_tensor::par::with_threads(threads, || {
+                    let rows = x.rows();
+                    sgan.probs3_into(x, &mut want);
+                    replica.probs3_into(x, &mut got);
+                    assert_eq!(got.shape(), want.shape());
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "probs: {rows} rows, {threads} threads"
+                    );
+                    sgan.embeddings_into(x, &mut want);
+                    replica.embeddings_into(x, &mut got);
+                    assert_eq!(got.shape(), want.shape());
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "tap: {rows} rows, {threads} threads"
+                    );
+                });
+            }
         }
     }
 

@@ -364,9 +364,8 @@ fn worker_loop(
         let t0 = Instant::now();
         let outcome = conn.request(&raw);
         let measured = t0 >= measure_start;
-        // A `Connection: close` response is a clean end of the exchange
-        // (blocking mode answers every request that way): reconnect
-        // instead of tripping over the EOF on the next request.
+        // A `Connection: close` response is a clean end of the exchange:
+        // reconnect instead of tripping over the EOF on the next request.
         if conn.close_announced() {
             client = None;
             stats.reconnects += 1;

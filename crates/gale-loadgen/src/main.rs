@@ -6,17 +6,17 @@
 //!   JSON report. With `--reload-ckpt`, fires `POST /admin/reload` mid-run
 //!   and fails unless the swap dropped zero requests.
 //! - `gale-loadgen bench [--smoke]` — the committed serving benchmark:
-//!   boots the sibling `gale-serve` binary in three configurations
-//!   (blocking single-shard, event-loop single-shard, event-loop
-//!   four-shard), measures each, checks a hot reload under four-shard
-//!   load, measures the cost of request tracing (alternating pooled
-//!   passes against a tracing-on and a tracing-off server), writes
-//!   `BENCH_serve.json` at the repo root (override with
-//!   `GALE_BENCH_SERVE_OUT`), and gates the intra-run speedups and p99
-//!   ratio against the committed baseline (override with
+//!   boots the sibling `gale-serve` binary with one and with four shards,
+//!   measures each, checks a hot reload under four-shard load, measures
+//!   the cost of request tracing (alternating pooled passes against a
+//!   tracing-on and a tracing-off server), writes `BENCH_serve.json` at
+//!   the repo root (override with `GALE_BENCH_SERVE_OUT`), and gates the
+//!   intra-run ratios against the committed baseline (override with
 //!   `GALE_BENCH_SERVE_BASELINE`; skip with `GALE_BENCH_NO_GATE=1`). The
-//!   tracing-on vs tracing-off pair is gated intra-run: tracing may not
-//!   cost more than 5% of p99.
+//!   headline ratio is the wire overhead: the single-shard served p50 over
+//!   the server's own mean batched-forward time, scraped from `/metrics`
+//!   over the measured window. The tracing-on vs tracing-off pair is
+//!   gated intra-run: tracing may not cost more than 5% of p99.
 //! - `gale-loadgen bench-precision [--smoke]` — the serving half of the
 //!   committed precision report: boots an f64 shard and an f32 shard of
 //!   the same checkpoint side by side (alternating pooled passes, like
@@ -39,14 +39,15 @@
 //!   runs also gate the incremental-vs-full speedup against a hard 5x
 //!   floor.
 //!
-//! Intra-run ratios — event-loop throughput over blocking throughput
-//! measured in the same run — transfer across machines the way absolute
-//! requests/sec never do, which is what makes the committed report a
-//! meaningful CI gate.
+//! Intra-run ratios — served latency over the forward time measured in
+//! the same run — transfer across machines the way absolute requests/sec
+//! never do, which is what makes the committed report a meaningful CI
+//! gate.
 
 use gale_json::{json, Value};
 use gale_loadgen::{
-    one_shot, percentile, render_post, run, run_samples, wait_healthy, LoadConfig, LoadReport,
+    one_shot, percentile, render_get, render_post, run, run_samples, wait_healthy, LoadConfig,
+    LoadReport,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -235,33 +236,8 @@ fn run_with_reload(
 // `bench`: the committed BENCH_serve.json pipeline
 // ---------------------------------------------------------------------------
 
-struct Leg {
-    name: &'static str,
-    mode: &'static str,
-    shards: usize,
-    trace: bool,
-}
-
-const LEGS: [Leg; 3] = [
-    Leg {
-        name: "blocking/1",
-        mode: "blocking",
-        shards: 1,
-        trace: true,
-    },
-    Leg {
-        name: "evloop/1",
-        mode: "evloop",
-        shards: 1,
-        trace: true,
-    },
-    Leg {
-        name: "evloop/4",
-        mode: "evloop",
-        shards: 4,
-        trace: true,
-    },
-];
+/// The throughput legs: `(name, shards)`, every leg traced.
+const LEGS: [(&str, usize); 2] = [("evloop/1", 1), ("evloop/4", 4)];
 
 fn repo_path(p: PathBuf) -> PathBuf {
     if p.is_absolute() {
@@ -307,7 +283,6 @@ fn spawn_server(
     binary: &Path,
     ckpt: &Path,
     addr: &str,
-    mode: &str,
     shards: usize,
     precision: &str,
     trace: bool,
@@ -319,16 +294,14 @@ fn spawn_server(
             &ckpt.to_string_lossy(),
             "--addr",
             addr,
-            "--mode",
-            mode,
             "--shards",
             &shards.to_string(),
             "--precision",
             precision,
             // The default 2ms batching linger is tuned for open-loop
-            // traffic; under a closed loop it dominates every leg's
-            // latency and masks the architectural differences the bench
-            // exists to measure.
+            // traffic; under a closed loop it would dominate every leg's
+            // latency and hide the wire overhead the bench exists to
+            // measure.
             "--max-wait-us",
             "200",
             "--trace",
@@ -339,6 +312,36 @@ fn spawn_server(
         .stderr(std::process::Stdio::inherit())
         .spawn()
         .map_err(|e| format!("cannot spawn {}: {e}", binary.display()))
+}
+
+/// The `(sum, count)` of a histogram the server exports in `/metrics`.
+fn scrape_histogram(addr: &str, series: &str) -> Result<(f64, f64), String> {
+    let (status, body) = one_shot(addr, &render_get(addr, "/metrics"))
+        .map_err(|e| format!("/metrics scrape failed: {e}"))?;
+    if status != 200 {
+        return Err(format!("/metrics answered {status}"));
+    }
+    let text = String::from_utf8_lossy(&body);
+    let value = |suffix: &str| {
+        let prefix = format!("{series}{suffix} ");
+        text.lines()
+            .find_map(|line| line.strip_prefix(&prefix)?.trim().parse::<f64>().ok())
+            .ok_or_else(|| format!("/metrics has no {series}{suffix}"))
+    };
+    Ok((value("_sum")?, value("_count")?))
+}
+
+/// The mean of the observations a histogram took between two scrapes.
+fn window_mean(
+    start: Result<(f64, f64), String>,
+    end: Result<(f64, f64), String>,
+) -> Result<f64, String> {
+    let ((sum0, count0), (sum1, count1)) = (start?, end?);
+    if count1 > count0 {
+        Ok((sum1 - sum0) / (count1 - count0))
+    } else {
+        Err("the forward histogram recorded nothing in the measured window".into())
+    }
 }
 
 fn stop_server(addr: &str, mut child: std::process::Child) -> Result<(), String> {
@@ -391,51 +394,63 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         (Duration::from_secs(1), Duration::from_secs(4))
     };
 
-    // Throughput legs.
+    // Throughput legs. Each also scrapes the server's own batched forward
+    // time at the start and the end of the measured window, and keeps the
+    // window's mean.
     let mut entries = Vec::new();
-    let mut measured: Vec<(&str, LoadReport)> = Vec::new();
-    for leg in &LEGS {
+    let mut measured: Vec<(&str, LoadReport, f64)> = Vec::new();
+    for (name, shards) in LEGS {
         let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(
-            &binary, &ckpt_a, &addr, leg.mode, leg.shards, "f64", leg.trace,
-        )?;
+        let child = spawn_server(&binary, &ckpt_a, &addr, shards, "f64", true)?;
         let dim = wait_healthy(&addr, Duration::from_secs(10))?;
-        let report = run(&LoadConfig {
+        let load = LoadConfig {
             addr: addr.clone(),
             concurrency: 8,
             duration,
             warmup,
             rows: 4,
             dim,
+        };
+        let (report, forward_us) = std::thread::scope(|s| {
+            let traffic = s.spawn(|| run(&load));
+            std::thread::sleep(warmup);
+            let start = scrape_histogram(&addr, "serve_stage_forward_us");
+            let report = traffic.join().expect("load generator panicked");
+            let end = scrape_histogram(&addr, "serve_stage_forward_us");
+            (report, window_mean(start, end))
         });
         stop_server(&addr, child)?;
+        let forward_us = forward_us?;
         gale_obs::info!(
-            "{:<16} {:>9.0} req/s  p50 {:>6.0}us  p99 {:>7.0}us  ({} ok, {} shed, {} errors)",
-            leg.name,
+            "{:<16} {:>9.0} req/s  p50 {:>6.0}us  p99 {:>7.0}us  forward {:>5.1}us  \
+             ({} ok, {} shed, {} errors)",
+            name,
             report.throughput_rps,
             report.p50_us,
             report.p99_us,
+            forward_us,
             report.ok,
             report.shed,
             report.errors
         );
         if report.errors > 0 {
-            return Err(format!(
-                "leg {} had {} failed requests",
-                leg.name, report.errors
-            ));
+            return Err(format!("leg {name} had {} failed requests", report.errors));
         }
         if report.ok == 0 {
-            return Err(format!("leg {} completed zero requests", leg.name));
+            return Err(format!("leg {name} completed zero requests"));
         }
-        entries.push(report_json(leg.name, &report));
-        measured.push((leg.name, report));
+        let mut entry = report_json(name, &report);
+        if let Value::Object(fields) = &mut entry {
+            fields.insert("forward_us_mean", Value::from(forward_us));
+        }
+        entries.push(entry);
+        measured.push((name, report, forward_us));
     }
 
     // Reload-under-load leg: four shards, hot swap mid-run, zero drops.
     let reload_report = {
         let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(&binary, &ckpt_a, &addr, "evloop", 4, "f64", true)?;
+        let child = spawn_server(&binary, &ckpt_a, &addr, 4, "f64", true)?;
         let dim = wait_healthy(&addr, Duration::from_secs(10))?;
         let cfg = LoadConfig {
             addr: addr.clone(),
@@ -460,36 +475,27 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let tracing = measure_tracing_overhead(&binary, &ckpt_a, smoke)?;
     let _ = std::fs::remove_dir_all(&scratch);
 
-    // Intra-run ratios: each leg vs the blocking single-shard baseline,
-    // plus the pure shard-scaling ratio.
-    let rps = |name: &str| {
+    // Intra-run ratios: the shard-scaling speedup, and the wire overhead —
+    // what a single-shard request costs end to end per microsecond of
+    // model forward.
+    let leg = |name: &str| {
         measured
             .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, r)| r.throughput_rps)
-            .unwrap_or(0.0)
+            .find(|(n, _, _)| *n == name)
+            .expect("every leg ran")
     };
-    let p99 = |name: &str| {
-        measured
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, r)| r.p99_us)
-            .unwrap_or(0.0)
-    };
+    let (_, one, forward_one) = leg("evloop/1");
+    let (_, four, _) = leg("evloop/4");
     let mut speedups = gale_json::Map::new();
     speedups.insert(
-        "evloop/1",
-        Value::from(rps("evloop/1") / rps("blocking/1").max(1e-9)),
-    );
-    speedups.insert(
-        "evloop/4",
-        Value::from(rps("evloop/4") / rps("blocking/1").max(1e-9)),
-    );
-    speedups.insert(
         "shards/4v1",
-        Value::from(rps("evloop/4") / rps("evloop/1").max(1e-9)),
+        Value::from(four.throughput_rps / one.throughput_rps.max(1e-9)),
     );
-    let p99_ratio = p99("evloop/4") / p99("blocking/1").max(1e-9);
+    let wire_overhead = one.p50_us / forward_one.max(1e-9);
+    gale_obs::info!(
+        "wire overhead: evloop/1 p50 {:.0}us / forward {forward_one:.1}us = {wire_overhead:.1}x",
+        one.p50_us
+    );
 
     let out_path = std::env::var("GALE_BENCH_SERVE_OUT")
         .map(|p| repo_path(p.into()))
@@ -508,7 +514,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         "rows_per_request": 4,
         "entries": Value::Array(entries),
         "speedups": Value::Object(speedups),
-        "p99_ratio_evloop4_vs_blocking1": p99_ratio,
+        "wire_overhead_ratio": wire_overhead,
         "tracing": tracing,
         "reload_versions": Value::Array(
             reload_report.versions.iter().map(|&v| Value::Int(v as i64)).collect()
@@ -541,7 +547,7 @@ fn measure_tracing_overhead(binary: &Path, ckpt: &Path, smoke: bool) -> Result<V
     let mut servers = Vec::new();
     for trace in [true, false] {
         let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(binary, ckpt, &addr, "evloop", 1, "f64", trace)?;
+        let child = spawn_server(binary, ckpt, &addr, 1, "f64", trace)?;
         let dim = wait_healthy(&addr, Duration::from_secs(10))?;
         servers.push((addr, child, dim));
     }
@@ -655,10 +661,10 @@ fn cmd_bench_precision(args: &[String]) -> Result<(), String> {
         .ok()
         .and_then(|text| gale_json::from_str(&text).ok());
 
-    // One f64 server and one f32 server alive at once, single shard each,
-    // event-loop mode — the same alternating-pooled-passes scheme as the
-    // tracing measurement, so both precisions see the same machine
-    // weather and the pooled tails are stable.
+    // One f64 server and one f32 server alive at once, single shard each —
+    // the same alternating-pooled-passes scheme as the tracing
+    // measurement, so both precisions see the same machine weather and the
+    // pooled tails are stable.
     let (passes, warmup, duration) = if smoke {
         (
             1usize,
@@ -671,7 +677,7 @@ fn cmd_bench_precision(args: &[String]) -> Result<(), String> {
     let mut servers = Vec::new();
     for precision in ["f64", "f32"] {
         let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(&binary, &ckpt, &addr, "evloop", 1, precision, true)?;
+        let child = spawn_server(&binary, &ckpt, &addr, 1, precision, true)?;
         let dim = wait_healthy(&addr, Duration::from_secs(10))?;
         servers.push((addr, child, dim));
     }
@@ -1083,8 +1089,6 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
             &bundle.join("sgan.ckpt").to_string_lossy(),
             "--addr",
             &addr,
-            "--mode",
-            "evloop",
             "--shards",
             "1",
             "--max-wait-us",
@@ -1275,9 +1279,11 @@ const TRACING_P99_BUDGET: f64 = 1.05;
 /// whose baseline is under the 1.2x floor carry no win to protect and are
 /// skipped — on a single-core box `shards/4v1` sits at ~1x and the floor
 /// keeps it ungated until a multi-core runner commits a real ratio), and
-/// the evloop-vs-blocking p99 ratio may not grow more than 25%. The
-/// tracing-overhead budget ([`TRACING_P99_BUDGET`]) needs no baseline —
-/// both legs come from the current run.
+/// the wire-overhead ratio may not grow more than 25%. That ratio divides
+/// by the forward time, so a faster forward raises it as surely as a
+/// slower wire path does: after a forward speedup, re-take the baseline.
+/// The tracing-overhead budget ([`TRACING_P99_BUDGET`]) needs no
+/// baseline — both legs come from the current run.
 fn gate(
     report: &Value,
     baseline: Option<&Value>,
@@ -1341,17 +1347,25 @@ fn gate(
         } else {
             println!("baseline has no speedups map; skipping the baseline half of the gate");
         }
-        if let (Some(base_p99), Some(current_p99)) = (
-            baseline
-                .get("p99_ratio_evloop4_vs_blocking1")
-                .and_then(Value::as_f64),
-            report
-                .get("p99_ratio_evloop4_vs_blocking1")
-                .and_then(Value::as_f64),
+        if let (Some(base), Some(current)) = (
+            baseline.get("wire_overhead_ratio").and_then(Value::as_f64),
+            report.get("wire_overhead_ratio").and_then(Value::as_f64),
         ) {
-            if current_p99 > base_p99 * 1.25 {
+            if current > base * 1.25 {
+                let forward = |doc: &Value| {
+                    doc.get("entries")?
+                        .as_array()?
+                        .iter()
+                        .find(|e| e.get("name").and_then(Value::as_str) == Some("evloop/1"))?
+                        .get("forward_us_mean")?
+                        .as_f64()
+                };
                 failures.push(format!(
-                    "p99 ratio (evloop/4 vs blocking/1): {base_p99:.3} -> {current_p99:.3} (>25% worse)"
+                    "wire overhead (evloop/1 p50 / forward): {base:.1}x -> {current:.1}x \
+                     (>25% worse; forward {:.1}us -> {:.1}us: if the forward got faster, \
+                     re-take BENCH_serve.json)",
+                    forward(baseline).unwrap_or(f64::NAN),
+                    forward(report).unwrap_or(f64::NAN)
                 ));
             }
         }

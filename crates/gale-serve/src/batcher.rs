@@ -1,37 +1,35 @@
 //! The sharded micro-batching layer between connection handling and the
 //! scorer threads that own the model replicas.
 //!
-//! A [`ShardPool`] holds `N` scorer shards. Every shard owns a full model
-//! replica — replicas are built from one parsed checkpoint document, and
-//! checkpoints restore bit-exactly, so all same-precision shards score
-//! bitwise-identically — plus a *bounded* job queue. [`ShardPool::submit`]
-//! dispatches to the shard with the least queue depth, breaking ties
-//! round-robin; when every queue is full the submission fails immediately
-//! and the caller sheds load with `503`. Each shard pops the first waiting
-//! job, lingers up to `max_wait_us` coalescing more jobs until `max_batch`
-//! rows are in hand, and runs **one** forward pass over the combined batch
-//! through [`Sgan::probs3_into`]. Batch and output matrices come from
-//! per-shard [`Workspace`] pools, so steady-state serving does not
-//! allocate.
+//! A [`ShardPool`] holds `N` scorer shards. Every shard owns a
+//! forward-only [`SganInfer`] replica lowered from one decoded model, so
+//! all shards score bitwise-identically, plus a *bounded* job queue.
+//! [`ShardPool::submit`] dispatches to the shard with the least queue
+//! depth, breaking ties round-robin; when every queue is full the
+//! submission fails immediately and the caller sheds load with `503`. Each
+//! shard pops the first waiting job, lingers up to `max_wait_us` coalescing
+//! more jobs until `max_batch` rows are in hand, and runs **one** forward
+//! pass over the combined batch through [`SganInfer::probs3_into`]. Batch
+//! and output matrices come from per-shard [`Workspace`] pools, so
+//! steady-state serving does not allocate.
 //!
-//! Each shard runs at a fixed [`Precision`] chosen at spawn time
-//! ([`ShardPool::spawn_with_precisions`]). `F64` shards serve the exact
-//! training-precision replica; `F32` shards serve a one-way
-//! [`SganInfer<f32>`] lowering of the same checkpoint — features are
-//! narrowed on batch assembly and probabilities widened on reply, so the
-//! wire format never changes. The f32 path trades the bitwise-parity
-//! guarantee for bandwidth: divergence against f64 is bounded by the
-//! committed tolerance corpus (`BENCH_precision.json`), and replies stamp
-//! their [`ScoreReply::precision`] so clients can tell.
+//! The whole pool runs at one [`Precision`] chosen at spawn time. The
+//! batch forward is written once, generic over the element type: features
+//! are narrowed on batch assembly and probabilities widened on reply, so
+//! the wire format never changes. `F64` replicas score bit for bit like
+//! [`Sgan::probs3_into`] (tested across batch shapes and thread counts);
+//! `F32` replicas trade that parity for bandwidth, with the divergence
+//! bounded by the committed tolerance corpus (`BENCH_precision.json`).
+//! Replies stamp their [`ScoreReply::precision`] so clients can tell.
 //!
 //! Hot reload rides a second, unbounded control channel per shard: a
-//! [`ShardPool::reload`] parses and validates the new checkpoint *once*,
-//! builds one replica per shard in that shard's precision (all-or-nothing
-//! — a checkpoint that fails to decode swaps nothing), and sends each
-//! shard a swap message. Shards apply swaps only **between** batches, so
-//! every row of any single batch is scored by exactly one model version,
-//! and no request is ever dropped: jobs queued across the swap simply
-//! score on whichever version their batch runs under.
+//! [`ShardPool::reload`] decodes and validates the new checkpoint *once*
+//! (all-or-nothing — a checkpoint that fails to decode swaps nothing),
+//! lowers it into one replica per shard, and sends each shard its swap.
+//! Shards apply swaps only **between** batches, so every row of any single
+//! batch is scored by exactly one model version, and no request is ever
+//! dropped: jobs queued across the swap simply score on whichever version
+//! their batch runs under.
 //!
 //! Shutdown is the natural channel protocol: when every submit handle is
 //! dropped each shard drains whatever is still queued — every job gets its
@@ -39,8 +37,8 @@
 
 use crate::metrics;
 use gale_core::{Sgan, SganInfer};
-use gale_nn::checkpoint::{self, CkptError};
-use gale_tensor::Workspace;
+use gale_nn::checkpoint::CkptError;
+use gale_tensor::{Element, Workspace};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -72,10 +70,10 @@ impl Default for BatchConfig {
     }
 }
 
-/// Arithmetic width a scorer shard runs its forward passes at.
+/// Arithmetic width the scorer shards run their forward passes at.
 ///
 /// `F64` is the training precision: bitwise-identical to calling the
-/// checkpointed model in process. `F32` serves a one-way inference
+/// checkpointed model in process. `F32` serves a single-precision
 /// lowering — roughly twice the effective memory bandwidth on this repo's
 /// GEMM and distance kernels, deterministic per-precision (fixed 16-lane
 /// reduction chains, thread-count invariant) but *not* bit-equal to f64;
@@ -115,50 +113,20 @@ impl Precision {
             Precision::F32 => 32,
         }
     }
+
+    /// The precision a shard over element type `E` serves at.
+    fn of<E: Element>() -> Precision {
+        if E::BITS == 32 {
+            Precision::F32
+        } else {
+            Precision::F64
+        }
+    }
 }
 
 impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// A shard's model replica at its serving precision.
-///
-/// `F64` holds the full trainable model (bit-exact with the checkpoint);
-/// `F32` holds the forward-only lowered replica. Reload rebuilds whichever
-/// variant the shard already runs, always from the same validated f64
-/// checkpoint document.
-enum ShardModel {
-    /// The training-precision replica.
-    F64(Box<Sgan>),
-    /// The lowered single-precision inference replica.
-    F32(Box<SganInfer<f32>>),
-}
-
-impl ShardModel {
-    /// Builds the replica for `precision` from a decoded f64 model.
-    fn lower(model: Sgan, precision: Precision) -> ShardModel {
-        match precision {
-            Precision::F64 => ShardModel::F64(Box::new(model)),
-            Precision::F32 => ShardModel::F32(Box::new(model.to_f32())),
-        }
-    }
-
-    /// Input dimension the replica expects.
-    fn input_dim(&self) -> usize {
-        match self {
-            ShardModel::F64(m) => m.input_dim(),
-            ShardModel::F32(m) => m.input_dim(),
-        }
-    }
-
-    /// The precision this replica scores at.
-    fn precision(&self) -> Precision {
-        match self {
-            ShardModel::F64(_) => Precision::F64,
-            ShardModel::F32(_) => Precision::F32,
-        }
     }
 }
 
@@ -194,7 +162,7 @@ pub struct ScoreReply {
     /// The batched forward pass, microseconds (shared by every job in the
     /// batch).
     pub forward_us: u32,
-    /// Arithmetic width of the shard that scored these rows.
+    /// Arithmetic width of the pool that scored these rows.
     pub precision: Precision,
 }
 
@@ -245,15 +213,19 @@ impl From<CkptError> for ReloadError {
 }
 
 /// Control messages delivered outside the job queue (never shed).
-enum Ctrl {
-    /// Replace the shard's model between batches. The replacement is
-    /// already at the shard's precision — shards never change width.
+enum Ctrl<E: Element> {
+    /// Replace the shard's replica between batches.
     Swap {
-        model: ShardModel,
+        model: SganInfer<E>,
         version: u64,
         ack: Sender<()>,
     },
 }
+
+/// Lowers a decoded model into one shard's replica and queues the swap;
+/// `false` once the shard has exited. Erases the shard's element type, so
+/// the pool itself stays precision-agnostic.
+type SwapFn = Box<dyn Fn(&Sgan, u64, Sender<()>) -> bool + Send + Sync>;
 
 /// Live per-shard counters, shared between the scorer thread (writer) and
 /// `/debug/queues` (reader). All relaxed: the endpoint reports a consistent
@@ -283,17 +255,55 @@ pub struct ShardSnapshot {
     pub last_batch_version: u64,
     /// Forward passes executed.
     pub batches: u64,
-    /// Arithmetic width this shard scores at (fixed at spawn).
-    pub precision: Precision,
 }
 
 /// One shard's submission handles.
 struct Shard {
     tx: SyncSender<ScoreJob>,
-    ctrl: Sender<Ctrl>,
+    swap: SwapFn,
     depth: Arc<AtomicI64>,
     stats: Arc<ShardStats>,
-    precision: Precision,
+}
+
+impl Shard {
+    /// Spawns shard `id`'s scorer thread around a lowering of `model` to
+    /// element `E`.
+    fn spawn<E: Element>(id: usize, model: &Sgan, cfg: &BatchConfig) -> (Shard, JoinHandle<()>) {
+        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
+        let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl<E>>();
+        let depth = Arc::new(AtomicI64::new(0));
+        let stats = Arc::new(ShardStats::default());
+        let scorer = ShardLoop {
+            id: id as u32,
+            rx,
+            ctrl: ctrl_rx,
+            depth: depth.clone(),
+            stats: stats.clone(),
+            cfg: cfg.clone(),
+        };
+        let replica = model.to_infer::<E>();
+        let handle = std::thread::Builder::new()
+            .name(format!("gale-shard-{id}"))
+            .spawn(move || scorer.run(replica))
+            .expect("spawning a shard thread");
+        let swap: SwapFn = Box::new(move |model, version, ack| {
+            let model = model.to_infer::<E>();
+            ctrl_tx
+                .send(Ctrl::Swap {
+                    model,
+                    version,
+                    ack,
+                })
+                .is_ok()
+        });
+        let shard = Shard {
+            tx,
+            swap,
+            depth,
+            stats,
+        };
+        (shard, handle)
+    }
 }
 
 /// The sharded scorer pool. Cloned freely via `Arc`; dropping the last
@@ -303,104 +313,31 @@ pub struct ShardPool {
     rr: AtomicUsize,
     version: AtomicU64,
     input_dim: usize,
+    precision: Precision,
     /// Serializes reloads so versions are assigned in order.
     reload_lock: Mutex<()>,
 }
 
 impl ShardPool {
-    /// Spawns `shards` all-`f64` scorer threads around replicas of `model`
-    /// and returns the pool plus the thread handles (join them after
-    /// dropping the pool to wait for the drain).
-    ///
-    /// Replica construction round-trips the model through its checkpoint
-    /// document, which restores bit-exactly — every shard scores any row
-    /// bitwise-identically to every other.
+    /// Spawns `shards` scorer threads, each serving its own lowering of
+    /// `model` at `precision`, and returns the pool plus the thread
+    /// handles (join them after dropping the pool to wait for the drain).
     pub fn spawn(
         model: Sgan,
         shards: usize,
-        cfg: &BatchConfig,
-    ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
-        ShardPool::spawn_with_precisions(model, &vec![Precision::F64; shards.max(1)], cfg)
-    }
-
-    /// Spawns one scorer thread per entry of `precisions`, each serving a
-    /// replica of `model` lowered to that shard's precision. `F64` shards
-    /// are bit-exact with the checkpoint (and with each other); `F32`
-    /// shards serve the one-way [`SganInfer<f32>`] lowering.
-    pub fn spawn_with_precisions(
-        model: Sgan,
-        precisions: &[Precision],
+        precision: Precision,
         cfg: &BatchConfig,
     ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
         metrics::register_all();
-        let precisions: &[Precision] = if precisions.is_empty() {
-            &[Precision::F64]
-        } else {
-            precisions
-        };
-        let shards = precisions.len();
-        let input_dim = model.input_dim();
-        // The trainable f64 model moves into the first f64 shard; every
-        // other replica (and every f32 lowering) comes from one encoded
-        // checkpoint document, which restores bit-exactly.
-        let doc = if shards > 1 || precisions[0] == Precision::F32 {
-            Some(
-                model
-                    .to_json()
-                    .expect("serializing a live model cannot fail"),
-            )
-        } else {
-            None
-        };
-        let mut handles = Vec::with_capacity(shards);
-        let mut slots = Vec::with_capacity(shards);
-        let mut model = Some(model);
-        for (i, &precision) in precisions.iter().enumerate() {
-            let proto = match (precision, model.take()) {
-                (Precision::F64, Some(m)) => m,
-                (precision, taken) => {
-                    // An f32 shard lowers a decoded copy and leaves the
-                    // original for a later f64 shard.
-                    if precision == Precision::F32 {
-                        model = taken;
-                    }
-                    Sgan::from_json(doc.as_ref().expect("doc built for extra shards"))
-                        .expect("re-decoding a just-encoded model cannot fail")
-                }
+        let mut handles = Vec::with_capacity(shards.max(1));
+        let mut slots = Vec::with_capacity(shards.max(1));
+        for i in 0..shards.max(1) {
+            let (shard, handle) = match precision {
+                Precision::F64 => Shard::spawn::<f64>(i, &model, cfg),
+                Precision::F32 => Shard::spawn::<f32>(i, &model, cfg),
             };
-            let replica = ShardModel::lower(proto, precision);
-            metrics::shard_precision(i).set(precision.bits() as f64);
-            let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-            let (ctrl_tx, ctrl_rx) = mpsc::channel();
-            let depth = Arc::new(AtomicI64::new(0));
-            let stats = Arc::new(ShardStats::default());
-            let shard_depth = depth.clone();
-            let shard_stats = stats.clone();
-            let batch_cfg = cfg.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gale-shard-{i}"))
-                    .spawn(move || {
-                        run_shard(
-                            replica,
-                            INITIAL_VERSION,
-                            i as u32,
-                            rx,
-                            ctrl_rx,
-                            shard_depth,
-                            shard_stats,
-                            &batch_cfg,
-                        );
-                    })
-                    .expect("spawning a shard thread"),
-            );
-            slots.push(Shard {
-                tx,
-                ctrl: ctrl_tx,
-                depth,
-                stats,
-                precision,
-            });
+            slots.push(shard);
+            handles.push(handle);
         }
         metrics::model_version().set(INITIAL_VERSION as f64);
         (
@@ -408,7 +345,8 @@ impl ShardPool {
                 shards: slots,
                 rr: AtomicUsize::new(0),
                 version: AtomicU64::new(INITIAL_VERSION),
-                input_dim,
+                input_dim: model.input_dim(),
+                precision,
                 reload_lock: Mutex::new(()),
             }),
             handles,
@@ -425,9 +363,9 @@ impl ShardPool {
         self.shards.len()
     }
 
-    /// Per-shard serving precisions, in shard order (fixed at spawn).
-    pub fn precisions(&self) -> Vec<Precision> {
-        self.shards.iter().map(|s| s.precision).collect()
+    /// The pool's serving precision (fixed at spawn).
+    pub fn precision(&self) -> Precision {
+        self.precision
     }
 
     /// Current model generation (1 at boot, +1 per successful reload).
@@ -446,7 +384,6 @@ impl ShardPool {
                 last_batch_rows: s.stats.last_batch_rows.load(Ordering::Relaxed),
                 last_batch_version: s.stats.last_batch_version.load(Ordering::Relaxed),
                 batches: s.stats.batches.load(Ordering::Relaxed),
-                precision: s.precision,
             })
             .collect()
     }
@@ -520,7 +457,7 @@ impl ShardPool {
     /// Loads, validates, and atomically swaps a new checkpoint into every
     /// shard. Runs entirely off the scoring hot path: file IO, JSON
     /// parsing, and replica construction happen on the calling thread;
-    /// shards only exchange a pointer between batches.
+    /// shards only exchange a replica between batches.
     ///
     /// All-or-nothing: any read/decode/validation failure returns the typed
     /// error *before* any shard has been touched, and the old model keeps
@@ -530,16 +467,10 @@ impl ShardPool {
             .reload_lock
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Parse once, decode once per shard: every replica comes from the
-        // same document, so all same-precision shards restore
-        // bit-identically. F32 shards get the validated f64 decode lowered
-        // into their width — the checkpoint format itself stays f64-only.
-        let doc = checkpoint::read_file(path.as_ref())?;
-        let mut replicas = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            replicas.push(ShardModel::lower(Sgan::from_json(&doc)?, shard.precision));
-        }
-        let found = replicas[0].input_dim();
+        // Decode once and lower that one model for every shard, so all
+        // shards keep scoring bit-identically after the swap.
+        let model = Sgan::load(path.as_ref())?;
+        let found = model.input_dim();
         if found != self.input_dim {
             return Err(ReloadError::DimMismatch {
                 expected: self.input_dim,
@@ -548,16 +479,11 @@ impl ShardPool {
         }
         let new_version = self.version.load(Ordering::SeqCst) + 1;
         let mut acks = Vec::with_capacity(self.shards.len());
-        for (shard, replica) in self.shards.iter().zip(replicas) {
+        for shard in &self.shards {
             let (ack_tx, ack_rx) = mpsc::channel();
-            shard
-                .ctrl
-                .send(Ctrl::Swap {
-                    model: replica,
-                    version: new_version,
-                    ack: ack_tx,
-                })
-                .map_err(|_| ReloadError::PoolDown)?;
+            if !(shard.swap)(&model, new_version, ack_tx) {
+                return Err(ReloadError::PoolDown);
+            }
             acks.push(ack_rx);
         }
         for ack in acks {
@@ -583,159 +509,139 @@ fn us32(d: Duration) -> u32 {
     d.as_micros().min(u32::MAX as u128) as u32
 }
 
-/// The scoring loop of one shard. Runs until the pool (every job sender)
-/// is dropped, then drains the queue — each remaining job still gets its
-/// reply — and exits.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    mut model: ShardModel,
-    mut version: u64,
-    shard_id: u32,
+/// One shard's scoring loop and the channels it serves.
+struct ShardLoop<E: Element> {
+    id: u32,
     rx: Receiver<ScoreJob>,
-    ctrl: Receiver<Ctrl>,
+    ctrl: Receiver<Ctrl<E>>,
     depth: Arc<AtomicI64>,
     stats: Arc<ShardStats>,
-    cfg: &BatchConfig,
-) {
-    let dim = model.input_dim();
-    let precision = model.precision();
-    // One buffer pool per precision the shard can touch; only the pool
-    // matching `precision` is ever exercised, the other stays empty.
-    let mut ws64: Workspace<f64> = Workspace::new();
-    let mut ws32: Workspace<f32> = Workspace::new();
-    // Widened probabilities of the current batch, reused across batches so
-    // the f32 path's widen step does not allocate either.
-    let mut scored: Vec<f64> = Vec::new();
-    let mut jobs: Vec<(ScoreJob, Instant)> = Vec::new();
-    let (mut reported_hits, mut reported_misses) = (0u64, 0u64);
-    loop {
-        // Swaps apply only here, between batches: every row of any single
-        // batch is scored by exactly one model version.
-        while let Ok(Ctrl::Swap {
-            model: m,
-            version: v,
-            ack,
-        }) = ctrl.try_recv()
-        {
-            debug_assert_eq!(m.precision(), precision, "swap must keep the shard's width");
-            model = m;
-            version = v;
-            let _ = ack.send(());
-        }
-        // Wait briefly for the batch's first job, then re-poll control. A
-        // disconnect means every submitter is gone and the queue is empty —
-        // clean exit.
-        let first = match rx.recv_timeout(IDLE_POLL) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        depth.fetch_sub(1, Ordering::Relaxed);
-        metrics::queue_depth().add(-1.0);
-        stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let mut total_rows = first.rows;
-        jobs.push((first, Instant::now()));
-        // Linger, coalescing until the row budget or the deadline.
-        let deadline = Instant::now() + Duration::from_micros(cfg.max_wait_us);
-        while total_rows < cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                    metrics::queue_depth().add(-1.0);
-                    stats.in_flight.fetch_add(1, Ordering::Relaxed);
-                    total_rows += job.rows;
-                    jobs.push((job, Instant::now()));
-                }
-                Err(_) => break, // timeout or disconnect: score what we have
-            }
-        }
+    cfg: BatchConfig,
+}
 
-        // One batched forward through the pooled buffers of the shard's
-        // precision. The f32 arm narrows features during batch assembly
-        // and widens probabilities right after the forward, so everything
-        // downstream (scatter, replies, `/score` rendering) stays f64.
-        let forward_started;
-        let forward_us;
-        scored.clear();
-        match &mut model {
-            ShardModel::F64(m) => {
-                let mut batch = ws64.take(total_rows, dim);
-                let mut offset = 0usize;
-                for (job, _) in &jobs {
-                    batch.data_mut()[offset..offset + job.features.len()]
-                        .copy_from_slice(&job.features);
-                    offset += job.features.len();
-                }
-                let mut probs = ws64.take(total_rows, 3);
-                forward_started = Instant::now();
-                m.probs3_into(&batch, &mut probs);
-                forward_us = us32(forward_started.elapsed());
-                scored.extend_from_slice(probs.data());
-                ws64.give(batch);
-                ws64.give(probs);
+impl<E: Element> ShardLoop<E> {
+    /// Scores batches through `model` until the pool (every job sender)
+    /// is dropped, then drains the queue — each remaining job still gets
+    /// its reply — and exits.
+    fn run(self, mut model: SganInfer<E>) {
+        let dim = model.input_dim();
+        let mut ws: Workspace<E> = Workspace::new();
+        let mut version = INITIAL_VERSION;
+        // Widened probabilities of the current batch, reused across
+        // batches so the widen step does not allocate.
+        let mut scored: Vec<f64> = Vec::new();
+        let mut jobs: Vec<(ScoreJob, Instant)> = Vec::new();
+        let (mut reported_hits, mut reported_misses) = (0u64, 0u64);
+        loop {
+            // Swaps apply only here, between batches: every row of any
+            // single batch is scored by exactly one model version.
+            while let Ok(Ctrl::Swap {
+                model: m,
+                version: v,
+                ack,
+            }) = self.ctrl.try_recv()
+            {
+                model = m;
+                version = v;
+                let _ = ack.send(());
             }
-            ShardModel::F32(m) => {
-                let mut batch = ws32.take(total_rows, dim);
-                let mut offset = 0usize;
-                for (job, _) in &jobs {
-                    let dst = &mut batch.data_mut()[offset..offset + job.features.len()];
-                    for (d, &s) in dst.iter_mut().zip(&job.features) {
-                        *d = s as f32;
+            // Wait briefly for the batch's first job, then re-poll
+            // control. A disconnect means every submitter is gone and the
+            // queue is empty — clean exit.
+            let first = match self.rx.recv_timeout(IDLE_POLL) {
+                Ok(job) => job,
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            };
+            self.popped();
+            let mut total_rows = first.rows;
+            jobs.push((first, Instant::now()));
+            // Linger, coalescing until the row budget or the deadline.
+            let deadline = Instant::now() + Duration::from_micros(self.cfg.max_wait_us);
+            while total_rows < self.cfg.max_batch {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                match self.rx.recv_timeout(deadline - now) {
+                    Ok(job) => {
+                        self.popped();
+                        total_rows += job.rows;
+                        jobs.push((job, Instant::now()));
                     }
-                    offset += job.features.len();
+                    Err(_) => break, // timeout or disconnect: score what we have
                 }
-                let mut probs = ws32.take(total_rows, 3);
-                forward_started = Instant::now();
-                m.probs3_into(&batch, &mut probs);
-                forward_us = us32(forward_started.elapsed());
-                scored.extend(probs.data().iter().map(|&v| v as f64));
-                ws32.give(batch);
-                ws32.give(probs);
+            }
+
+            // One batched forward through the pooled buffers: features
+            // are narrowed to `E` during batch assembly and probabilities
+            // widened right after the forward, so everything downstream
+            // (scatter, replies, `/score` rendering) stays f64.
+            let mut batch = ws.take(total_rows, dim);
+            let mut offset = 0usize;
+            for (job, _) in &jobs {
+                let dst = &mut batch.data_mut()[offset..offset + job.features.len()];
+                for (d, &s) in dst.iter_mut().zip(&job.features) {
+                    *d = E::from_f64(s);
+                }
+                offset += job.features.len();
+            }
+            let mut probs = ws.take(total_rows, 3);
+            let forward_started = Instant::now();
+            model.probs3_into(&batch, &mut probs);
+            let forward_us = us32(forward_started.elapsed());
+            scored.clear();
+            scored.extend(probs.data().iter().map(|&v| v.to_f64()));
+            ws.give(batch);
+            ws.give(probs);
+
+            metrics::batches().add(1);
+            metrics::rows().add(total_rows as u64);
+            metrics::batch_rows().record(total_rows as f64);
+            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .last_batch_rows
+                .store(total_rows as u64, Ordering::Relaxed);
+            self.stats
+                .last_batch_version
+                .store(version, Ordering::Relaxed);
+            let (hits, misses) = ws.stats();
+            metrics::pool_hits().add(hits - reported_hits);
+            metrics::pool_misses().add(misses - reported_misses);
+            (reported_hits, reported_misses) = (hits, misses);
+
+            // Scatter the rows back to their requesters.
+            let mut row0 = 0usize;
+            for (job, popped) in jobs.drain(..) {
+                let slice = scored[row0 * 3..(row0 + job.rows) * 3].to_vec();
+                row0 += job.rows;
+                metrics::latency_us().record(job.enqueued.elapsed().as_secs_f64() * 1e6);
+                let queue_us = us32(popped.duration_since(job.enqueued));
+                let assembly_us = us32(forward_started.duration_since(popped));
+                metrics::stage_queue_us().record(queue_us as f64);
+                metrics::stage_assembly_us().record(assembly_us as f64);
+                metrics::stage_forward_us().record(forward_us as f64);
+                self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+                // A vanished client (closed connection) is not an error.
+                let _ = job.reply.send(ScoreReply {
+                    version,
+                    probs: slice,
+                    shard: self.id,
+                    batch_rows: total_rows.min(u32::MAX as usize) as u32,
+                    queue_us,
+                    assembly_us,
+                    forward_us,
+                    precision: Precision::of::<E>(),
+                });
             }
         }
-        metrics::batches().add(1);
-        metrics::rows().add(total_rows as u64);
-        metrics::batch_rows().record(total_rows as f64);
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats
-            .last_batch_rows
-            .store(total_rows as u64, Ordering::Relaxed);
-        stats.last_batch_version.store(version, Ordering::Relaxed);
-        let (h64, m64) = ws64.stats();
-        let (h32, m32) = ws32.stats();
-        let (hits, misses) = (h64 + h32, m64 + m32);
-        metrics::pool_hits().add(hits - reported_hits);
-        metrics::pool_misses().add(misses - reported_misses);
-        (reported_hits, reported_misses) = (hits, misses);
+    }
 
-        // Scatter the rows back to their requesters.
-        let mut row0 = 0usize;
-        for (job, popped) in jobs.drain(..) {
-            let slice = scored[row0 * 3..(row0 + job.rows) * 3].to_vec();
-            row0 += job.rows;
-            metrics::latency_us().record(job.enqueued.elapsed().as_secs_f64() * 1e6);
-            let queue_us = us32(popped.duration_since(job.enqueued));
-            let assembly_us = us32(forward_started.duration_since(popped));
-            metrics::stage_queue_us().record(queue_us as f64);
-            metrics::stage_assembly_us().record(assembly_us as f64);
-            metrics::stage_forward_us().record(forward_us as f64);
-            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            // A vanished client (closed connection) is not an error.
-            let _ = job.reply.send(ScoreReply {
-                version,
-                probs: slice,
-                shard: shard_id,
-                batch_rows: total_rows.min(u32::MAX as usize) as u32,
-                queue_us,
-                assembly_us,
-                forward_us,
-                precision,
-            });
-        }
+    /// Books one job leaving the queue.
+    fn popped(&self) {
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+        metrics::queue_depth().add(-1.0);
+        self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -778,7 +684,7 @@ mod tests {
             max_wait_us: 0,
             max_batch: 1,
         };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, Precision::F64, &cfg);
         let heavy_rows = 100_000usize;
         let heavy = vec![0.5f64; heavy_rows * dim];
         let mut accepted = 0;
@@ -821,7 +727,7 @@ mod tests {
     fn scored_rows_match_in_process_model_bitwise_across_shards() {
         let dim = 5;
         let cfg = BatchConfig::default();
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 3, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 3, Precision::F64, &cfg);
 
         let mut rng = Rng::seed_from_u64(32);
         let x = Matrix::randn(7, dim, 1.0, &mut rng);
@@ -854,7 +760,7 @@ mod tests {
             max_wait_us: 500,
             queue_capacity: 64,
         };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 4, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 4, Precision::F64, &cfg);
         let mut rng = Rng::seed_from_u64(33);
         let replies: Vec<_> = (0..40)
             .map(|_| {
@@ -881,74 +787,14 @@ mod tests {
     }
 
     #[test]
-    fn mixed_precision_pool_agrees_on_verdicts_and_stamps_precision() {
-        // One f64 and one f32 shard behind the same pool: dispatch is
-        // load-based, so the same request lands on either. Submitting one
-        // fixed batch many times must exercise both shards; f64 replies
-        // stay bitwise-exact, f32 replies must agree on every verdict and
-        // track the probabilities within single-precision tolerance.
-        let dim = 5;
-        let (pool, handles) = ShardPool::spawn_with_precisions(
-            tiny_model(dim),
-            &[Precision::F64, Precision::F32],
-            &BatchConfig::default(),
-        );
-        assert_eq!(pool.precisions(), vec![Precision::F64, Precision::F32]);
-        let snaps = pool.shard_snapshots();
-        assert_eq!(snaps[0].precision, Precision::F64);
-        assert_eq!(snaps[1].precision, Precision::F32);
-
-        let mut rng = Rng::seed_from_u64(34);
-        let x = Matrix::randn(6, dim, 1.0, &mut rng);
-        let mut model = tiny_model(dim);
-        let mut expect = Matrix::zeros(0, 0);
-        model.probs3_into(&x, &mut expect);
-        let (mut seen64, mut seen32) = (false, false);
-        for _ in 0..24 {
-            let served = pool.submit(x.data().to_vec(), 6).unwrap().recv().unwrap();
-            assert_eq!(served.probs.len(), 6 * 3);
-            match served.precision {
-                Precision::F64 => {
-                    seen64 = true;
-                    for (a, b) in expect.data().iter().zip(&served.probs) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-                Precision::F32 => {
-                    seen32 = true;
-                    for r in 0..6 {
-                        let want = expect[(r, 0)] > expect[(r, 1)];
-                        let got = served.probs[r * 3] > served.probs[r * 3 + 1];
-                        assert_eq!(want, got, "verdict flip on row {r}");
-                        for c in 0..3 {
-                            let diff = (expect[(r, c)] - served.probs[r * 3 + c]).abs();
-                            assert!(diff < 1e-4, "row {r} class {c} diverged by {diff:e}");
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            seen64 && seen32,
-            "both precisions must score (f64 {seen64}, f32 {seen32})"
-        );
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn reload_lowers_the_checkpoint_into_each_shards_precision() {
-        // A reload against a mixed pool must hand the f64 shard a
-        // bit-exact replica and the f32 shard a lowering of the *new*
-        // checkpoint — both at the bumped version.
+    fn f32_pool_reload_serves_a_lowering_of_the_new_checkpoint() {
+        // Every shard of an f32 pool must score the *new* checkpoint after
+        // a reload, at the bumped version, agreeing with the f64 forward
+        // on every verdict and within single-precision tolerance.
         let dim = 4;
-        let (pool, handles) = ShardPool::spawn_with_precisions(
-            tiny_model(dim),
-            &[Precision::F64, Precision::F32],
-            &BatchConfig::default(),
-        );
+        let (pool, handles) =
+            ShardPool::spawn(tiny_model(dim), 2, Precision::F32, &BatchConfig::default());
+        assert_eq!(pool.precision(), Precision::F32);
         let mut rng = Rng::seed_from_u64(57);
         let mut next = Sgan::new(
             dim,
@@ -959,7 +805,7 @@ mod tests {
             },
             &mut rng,
         );
-        let path = scratch_path("reload-mixed.ckpt");
+        let path = scratch_path("reload-f32.ckpt");
         next.save(&path).unwrap();
         let v = pool.reload(&path).unwrap();
         assert_eq!(v, INITIAL_VERSION + 1);
@@ -967,30 +813,22 @@ mod tests {
         let x = Matrix::randn(5, dim, 1.0, &mut rng);
         let mut expect = Matrix::zeros(0, 0);
         next.probs3_into(&x, &mut expect);
-        let (mut seen64, mut seen32) = (false, false);
-        for _ in 0..24 {
+        for _ in 0..8 {
             let got = pool.submit(x.data().to_vec(), 5).unwrap().recv().unwrap();
             assert_eq!(got.version, v);
-            match got.precision {
-                Precision::F64 => {
-                    seen64 = true;
-                    for (a, b) in expect.data().iter().zip(&got.probs) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-                Precision::F32 => {
-                    seen32 = true;
-                    for r in 0..5 {
-                        assert_eq!(
-                            expect[(r, 0)] > expect[(r, 1)],
-                            got.probs[r * 3] > got.probs[r * 3 + 1],
-                            "verdict flip on row {r} after reload"
-                        );
-                    }
+            assert_eq!(got.precision, Precision::F32);
+            for r in 0..5 {
+                assert_eq!(
+                    expect[(r, 0)] > expect[(r, 1)],
+                    got.probs[r * 3] > got.probs[r * 3 + 1],
+                    "verdict flip on row {r} after reload"
+                );
+                for c in 0..3 {
+                    let diff = (expect[(r, c)] - got.probs[r * 3 + c]).abs();
+                    assert!(diff < 1e-4, "row {r} class {c} diverged by {diff:e}");
                 }
             }
         }
-        assert!(seen64 && seen32, "both precisions must score after reload");
         drop(pool);
         for h in handles {
             h.join().unwrap();
@@ -1001,7 +839,8 @@ mod tests {
     #[test]
     fn reload_swaps_every_shard_and_bumps_the_version() {
         let dim = 4;
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &BatchConfig::default());
+        let (pool, handles) =
+            ShardPool::spawn(tiny_model(dim), 2, Precision::F64, &BatchConfig::default());
         let mut rng = Rng::seed_from_u64(55);
         let mut next = Sgan::new(
             dim,
@@ -1040,7 +879,8 @@ mod tests {
     #[test]
     fn failed_reload_leaves_the_old_model_serving() {
         let dim = 3;
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &BatchConfig::default());
+        let (pool, handles) =
+            ShardPool::spawn(tiny_model(dim), 2, Precision::F64, &BatchConfig::default());
         let mut reference = tiny_model(dim);
         let x = Matrix::randn(4, dim, 1.0, &mut Rng::seed_from_u64(7));
         let mut expect = Matrix::zeros(0, 0);

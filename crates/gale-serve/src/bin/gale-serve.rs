@@ -6,8 +6,7 @@
 //!   a small SGAN on synthetic two-cluster data and writes a checkpoint, so
 //!   the serving path can be exercised without a full pipeline run.
 //! - `gale-serve serve --ckpt model.ckpt [--addr HOST:PORT] [--shards N]
-//!   [--precision f64|f32[,per-shard list]] [--mode evloop|blocking]
-//!   [--max-batch N] [--max-wait-us U]
+//!   [--precision f64|f32] [--max-batch N] [--max-wait-us U]
 //!   [--queue-capacity N]` — loads the checkpoint and serves `/score`,
 //!   `/healthz`, `/metrics`, `/admin/reload`, and the `/debug/{trace,
 //!   slow,queues}` introspection endpoints until `POST /admin/shutdown`
@@ -19,7 +18,7 @@
 
 use gale_core::{ColumnStandardizer, Sgan, SganConfig};
 use gale_json::json;
-use gale_serve::{serve_with_stream, BatchConfig, Precision, ServeConfig, ServeMode};
+use gale_serve::{serve_with_stream, BatchConfig, Precision, ServeConfig};
 use gale_stream::{load_bundle, save_bundle, StreamConfig};
 use gale_tensor::{Matrix, Rng, SparseMatrix, SymNormalized};
 use std::io::{Read, Write};
@@ -54,8 +53,7 @@ USAGE:
   gale-serve train-demo --out PATH [--dim N] [--seed S]
   gale-serve stream-demo --out DIR [--nodes N] [--dim D] [--seed S]
   gale-serve serve --ckpt PATH [--addr HOST:PORT] [--shards N]
-                   [--precision f64|f32[,f32,..]] [--mode evloop|blocking]
-                   [--max-batch N]
+                   [--precision f64|f32] [--max-batch N]
                    [--max-wait-us U] [--queue-capacity N]
                    [--retry-after-secs S] [--keep-alive-secs S]
                    [--trace on|off] [--trace-sample N] [--trace-slow-us U]
@@ -259,7 +257,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--addr",
             "--shards",
             "--precision",
-            "--mode",
             "--max-batch",
             "--max-wait-us",
             "--queue-capacity",
@@ -272,26 +269,10 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let ckpt = find(&flags, "--ckpt").ok_or("serve requires --ckpt PATH")?;
-    let mode = match find(&flags, "--mode").unwrap_or("evloop") {
-        "evloop" => ServeMode::EventLoop,
-        "blocking" => ServeMode::Blocking,
-        other => {
-            return Err(format!(
-                "flag `--mode` wants evloop|blocking, got `{other}`"
-            ))
-        }
-    };
-    // `--precision f32` runs every shard single-precision; a comma list
-    // (`--precision f64,f32`) names one precision per shard, in order.
-    let precision: Vec<Precision> = match find(&flags, "--precision") {
-        None => Vec::new(),
-        Some(raw) => raw
-            .split(',')
-            .map(|tok| {
-                Precision::parse(tok.trim())
-                    .ok_or_else(|| format!("flag `--precision` wants f64|f32 entries, got `{tok}`"))
-            })
-            .collect::<Result<_, _>>()?,
+    let precision = match find(&flags, "--precision") {
+        None => Precision::F64,
+        Some(raw) => Precision::parse(raw)
+            .ok_or_else(|| format!("flag `--precision` wants f64|f32, got `{raw}`"))?,
     };
     let trace = match find(&flags, "--trace").unwrap_or("on") {
         "on" => true,
@@ -315,7 +296,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         retry_after_secs: parse_num(&flags, "--retry-after-secs", 1u32)?,
         shards: parse_num(&flags, "--shards", 1usize)?.max(1),
         precision,
-        mode,
         keep_alive_secs: parse_num(&flags, "--keep-alive-secs", 60u64)?,
         trace,
         trace_sample: parse_num(&flags, "--trace-sample", defaults.trace_sample)?,

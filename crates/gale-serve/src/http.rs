@@ -1,23 +1,16 @@
 //! A deliberately minimal HTTP/1.1 layer: request parsing and response
-//! rendering for the inference endpoints, over std TCP streams.
+//! rendering for the inference endpoints.
 //!
-//! Two consumption styles share one head parser:
-//!
-//! * [`parse_request`] — incremental, buffer-based. The non-blocking event
-//!   loop appends whatever bytes the socket has and asks for the next
-//!   complete request; pipelined requests come out one `(request, consumed)`
-//!   pair at a time.
-//! * [`read_request`] — streaming, for the legacy blocking mode that
-//!   dedicates a thread to each connection.
+//! [`parse_request`] is incremental and buffer-based: the non-blocking
+//! event loop appends whatever bytes the socket has and asks for the next
+//! complete request; pipelined requests come out one `(request, consumed)`
+//! pair at a time.
 //!
 //! HTTP/1.1 requests default to keep-alive (`Connection: close` opts out);
 //! HTTP/1.0 defaults to close (`Connection: keep-alive` opts in). Responses
 //! carry whichever the server decided via the `keep_alive` argument of the
 //! render functions. Header and body sizes are capped so a misbehaving
 //! client cannot make the server buffer unbounded input.
-
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
 /// Maximum accepted size of the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -42,8 +35,6 @@ pub struct Request {
 /// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket-level failure (including a peer that hung up mid-request).
-    Io(std::io::Error),
     /// The bytes on the wire are not a well-formed HTTP/1.1 request, or
     /// exceed the size caps.
     Malformed(String),
@@ -52,15 +43,8 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "io error: {e}"),
             HttpError::Malformed(msg) => write!(f, "malformed request: {msg}"),
         }
-    }
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -164,34 +148,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Reads one request from the stream: request line, headers, and a
-/// `Content-Length`-delimited body. Used by the blocking connection mode.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    // Accumulate until the blank line terminating the head.
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError::Malformed("request head too large".into()));
-        }
-        match stream.read(&mut byte)? {
-            0 => return Err(HttpError::Malformed("connection closed mid-head".into())),
-            _ => head.push(byte[0]),
-        }
-    }
-    let head_str = std::str::from_utf8(&head[..head.len() - 4])
-        .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
-    let parsed = parse_head(head_str)?;
-    let mut body = vec![0u8; parsed.content_length];
-    stream.read_exact(&mut body)?;
-    Ok(Request {
-        method: parsed.method,
-        path: parsed.path,
-        body,
-        keep_alive: parsed.keep_alive,
-    })
-}
-
 /// Renders a full response into bytes. `extra_headers` lets callers attach
 /// fields like `Retry-After`; `keep_alive` picks the `Connection` header.
 pub fn render_response(
@@ -234,61 +190,19 @@ pub fn render_json(
     )
 }
 
-/// Writes a full `Connection: close` response and flushes (blocking mode).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    let bytes = render_response(status, reason, content_type, extra_headers, body, false);
-    stream.write_all(&bytes)?;
-    stream.flush()
-}
-
-/// Writes a JSON `Connection: close` response (blocking mode).
-pub fn write_json(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    extra_headers: &[(&str, &str)],
-    body: &gale_json::Value,
-) -> std::io::Result<()> {
-    write_response(
-        stream,
-        status,
-        reason,
-        "application/json",
-        extra_headers,
-        body.to_string_compact().as_bytes(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    fn round_trip(raw: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let out = read_request(&mut stream);
-        writer.join().unwrap();
-        out
+    /// Parses one complete request.
+    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+        parse_request(raw).map(|parsed| parsed.expect("a complete request").0)
     }
 
     #[test]
     fn parses_request_with_body() {
-        let req = round_trip(b"POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap();
+        let req =
+            parse(b"POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/score");
         assert_eq!(req.body, b"abcd");
@@ -297,7 +211,7 @@ mod tests {
 
     #[test]
     fn parses_request_without_body() {
-        let req = round_trip(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -305,18 +219,18 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(round_trip(b"nonsense\r\n\r\n").is_err());
-        assert!(round_trip(b"GET /x SMTP/9\r\n\r\n").is_err());
-        assert!(round_trip(b"GET /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n").is_err());
+        assert!(parse(b"nonsense\r\n\r\n").is_err());
+        assert!(parse(b"GET /x SMTP/9\r\n\r\n").is_err());
+        assert!(parse(b"GET /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n").is_err());
     }
 
     #[test]
     fn connection_header_overrides_version_default() {
-        let req = round_trip(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
-        let req = round_trip(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
-        let req = round_trip(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(req.keep_alive);
     }
 

@@ -2,15 +2,16 @@
 //! inference server for checkpointed GALE SGAN discriminators.
 //!
 //! The server loads a [`gale_core::Sgan`] from a `gale-checkpoint` file,
-//! replicates it across N scorer shards (each replica bit-exact with the
-//! source checkpoint), and exposes plain HTTP/1.1 endpoints:
+//! lowers it into a forward-only [`gale_core::SganInfer`] replica per
+//! scorer shard (at `f64`, bit-exact with the source checkpoint), and
+//! exposes plain HTTP/1.1 endpoints:
 //!
 //! - `POST /score` — a JSON batch of feature rows, answered with per-class
 //!   probabilities, renormalized error scores, error/correct verdicts, and
 //!   the model generation that scored the batch. Scores are
 //!   bitwise-identical to calling the discriminator in process.
-//! - `GET /healthz` — liveness plus input dimension, shard count, and the
-//!   live model version.
+//! - `GET /healthz` — liveness plus input dimension, shard count, serving
+//!   precision, and the live model version.
 //! - `GET /metrics` — the whole `gale-obs` metric registry in Prometheus
 //!   text format (request/shed/reload counts, queue depth, connection
 //!   count, batch-size and latency histograms).
@@ -33,11 +34,10 @@
 //! default (`--trace off` disables it); its overhead against a
 //! tracing-off server is gated in CI at a few percent of p99.
 //!
-//! The default front end is a hand-rolled non-blocking event loop (one
-//! thread, keep-alive + pipelined connections); `--mode blocking` keeps
-//! the thread-per-connection baseline. Requests are coalesced per shard by
-//! the [`batcher`] into single forward passes; bounded queues shed excess
-//! load with `503` + `Retry-After`.
+//! The front end is a hand-rolled non-blocking event loop (one thread,
+//! keep-alive + pipelined connections). Requests are coalesced per shard
+//! by the [`batcher`] into single forward passes; bounded queues shed
+//! excess load with `503` + `Retry-After`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,5 +52,5 @@ pub use batcher::{
     BatchConfig, Precision, ReloadError, ScoreReply, ShardPool, ShardSnapshot, SubmitError,
     INITIAL_VERSION,
 };
-pub use server::{serve, serve_with_stream, ServeConfig, ServeMode, ServerHandle};
+pub use server::{serve, serve_with_stream, ServeConfig, ServerHandle};
 pub use stream::StreamState;

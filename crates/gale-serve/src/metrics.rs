@@ -46,13 +46,6 @@ pub fn model_version() -> &'static Gauge {
     gauge("serve.model_version")
 }
 
-/// Info gauge: the arithmetic width shard `shard` scores at, as its bit
-/// count (64.0 or 32.0). One series per shard, set once at spawn —
-/// precision is fixed for a shard's lifetime, reloads never change it.
-pub fn shard_precision(shard: usize) -> &'static Gauge {
-    gauge(&format!("serve.precision_shard{shard}"))
-}
-
 /// Successful `POST /admin/reload` checkpoint swaps.
 pub fn reloads() -> &'static Counter {
     counter("serve.reloads")

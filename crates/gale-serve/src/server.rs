@@ -1,19 +1,12 @@
 //! Connection handling, request routing, hot reload, and the
 //! graceful-shutdown protocol.
 //!
-//! Two connection modes share the shard pool and the endpoint logic:
-//!
-//! * [`ServeMode::EventLoop`] (default) — a single non-blocking thread owns
-//!   the listener and every client socket, hand-rolled poll-style readiness
-//!   over std `TcpStream`s (no mio/tokio, like the rest of the stack).
-//!   Connections are keep-alive and may pipeline requests; responses always
-//!   come back in request order. Scoring replies and reload completions are
-//!   polled without blocking, so thousands of idle connections cost one
-//!   thread.
-//! * [`ServeMode::Blocking`] — the PR-5 architecture, kept as the serving
-//!   baseline `gale-loadgen` benchmarks against: a blocking accept loop
-//!   spawning a short-lived thread per connection, one request per
-//!   connection, `Connection: close`.
+//! A single non-blocking event-loop thread owns the listener and every
+//! client socket, hand-rolled poll-style readiness over std `TcpStream`s
+//! (no mio/tokio, like the rest of the stack). Connections are keep-alive
+//! and may pipeline requests; responses always come back in request order.
+//! Scoring replies and reload completions are polled without blocking, so
+//! thousands of idle connections cost one thread.
 //!
 //! All scoring funnels through the [`ShardPool`]; `POST /admin/reload`
 //! loads a new checkpoint *off* the event loop (a worker thread does the
@@ -40,15 +33,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Connection-handling architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Non-blocking event loop, keep-alive + pipelined HTTP/1.1.
-    EventLoop,
-    /// Blocking thread-per-connection, one request per connection.
-    Blocking,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -59,14 +43,12 @@ pub struct ServeConfig {
     /// Value of the `Retry-After` header on shed (`503`) responses,
     /// seconds.
     pub retry_after_secs: u32,
-    /// Scorer shards, each owning a bit-exact model replica.
+    /// Scorer shards, each owning a model replica.
     pub shards: usize,
-    /// Per-shard serving precision. Empty runs every shard at `f64` (the
-    /// bit-exact default); one entry broadcasts to every shard; otherwise
-    /// the list must name one precision per shard, in shard order.
-    pub precision: Vec<Precision>,
-    /// Connection-handling architecture.
-    pub mode: ServeMode,
+    /// Serving precision of every shard: `F64` (the default) is bit-exact
+    /// with the checkpointed model, `F32` serves a single-precision
+    /// lowering.
+    pub precision: Precision,
     /// Idle keep-alive connections are closed after this many seconds.
     pub keep_alive_secs: u64,
     /// Whether per-request tracing (wide events into the `/debug/trace`
@@ -89,8 +71,7 @@ impl Default for ServeConfig {
             batch: BatchConfig::default(),
             retry_after_secs: 1,
             shards: 1,
-            precision: Vec::new(),
-            mode: ServeMode::EventLoop,
+            precision: Precision::F64,
             keep_alive_secs: 60,
             trace: true,
             trace_sample: policy.sample_every,
@@ -104,7 +85,6 @@ struct Ctx {
     pool: Arc<ShardPool>,
     shutdown: Arc<AtomicBool>,
     retry_after: String,
-    mode: ServeMode,
     started: Instant,
     /// Streaming engine, present when the server booted with a bundle.
     stream: Option<StreamState>,
@@ -179,23 +159,11 @@ pub fn serve_with_stream(
         },
     );
     let shards = cfg.shards.max(1);
-    let precisions: Vec<Precision> = match cfg.precision.len() {
-        0 => vec![Precision::F64; shards],
-        1 => vec![cfg.precision[0]; shards],
-        n if n == shards => cfg.precision.clone(),
-        n => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("--precision names {n} shard precisions but --shards is {shards}"),
-            ))
-        }
-    };
-    let (pool, shard_threads) = ShardPool::spawn_with_precisions(model, &precisions, &cfg.batch);
+    let (pool, shard_threads) = ShardPool::spawn(model, shards, cfg.precision, &cfg.batch);
     let ctx = Arc::new(Ctx {
         pool,
         shutdown: shutdown.clone(),
         retry_after: cfg.retry_after_secs.to_string(),
-        mode: cfg.mode,
         started: Instant::now(),
         stream: stream.map(StreamState::new),
     });
@@ -204,27 +172,16 @@ pub fn serve_with_stream(
     let front = {
         let shutdown = shutdown.clone();
         let keep_alive = Duration::from_secs(cfg.keep_alive_secs.max(1));
-        match cfg.mode {
-            ServeMode::EventLoop => std::thread::Builder::new()
-                .name("gale-serve-loop".into())
-                .spawn(move || event_loop(listener, ctx, shutdown, keep_alive))?,
-            ServeMode::Blocking => std::thread::Builder::new()
-                .name("gale-serve-accept".into())
-                .spawn(move || blocking_accept_loop(listener, ctx, shutdown))?,
-        }
+        std::thread::Builder::new()
+            .name("gale-serve-loop".into())
+            .spawn(move || event_loop(listener, ctx, shutdown, keep_alive))?
     };
     threads.push(front);
     threads.extend(shard_threads);
     gale_obs::info!(
-        "gale-serve listening on http://{addr} ({} shard{} [{}], {:?} mode)",
-        precisions.len(),
-        if precisions.len() == 1 { "" } else { "s" },
-        precisions
-            .iter()
-            .map(|p| p.as_str())
-            .collect::<Vec<_>>()
-            .join(","),
-        cfg.mode
+        "gale-serve listening on http://{addr} ({shards} {} shard{})",
+        cfg.precision,
+        if shards == 1 { "" } else { "s" },
     );
     Ok(ServerHandle {
         addr,
@@ -234,7 +191,7 @@ pub fn serve_with_stream(
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint logic (shared by both connection modes)
+// Endpoint logic
 // ---------------------------------------------------------------------------
 
 /// Clamps a duration to microseconds in a `u32` (saturating).
@@ -244,7 +201,7 @@ fn us32(d: Duration) -> u32 {
 
 /// Connection-side timing captured before a request reaches the endpoint
 /// logic. Only built while request tracing is on — with tracing off the
-/// connection loops take no extra clock reads.
+/// event loop takes no extra clock reads.
 struct ReqTiming {
     /// When the request's first bytes arrived (start of `total_us`).
     started: Instant,
@@ -408,7 +365,6 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
                         "last_batch_rows": s.last_batch_rows,
                         "last_batch_version": s.last_batch_version,
                         "batches": s.batches,
-                        "precision": s.precision.as_str(),
                     })
                 })
                 .collect();
@@ -420,7 +376,6 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
                     &json!({
                         "uptime_secs": ctx.started.elapsed().as_secs(),
                         "model_version": Value::Int(ctx.pool.version() as i64),
-                        "mode": format!("{:?}", ctx.mode),
                         "shards": Value::Array(shards),
                     }),
                     ka,
@@ -439,14 +394,7 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
                     "input_dim": ctx.pool.input_dim(),
                     "model_version": Value::Int(ctx.pool.version() as i64),
                     "shards": ctx.pool.shard_count(),
-                    "precisions": Value::Array(
-                        ctx.pool
-                            .precisions()
-                            .iter()
-                            .map(|p| Value::from(p.as_str()))
-                            .collect(),
-                    ),
-                    "mode": format!("{:?}", ctx.mode),
+                    "precision": ctx.pool.precision().as_str(),
                 }),
                 ka,
             ),
@@ -692,7 +640,7 @@ fn render_reload_result(result: Result<u64, ReloadError>, keep_alive: bool) -> V
 }
 
 // ---------------------------------------------------------------------------
-// Event-loop mode
+// The event loop
 // ---------------------------------------------------------------------------
 
 /// Cap on unanswered pipelined requests per connection; parsing pauses
@@ -958,7 +906,6 @@ fn tick_conn(conn: &mut Conn, ctx: &Ctx, draining: bool, scratch: &mut [u8]) -> 
                 progressed = true;
                 break;
             }
-            Err(HttpError::Io(_)) => unreachable!("buffer parsing does no IO"),
         }
     }
 
@@ -1078,146 +1025,6 @@ fn tick_conn(conn: &mut Conn, ctx: &Ctx, draining: bool, scratch: &mut [u8]) -> 
         conn.wpos = 0;
     }
     progressed
-}
-
-// ---------------------------------------------------------------------------
-// Blocking mode (the PR-5 baseline)
-// ---------------------------------------------------------------------------
-
-fn blocking_accept_loop(listener: TcpListener, ctx: Arc<Ctx>, shutdown: Arc<AtomicBool>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let ctx = ctx.clone();
-                handlers.push(std::thread::spawn(move || {
-                    handle_blocking_connection(stream, &ctx)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => {
-                gale_obs::warn!("gale-serve accept error: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    // Drain: finish in-flight connections; dropping `ctx` afterwards lets
-    // the shards answer everything still queued and exit.
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-fn handle_blocking_connection(mut stream: TcpStream, ctx: &Ctx) {
-    // A stalled or hostile peer must not pin the drain forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let tracing = ring::tracing_enabled();
-    let started = tracing.then(Instant::now);
-    let request = match http::read_request(&mut stream) {
-        Ok(r) => r,
-        Err(HttpError::Malformed(msg)) => {
-            let _ = http::write_json(&mut stream, 400, "Bad Request", &[], &json!({"error": msg}));
-            return;
-        }
-        Err(HttpError::Io(_)) => return,
-    };
-    // Blocking mode reads and head-parses in one call, so the read stage
-    // covers both; `parse_us` is the feature parsing alone.
-    let timing = started.map(|started| ReqTiming {
-        started,
-        read_us: us32(started.elapsed()),
-        parse_started: Instant::now(),
-    });
-    let (bytes, trace) = match handle_request(&request, ctx, timing) {
-        Outcome::Ready(bytes, trace) => (bytes, trace),
-        Outcome::Score {
-            reply,
-            rows,
-            request_id,
-            mut trace,
-            ..
-        } => match reply.recv() {
-            Ok(scored) => {
-                fill_scored(&mut trace, &scored);
-                (
-                    http::render_json(
-                        200,
-                        "OK",
-                        &[],
-                        &score_body(
-                            &scored.probs,
-                            rows,
-                            scored.version,
-                            request_id,
-                            scored.precision,
-                        ),
-                        false,
-                    ),
-                    trace,
-                )
-            }
-            Err(_) => {
-                set_status(&mut trace, 500);
-                (
-                    http::render_json(
-                        500,
-                        "Internal Server Error",
-                        &[],
-                        &json!({"error": "scorer dropped the request", "request_id": request_id}),
-                        false,
-                    ),
-                    trace,
-                )
-            }
-        },
-        Outcome::Reload { done, .. } => match done.recv() {
-            Ok(result) => (render_reload_result(result, false), None),
-            Err(_) => (
-                http::render_json(
-                    500,
-                    "Internal Server Error",
-                    &[],
-                    &json!({"error": "reload worker died"}),
-                    false,
-                ),
-                None,
-            ),
-        },
-    };
-    // Blocking mode is one-request-per-connection: force `close` framing
-    // regardless of what the client asked for.
-    let bytes = force_connection_close(bytes);
-    let write_started = Instant::now();
-    if let Err(e) = stream.write_all(&bytes).and_then(|_| stream.flush()) {
-        gale_obs::warn!("gale-serve response write failed: {e}");
-        return;
-    }
-    if let Some(state) = trace {
-        finish_trace(*state, write_started);
-    }
-}
-
-/// Rewrites a rendered response's `Connection: keep-alive` header to
-/// `close` (blocking mode never keeps connections open).
-fn force_connection_close(bytes: Vec<u8>) -> Vec<u8> {
-    const KEEP: &[u8] = b"Connection: keep-alive\r\n";
-    if let Some(pos) = bytes
-        .windows(KEEP.len())
-        .position(|w| w == KEEP)
-        .filter(|&pos| pos < http::MAX_HEAD_BYTES)
-    {
-        let mut out = Vec::with_capacity(bytes.len());
-        out.extend_from_slice(&bytes[..pos]);
-        out.extend_from_slice(b"Connection: close\r\n");
-        out.extend_from_slice(&bytes[pos + KEEP.len()..]);
-        out
-    } else {
-        bytes
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1361,15 +1168,5 @@ mod tests {
         let series = metrics::version_series(3);
         assert!(series.verdict_error.get() >= 1);
         assert!(series.verdict_correct.get() >= 1);
-    }
-
-    #[test]
-    fn force_connection_close_rewrites_the_header() {
-        let rendered = http::render_response(200, "OK", "text/plain", &[], b"hi", true);
-        let closed = force_connection_close(rendered);
-        let text = String::from_utf8(closed).unwrap();
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-        assert!(!text.contains("keep-alive"), "{text}");
-        assert!(text.ends_with("hi"), "{text}");
     }
 }

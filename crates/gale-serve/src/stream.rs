@@ -15,7 +15,7 @@ use gale_stream::{Mutation, StreamEngine};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The engine plus serving glue, shared by every connection thread.
+/// The engine plus serving glue, shared with the event loop.
 pub struct StreamState {
     engine: Mutex<StreamEngine>,
 }

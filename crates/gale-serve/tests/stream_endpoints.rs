@@ -179,6 +179,10 @@ fn invalid_mutations_are_rejected_not_applied() {
         r#"{"mutations": [{"op": "warp", "u": 0}]}"#,
         r#"{"mutations": [{"op": "add_edge", "u": 0, "v": 999}]}"#,
         r#"{"nope": true}"#,
+        // A valid mutation ahead of an invalid one: the whole batch is
+        // rejected, so the attribute update must not land either.
+        r#"{"mutations": [{"op": "update_attrs", "node": 0, "attrs": [1, 2, 3, 4]},
+                          {"op": "add_edge", "u": 0, "v": 999}]}"#,
     ] {
         let (status, _) = exchange(addr, &request("POST", "/mutate", body));
         assert_eq!(status, 400, "accepted bad body {body}");

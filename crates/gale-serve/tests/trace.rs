@@ -8,7 +8,7 @@
 
 use gale_core::{Sgan, SganConfig};
 use gale_json::Value;
-use gale_serve::{serve, ServeConfig, ServeMode};
+use gale_serve::{serve, ServeConfig};
 use gale_tensor::{Matrix, Rng};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -100,10 +100,9 @@ fn score_request_body(x: &Matrix) -> String {
     format!("{{\"features\": [{}]}}", rows.join(","))
 }
 
-fn traced_config(mode: ServeMode) -> ServeConfig {
+fn traced_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        mode,
         trace: true,
         trace_sample: 1, // keep every request: the tests assert on records
         trace_slow_us: u64::MAX,
@@ -116,7 +115,7 @@ fn score_replies_carry_request_ids_and_trace_records_all_stages() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     gale_obs::ring::clear();
     let dim = 4;
-    let handle = serve(tiny_model(dim, 11), &traced_config(ServeMode::EventLoop)).unwrap();
+    let handle = serve(tiny_model(dim, 11), &traced_config()).unwrap();
     let addr = handle.addr();
 
     let x = Matrix::randn(3, dim, 1.0, &mut Rng::seed_from_u64(12));
@@ -179,32 +178,6 @@ fn score_replies_carry_request_ids_and_trace_records_all_stages() {
 }
 
 #[test]
-fn blocking_mode_traces_and_stamps_request_ids_too() {
-    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    gale_obs::ring::clear();
-    let dim = 3;
-    let handle = serve(tiny_model(dim, 21), &traced_config(ServeMode::Blocking)).unwrap();
-    let addr = handle.addr();
-    let x = Matrix::randn(2, dim, 1.0, &mut Rng::seed_from_u64(22));
-    let reply = post(addr, "/score", &score_request_body(&x));
-    assert_eq!(reply.status, 200);
-    let id = reply.json()["request_id"].as_u64().unwrap();
-    let doc = get(addr, "/debug/trace").json();
-    let record = doc["trace"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .find(|r| r["request_id"].as_u64() == Some(id))
-        .expect("blocking-mode request must be traced")
-        .clone();
-    assert_eq!(record["rows"].as_u64(), Some(2));
-    for key in STAGE_KEYS {
-        assert!(record[key].as_u64().is_some(), "stage `{key}` missing");
-    }
-    handle.shutdown();
-}
-
-#[test]
 fn slow_ring_and_queues_expose_tail_capture_and_shard_state() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     gale_obs::ring::clear();
@@ -212,7 +185,7 @@ fn slow_ring_and_queues_expose_tail_capture_and_shard_state() {
     let cfg = ServeConfig {
         trace_slow_us: 0, // every request is "slow": tail capture keeps all
         shards: 2,
-        ..traced_config(ServeMode::EventLoop)
+        ..traced_config()
     };
     let handle = serve(tiny_model(dim, 31), &cfg).unwrap();
     let addr = handle.addr();
@@ -276,7 +249,7 @@ fn tracing_on_and_off_score_bitwise_identically() {
         gale_obs::ring::clear();
         let cfg = ServeConfig {
             trace,
-            ..traced_config(ServeMode::EventLoop)
+            ..traced_config()
         };
         let handle = serve(tiny_model(dim, 41), &cfg).unwrap();
         let reply = post(handle.addr(), "/score", &body);

@@ -16,7 +16,7 @@
 //!    endpoint past the cap are rejected.
 //!
 //! Rejected edges land in a fixed-capacity quarantine ring surfaced
-//! through `/debug/stream` and the `stream.quarantined_edges` counter —
+//! through `/debug/stream` and the `stream.quarantined_total` counter —
 //! quarantine is observable, not a silent drop.
 
 use std::collections::VecDeque;
@@ -161,7 +161,7 @@ impl AdmissionFilter {
     /// Records a rejection in the quarantine ring.
     pub fn quarantine(&mut self, edge: QuarantinedEdge) {
         self.quarantined += 1;
-        gale_obs::counter_add!("stream.quarantined_edges", 1);
+        gale_obs::counter_add!("stream.quarantined_total", 1);
         if self.ring.len() == self.cfg.quarantine_capacity.max(1) {
             self.ring.pop_front();
         }

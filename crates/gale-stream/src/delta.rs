@@ -282,7 +282,7 @@ impl DeltaGraph {
         self.overlay_edges = 0;
         self.masked_edges = 0;
         self.compactions += 1;
-        gale_obs::counter_add!("stream.compactions", 1);
+        gale_obs::counter_add!("stream.compactions_total", 1);
     }
 }
 

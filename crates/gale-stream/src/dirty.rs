@@ -79,7 +79,7 @@ impl DirtyTracker {
                 fresh += 1;
             }
         }
-        gale_obs::counter_add!("stream.dirty_nodes", fresh);
+        gale_obs::counter_add!("stream.dirty_marked", fresh);
     }
 
     /// Marks a single node dirty with no neighborhood expansion (fresh

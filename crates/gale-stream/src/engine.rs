@@ -1,17 +1,18 @@
 //! The streaming engine: mutations in, lazily-refreshed verdicts out.
 //!
-//! Owns the [`DeltaGraph`], the feature matrix, the trained GAE encoder
-//! and SGAN discriminator, the frozen input standardizer, and the cached
-//! per-node scoring state. Mutations mark k-hop dirty sets; the next
-//! score request triggers a neighborhood-local refresh whose outputs are
-//! bitwise-equal to rebuilding and re-scoring the mutated graph from
-//! scratch with the same model artifacts (gated in `BENCH_stream.json`).
+//! Owns the [`DeltaGraph`], the feature matrix, the trained GAE encoder,
+//! the SGAN discriminator's f64 inference replica, the frozen input
+//! standardizer, and the cached per-node scoring state. Mutations mark
+//! k-hop dirty sets; the next score request triggers a neighborhood-local
+//! refresh whose outputs are bitwise-equal to rebuilding and re-scoring the
+//! mutated graph from scratch with the same model artifacts (gated in
+//! `BENCH_stream.json`).
 
 use crate::admission::{AdmissionConfig, AdmissionFilter, QuarantinedEdge};
 use crate::delta::DeltaGraph;
 use crate::dirty::{DirtyTracker, GCN_HOPS};
 use crate::mutation::{Mutation, MutationLog};
-use gale_core::{ColumnStandardizer, MemoCache, Sgan};
+use gale_core::{ColumnStandardizer, Sgan, SganInfer};
 use gale_json::{json, Value};
 use gale_nn::Gae;
 use gale_tensor::{Matrix, NeighborAccess, SparseMatrix, SymNormalized};
@@ -86,7 +87,9 @@ pub struct StreamEngine {
     graph: DeltaGraph,
     x: Matrix,
     gae: Gae,
-    sgan: Sgan,
+    /// The discriminator lowered to its forward-only f64 replica, which
+    /// scores bit for bit like the trainable model.
+    scorer: SganInfer<f64>,
     standardizer: ColumnStandardizer,
     /// Current embeddings, one row per node (dirty rows are stale).
     z: Matrix,
@@ -98,7 +101,6 @@ pub struct StreamEngine {
     dirty: DirtyTracker,
     filter: AdmissionFilter,
     log: MutationLog,
-    memo: MemoCache,
     /// Nanoseconds spent in incremental refreshes (diagnostics).
     pub refresh_ns: u64,
     /// Number of incremental refreshes run.
@@ -145,7 +147,6 @@ impl StreamEngine {
             None => ColumnStandardizer::fit(&inputs),
         };
         standardizer.apply(&mut inputs);
-        let mut sgan = sgan;
         if sgan.input_dim() != inputs.cols() {
             return Err(format!(
                 "discriminator wants {} inputs, graph provides {}",
@@ -153,19 +154,18 @@ impl StreamEngine {
                 inputs.cols()
             ));
         }
+        let mut scorer = sgan.to_infer::<f64>();
         let mut probs = Matrix::zeros(0, 0);
-        sgan.probs3_into(&inputs, &mut probs);
+        scorer.probs3_into(&inputs, &mut probs);
 
         let mut filter = AdmissionFilter::new(cfg.admission);
         seed_admission(&mut filter, &graph, &x);
-        let mut memo = MemoCache::new(true, 1e-9);
-        memo.ensure_len(n);
 
         Ok(StreamEngine {
             graph,
             x,
             gae,
-            sgan,
+            scorer,
             standardizer,
             z,
             probs,
@@ -174,7 +174,6 @@ impl StreamEngine {
             dirty: DirtyTracker::new(),
             filter,
             log: MutationLog::new(cfg.log_capacity),
-            memo,
             refresh_ns: 0,
             refreshes: 0,
         })
@@ -230,16 +229,13 @@ impl StreamEngine {
     /// Applies a mutation batch: admission-filters edges, mutates the
     /// overlay and features, marks k-hop dirty sets, and maybe compacts.
     /// Verdicts are *not* refreshed here — that happens lazily on the
-    /// next score request.
+    /// next score request. The whole batch is validated first, so a
+    /// rejected batch leaves the engine untouched.
     pub fn apply(&mut self, muts: &[Mutation]) -> Result<ApplyReport, String> {
-        let mut outcomes = Vec::with_capacity(muts.len());
-        for m in muts {
-            let outcome = self.apply_one(m)?;
-            outcomes.push(outcome);
-        }
+        self.validate(muts)?;
+        let outcomes = muts.iter().map(|m| self.apply_one(m)).collect();
         let compacted = self.graph.maybe_compact();
-        self.memo.ensure_len(self.graph.node_count());
-        gale_obs::counter_add!("stream.mutations", muts.len() as u64);
+        gale_obs::counter_add!("stream.mutations_total", muts.len() as u64);
         Ok(ApplyReport {
             outcomes,
             graph_version: self.graph_version,
@@ -248,32 +244,64 @@ impl StreamEngine {
         })
     }
 
-    fn apply_one(&mut self, m: &Mutation) -> Result<MutationOutcome, String> {
-        let n = self.graph.node_count();
-        let check = |node: usize| -> Result<(), String> {
+    /// Checks every mutation of a batch against the graph as it will stand
+    /// when that mutation applies: node ids must exist (counting the
+    /// batch's own `add_node`s), feature rows must match the feature width,
+    /// and edges may not be self-loops.
+    fn validate(&self, muts: &[Mutation]) -> Result<(), String> {
+        let width = self.x.cols();
+        let mut n = self.graph.node_count();
+        let check = |node: usize, n: usize| -> Result<(), String> {
             if node >= n {
                 Err(format!("node {node} out of range ({n} nodes)"))
             } else {
                 Ok(())
             }
         };
+        for (i, m) in muts.iter().enumerate() {
+            let checked = match m {
+                Mutation::AddNode { attrs } if attrs.len() != width => Err(format!(
+                    "add_node attrs width {} != feature width {width}",
+                    attrs.len()
+                )),
+                Mutation::AddNode { .. } => {
+                    n += 1;
+                    Ok(())
+                }
+                Mutation::RemoveNode { node } => check(*node, n),
+                Mutation::AddEdge { u, v, .. } if u == v => {
+                    Err("add_edge: self-loops are implicit".into())
+                }
+                Mutation::AddEdge { u, v, .. } | Mutation::RemoveEdge { u, v } => {
+                    check(*u, n).and(check(*v, n))
+                }
+                Mutation::UpdateAttrs { node, attrs } => {
+                    check(*node, n).and(if attrs.len() == width {
+                        Ok(())
+                    } else {
+                        Err(format!(
+                            "update_attrs width {} != feature width {width}",
+                            attrs.len()
+                        ))
+                    })
+                }
+            };
+            checked.map_err(|msg| format!("mutation {i}: {msg}"))?;
+        }
+        Ok(())
+    }
+
+    /// Applies one mutation that [`StreamEngine::validate`] accepted.
+    fn apply_one(&mut self, m: &Mutation) -> MutationOutcome {
         let kind = m.kind();
         let mut assigned_node = None;
         let mut admitted = true;
         let mut reason = None;
         match m {
             Mutation::AddNode { attrs } => {
-                if attrs.len() != self.x.cols() {
-                    return Err(format!(
-                        "add_node attrs width {} != feature width {}",
-                        attrs.len(),
-                        self.x.cols()
-                    ));
-                }
                 let id = self.graph.add_node();
                 self.x.resize(id + 1, self.x.cols());
                 self.x.set_row(id, attrs);
-                self.memo.ensure_len(id + 1);
                 self.z.resize(id + 1, self.z.cols());
                 self.probs.resize(id + 1, self.probs.cols());
                 self.verdict_version.push(0);
@@ -282,7 +310,6 @@ impl StreamEngine {
                 assigned_node = Some(id);
             }
             Mutation::RemoveNode { node } => {
-                check(*node)?;
                 let mut seeds = vec![*node];
                 self.graph.visit_neighbors(*node, &mut |c, _| seeds.push(c));
                 self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
@@ -291,12 +318,7 @@ impl StreamEngine {
                 self.graph_version += 1;
             }
             Mutation::AddEdge { u, v, weight } => {
-                check(*u)?;
-                check(*v)?;
-                if u == v {
-                    return Err("add_edge: self-loops are implicit".into());
-                }
-                let dist = self.memo.distance(&self.x, *u, *v);
+                let dist = gale_tensor::distance::euclidean(self.x.row(*u), self.x.row(*v));
                 match self
                     .filter
                     .assess(dist, self.graph.degree(*u), self.graph.degree(*v))
@@ -323,8 +345,6 @@ impl StreamEngine {
                 }
             }
             Mutation::RemoveEdge { u, v } => {
-                check(*u)?;
-                check(*v)?;
                 let seeds = [*u, *v];
                 self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
                 self.graph.remove_edge(*u, *v);
@@ -332,16 +352,7 @@ impl StreamEngine {
                 self.graph_version += 1;
             }
             Mutation::UpdateAttrs { node, attrs } => {
-                check(*node)?;
-                if attrs.len() != self.x.cols() {
-                    return Err(format!(
-                        "update_attrs width {} != feature width {}",
-                        attrs.len(),
-                        self.x.cols()
-                    ));
-                }
                 self.x.set_row(*node, attrs);
-                self.memo.invalidate_nodes(&[*node]);
                 // The operator is unchanged; features flow through both
                 // hops, so one post-apply marking covers the closure.
                 self.dirty.mark_khop(&self.graph, &[*node], GCN_HOPS);
@@ -349,13 +360,13 @@ impl StreamEngine {
             }
         }
         let seq = self.log.record(m.clone(), admitted, self.graph_version);
-        Ok(MutationOutcome {
+        MutationOutcome {
             seq,
             kind,
             admitted,
             reason,
             assigned_node,
-        })
+        }
     }
 
     /// Refreshes every dirty node's embedding, probabilities, and verdict
@@ -382,7 +393,7 @@ impl StreamEngine {
             self.standardizer.apply_row(row);
         }
         let mut probs_sub = Matrix::zeros(0, 0);
-        self.sgan.probs3_into(&inputs, &mut probs_sub);
+        self.scorer.probs3_into(&inputs, &mut probs_sub);
         for (k, &v) in rows.iter().enumerate() {
             self.probs.set_row(v, probs_sub.row(k));
             self.verdict_version[v] = self.graph_version;
@@ -391,7 +402,7 @@ impl StreamEngine {
         let elapsed = started.elapsed();
         self.refresh_ns += elapsed.as_nanos() as u64;
         self.refreshes += 1;
-        gale_obs::counter_add!("stream.refreshes", 1);
+        gale_obs::counter_add!("stream.refreshes_total", 1);
         rows.len()
     }
 
@@ -407,7 +418,7 @@ impl StreamEngine {
         }
         let mut inputs = concat_rows(&self.x, &self.z);
         self.standardizer.apply(&mut inputs);
-        self.sgan.probs3_into(&inputs, &mut self.probs);
+        self.scorer.probs3_into(&inputs, &mut self.probs);
         for version in &mut self.verdict_version {
             *version = self.graph_version;
         }

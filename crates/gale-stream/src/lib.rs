@@ -21,6 +21,14 @@
 //!   forward passes that are bitwise-equal to a full rebuild + re-score.
 //! - [`save_bundle`] / [`load_bundle`] — the on-disk artifact a serving
 //!   process boots from.
+//!
+//! With gale-obs telemetry on, the crate counts `stream.mutations_total`,
+//! `stream.refreshes_total`, `stream.compactions_total`,
+//! `stream.quarantined_total` and `stream.dirty_marked`. gale-serve
+//! exports its own `stream.*` series into the same global registry, so
+//! these names stay distinct from its names: a name registered as two
+//! kinds panics, and a counter bumped by both crates counts every event
+//! twice.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

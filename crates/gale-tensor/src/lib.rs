@@ -12,9 +12,10 @@
 
 // `deny` rather than `forbid`: `par` (lifetime-erased job dispatch and
 // disjoint slice splitting), `distance::lanes8` (SIMD intrinsics behind
-// runtime feature detection), and `aligned` (raw-slice views over the
-// 64-byte-aligned lane storage) carry scoped allowances for their audited
-// unsafe blocks; everything else stays safe.
+// runtime feature detection), `aligned` (raw-slice views over the
+// 64-byte-aligned lane storage) and `heap` (one `malloc_trim` call) carry
+// scoped allowances for their audited unsafe blocks; everything else stays
+// safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Index-based loops are the clearer idiom in the dense math kernels below.
@@ -25,6 +26,7 @@ pub mod block;
 pub mod distance;
 pub mod element;
 mod gemm;
+pub mod heap;
 pub mod kmeans;
 pub mod linalg;
 pub mod matrix;
