@@ -177,10 +177,13 @@ impl MemoCache {
                 h.rows()
             }
         };
-        // Reuse the snapshot's allocation across iterations.
-        match &mut self.snapshot {
-            Some(snap) => snap.copy_from(h),
-            None => self.snapshot = Some(h.clone()),
+        // Only an enabled cache diffs against the snapshot; reuse its
+        // allocation across iterations.
+        if self.enabled {
+            match &mut self.snapshot {
+                Some(snap) => snap.copy_from(h),
+                None => self.snapshot = Some(h.clone()),
+            }
         }
         self.last_changed_fraction = if h.rows() == 0 {
             0.0
@@ -264,6 +267,10 @@ mod tests {
         assert!(memo.typicality(1).is_none());
         assert_eq!(memo.lookups, 0);
         assert_eq!(memo.hit_rate(), 0.0);
+        // Every row counts as changed, and nothing is kept to diff against.
+        assert_eq!(memo.update_embeddings(&h), h.rows());
+        assert_eq!(memo.last_changed_fraction, 1.0);
+        assert!(memo.snapshot.is_none());
     }
 
     #[test]

@@ -1,9 +1,16 @@
 //! The GALE learning framework (Fig. 3): cold start, iterative query
 //! selection, annotation, oracle consultation, and incremental adversarial
 //! updates.
+//!
+//! One loop (`gale_loop`) serves both public entry points: [`run_gale`]
+//! in memory and [`crate::run_gale_scale`] out of core. They differ only
+//! in the `Stages` they hand it — how `X_R` and `X_S` are built, which
+//! nodes are candidates, where labels come from, and whether there is a
+//! validation fold — and in how many rows one evaluation forward covers.
 
 use crate::annotate::{annotate, AnnotateConfig, Annotation};
 use crate::augment::{g_augment, AugmentConfig};
+use crate::calibrate::calibrated_predictions;
 use crate::label::{Example, ExamplePool, Label};
 use crate::memo::MemoCache;
 use crate::oracle::Oracle;
@@ -11,9 +18,9 @@ use crate::sgan::{Sgan, SganConfig};
 use crate::strategies::{cold_start_queries, select_queries, QueryStrategy, SelectionInputs};
 use crate::typicality::TypicalityContext;
 use gale_data::DataSplit;
-use gale_detect::{Constraint, DetectorLibrary};
+use gale_detect::{Constraint, DetectorLibrary, LibraryReport};
 use gale_graph::{soft_labels, Graph, NodeId, PropagationConfig};
-use gale_tensor::{Matrix, Rng};
+use gale_tensor::{Matrix, NeighborAccess, Rng, SparseMatrix};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -279,28 +286,122 @@ pub fn run_gale(
     oracle: &mut dyn Oracle,
     cfg: &GaleConfig,
 ) -> GaleOutcome {
-    let outcome = gale_loop(
-        g,
-        constraints,
-        split,
-        initial_examples,
-        val_examples,
-        oracle,
-        cfg,
-    );
+    let (outcome, _) = gale_loop(cfg, initial_examples, usize::MAX, |rng| {
+        // Library Ψ and its report over G (static: the graph does not change).
+        let lib = DetectorLibrary::standard(constraints.to_vec());
+        let report = lib.run(g);
+        // GAugment: featurize and build X_R / X_S (Fig. 3 line 4).
+        let aug = g_augment(g, constraints, &cfg.augment, rng);
+        let stages = InMemory {
+            g,
+            split,
+            val_examples,
+            oracle,
+            lib,
+            report,
+            s_norm: aug.repr.s_norm,
+            cfg,
+        };
+        (aug.repr.x, aug.x_s, stages)
+    });
     gale_tensor::heap::release_free_pages();
     outcome
 }
 
-fn gale_loop(
-    g: &Graph,
-    constraints: &[Constraint],
-    split: &DataSplit,
-    initial_examples: &[Example],
-    val_examples: &[Example],
-    oracle: &mut dyn Oracle,
+/// What differs between the in-memory and the out-of-core configuration
+/// of the loop once `X_R` and `X_S` are built. [`gale_loop`] does the rest.
+pub(crate) trait Stages {
+    /// The symmetric-normalized operator typicality propagates over.
+    fn operator(&self) -> &(dyn NeighborAccess + Sync);
+
+    /// Candidate queries. `probs` holds the current 2-class probabilities,
+    /// or is `None` at the cold start, before any model exists.
+    fn candidates(&self, pool: &ExamplePool, probs: Option<&Matrix>, rng: &mut Rng) -> Vec<NodeId>;
+
+    /// Labels for `queries`, plus their annotations where the configuration
+    /// annotates. `labeled` is the pool before the queries join it (empty
+    /// at the cold start).
+    fn label(
+        &mut self,
+        queries: &[NodeId],
+        labeled: &[(NodeId, Label)],
+    ) -> (Vec<Label>, Vec<Annotation>);
+
+    /// The validation fold for early stopping and calibration.
+    fn val_examples(&self) -> &[Example];
+}
+
+/// [`run_gale`]'s stages: candidates are the unlabeled training nodes in
+/// split order, and each query is annotated with detector evidence
+/// (Section VI) before the oracle answers it.
+struct InMemory<'a> {
+    g: &'a Graph,
+    split: &'a DataSplit,
+    val_examples: &'a [Example],
+    oracle: &'a mut dyn Oracle,
+    lib: DetectorLibrary,
+    report: LibraryReport,
+    s_norm: SparseMatrix,
+    cfg: &'a GaleConfig,
+}
+
+impl Stages for InMemory<'_> {
+    fn operator(&self) -> &(dyn NeighborAccess + Sync) {
+        &self.s_norm
+    }
+
+    fn candidates(&self, pool: &ExamplePool, _: Option<&Matrix>, _: &mut Rng) -> Vec<NodeId> {
+        self.split
+            .train
+            .iter()
+            .copied()
+            .filter(|&v| !pool.contains(v))
+            .collect()
+    }
+
+    fn label(
+        &mut self,
+        queries: &[NodeId],
+        labeled: &[(NodeId, Label)],
+    ) -> (Vec<Label>, Vec<Annotation>) {
+        // Soft labels for annotation (one propagation per iteration).
+        let mut y0 = Matrix::zeros(self.g.node_count(), 2);
+        for &(node, label) in labeled {
+            y0[(node, label.class_index())] = 1.0;
+        }
+        let (_, classes) = soft_labels(&self.s_norm, &y0, &self.cfg.propagation);
+        let soft: Vec<Option<Label>> = classes
+            .iter()
+            .map(|&c| (c <= 1).then(|| Label::from_class_index(c)))
+            .collect();
+        let anns = annotate(
+            queries,
+            self.g,
+            &self.lib,
+            &self.report,
+            &self.s_norm,
+            labeled,
+            &soft,
+            &self.cfg.annotate,
+        );
+        (self.oracle.label_batch(&anns), anns)
+    }
+
+    fn val_examples(&self) -> &[Example] {
+        self.val_examples
+    }
+}
+
+/// The GALE loop (Fig. 3) for either configuration: `represent` builds
+/// `X_R`, `X_S` and the configuration's [`Stages`] from the loop's RNG;
+/// `eval_chunk` caps the rows of one evaluation forward. Returns the
+/// outcome and the time spent representing.
+pub(crate) fn gale_loop<S: Stages>(
     cfg: &GaleConfig,
-) -> GaleOutcome {
+    initial_examples: &[Example],
+    eval_chunk: usize,
+    represent: impl FnOnce(&mut Rng) -> (Matrix, Matrix, S),
+) -> (GaleOutcome, Duration) {
     let run_span = gale_obs::span!(
         "gale.run",
         iterations = cfg.iterations,
@@ -309,170 +410,107 @@ fn gale_loop(
     );
     let started = Instant::now();
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut history = Vec::new();
-
-    // Library Ψ and its report over G (static: the graph does not change).
-    let lib = DetectorLibrary::standard(constraints.to_vec());
-    let report = lib.run(g);
-
-    // GAugment: featurize and build X_R / X_S (Fig. 3 line 4).
-    let aug = g_augment(g, constraints, &cfg.augment, &mut rng);
-    let x_r: &Matrix = &aug.repr.x;
-    let x_s: &Matrix = &aug.x_s;
-    let s_norm = &aug.repr.s_norm;
+    let represent_span = gale_obs::span!("gale.represent");
+    let (x_r, x_s, mut stages) = represent(&mut rng);
+    let represent_time = represent_span.finish();
 
     let mut pool = ExamplePool::new();
     pool.extend(initial_examples.iter().copied());
     let mut memo = MemoCache::new(cfg.memoization, cfg.memo_tolerance);
-    let val_targets = ExamplePool::targets(val_examples);
-
-    // --- Cold start (Fig. 3 lines 2-6). -----------------------------------
-    let iter_span = gale_obs::span!("gale.iteration", iter = 0usize);
-    let sel_span = gale_obs::span!("gale.select", iter = 0usize);
-    let unlabeled: Vec<NodeId> = split
-        .train
-        .iter()
-        .copied()
-        .filter(|v| !pool.contains(*v))
-        .collect();
-    let q0 = cold_start_queries(x_r, &unlabeled, cfg.local_budget, &mut rng);
-    let select_time0 = sel_span.finish();
-    let ann_span = gale_obs::span!("gale.annotate", iter = 0usize);
-    let soft_none: Vec<Option<Label>> = vec![None; g.node_count()];
-    let ann0 = annotate(
-        &q0,
-        g,
-        &lib,
-        &report,
-        s_norm,
-        &[],
-        &soft_none,
-        &cfg.annotate,
-    );
-    let labels0 = oracle.label_batch(&ann0);
-    gale_obs::counter_add!("gale.oracle.queries", q0.len() as u64);
-    for (q, l) in q0.iter().zip(&labels0) {
-        pool.insert(*q, *l);
-    }
-    let annotate_time0 = ann_span.finish();
-    let train_span = gale_obs::span!("gale.train", iter = 0usize);
-    let mut sgan = Sgan::new(x_r.cols(), &cfg.sgan, &mut rng);
-    let targets: Vec<(usize, usize)> = ExamplePool::targets(&pool.examples().collect::<Vec<_>>());
-    let stats0 = sgan.train(x_r, x_s, &targets, &val_targets, &mut rng);
-    let train_time0 = train_span.finish();
-    if cfg.checkpoint_every_iteration {
-        save_checkpoint(cfg, &sgan, "iter-000.ckpt");
-    }
-    gale_obs::counter_add!("gale.iterations", 1);
-    history.push(IterationRecord {
-        iteration: 0,
-        queries: q0,
-        pool_size: pool.len(),
-        d_loss: stats0.d_loss,
-        g_loss: stats0.g_loss,
-        select_time: select_time0,
-        annotate_time: annotate_time0,
-        train_time: train_time0,
-        changed_fraction: 1.0,
-    });
-    let _ = iter_span.finish();
-    let mut queries_issued = cfg.local_budget.min(unlabeled.len());
-    let mut last_annotations = ann0;
-
-    // --- Iterative improvement (Fig. 3 lines 7-13). -----------------------
-    // The embedding tap is re-extracted every iteration; keep one buffer
-    // alive across the loop instead of allocating a fresh matrix each time.
-    let mut h = Matrix::zeros(0, 0);
-    for iter in 1..cfg.iterations.max(1) {
+    let val_targets = ExamplePool::targets(stages.val_examples());
+    let mut sgan: Option<Sgan> = None;
+    // The evaluation pass rewrites the probabilities and the embedding tap
+    // every iteration; keep both buffers alive across the loop.
+    let (mut probs, mut h) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut history = Vec::new();
+    let mut queries_issued = 0;
+    let mut last_annotations = Vec::new();
+    for iter in 0..cfg.iterations.max(1) {
         let iter_span = gale_obs::span!("gale.iteration", iter = iter);
-        let sel_span = gale_obs::span!("gale.select", iter = iter);
-        sgan.embeddings_into(x_r, &mut h);
-        memo.update_embeddings(&h);
-        let probs = sgan.class_probs(x_r);
-        let predicted: Vec<Label> = (0..g.node_count())
-            .map(|v| {
-                if probs[(v, 0)] > probs[(v, 1)] {
-                    Label::Error
-                } else {
-                    Label::Correct
+        let select_span = gale_obs::span!("gale.select", iter = iter);
+        let (queries, labeled) = match sgan.as_mut() {
+            // Cold start (Fig. 3 lines 2-6): no model yet, so sample by
+            // clustering the raw representation.
+            None => {
+                let candidates = stages.candidates(&pool, None, &mut rng);
+                let q0 = cold_start_queries(&x_r, &candidates, cfg.local_budget, &mut rng);
+                (q0, Vec::new())
+            }
+            // Iterative improvement (Fig. 3 lines 7-13).
+            Some(model) => {
+                model.eval_into(&x_r, eval_chunk, &mut probs, &mut h);
+                memo.update_embeddings(&h);
+                let candidates = stages.candidates(&pool, Some(&probs), &mut rng);
+                if candidates.is_empty() {
+                    let _ = select_span.finish();
+                    let _ = iter_span.finish();
+                    break;
                 }
-            })
-            .collect();
-        let unlabeled: Vec<NodeId> = split
-            .train
-            .iter()
-            .copied()
-            .filter(|v| !pool.contains(*v))
-            .collect();
-        if unlabeled.is_empty() {
-            let _ = sel_span.finish();
-            let _ = iter_span.finish();
-            break;
-        }
-        let labeled: Vec<(NodeId, Label)> = pool.examples().map(|e| (e.node, e.label)).collect();
-        let inputs = SelectionInputs {
-            ctx: TypicalityContext {
-                embeddings: &h,
-                s_norm,
-                predicted: &predicted,
-                labeled: &labeled,
-                propagation: cfg.propagation,
-            },
-            class_probs: &probs,
-            unlabeled: &unlabeled,
-            k: cfg.local_budget,
-            lambda: cfg.lambda,
-            k_prime_factor: cfg.k_prime_factor,
+                let predicted: Vec<Label> = (0..probs.rows())
+                    .map(|v| {
+                        if probs[(v, 0)] > probs[(v, 1)] {
+                            Label::Error
+                        } else {
+                            Label::Correct
+                        }
+                    })
+                    .collect();
+                let labeled: Vec<(NodeId, Label)> =
+                    pool.examples().map(|e| (e.node, e.label)).collect();
+                let inputs = SelectionInputs {
+                    ctx: TypicalityContext {
+                        embeddings: &h,
+                        s_norm: stages.operator(),
+                        predicted: &predicted,
+                        labeled: &labeled,
+                        propagation: cfg.propagation,
+                    },
+                    class_probs: &probs,
+                    unlabeled: &candidates,
+                    k: cfg.local_budget,
+                    lambda: cfg.lambda,
+                    k_prime_factor: cfg.k_prime_factor,
+                };
+                let q_i = select_queries(cfg.strategy, &inputs, &mut memo, &mut rng);
+                (q_i, labeled)
+            }
         };
-        let q_i = select_queries(cfg.strategy, &inputs, &mut memo, &mut rng);
-        let select_time = sel_span.finish();
-        let ann_span = gale_obs::span!("gale.annotate", iter = iter);
-        // Soft labels for annotation (one propagation per iteration).
-        let mut y0 = Matrix::zeros(g.node_count(), 2);
-        for &(node, label) in &labeled {
-            y0[(node, label.class_index())] = 1.0;
-        }
-        let (_, soft_classes) = soft_labels(s_norm, &y0, &cfg.propagation);
-        let soft: Vec<Option<Label>> = soft_classes
-            .iter()
-            .map(|&c| (c <= 1).then(|| Label::from_class_index(c)))
-            .collect();
-        let anns = annotate(
-            &q_i,
-            g,
-            &lib,
-            &report,
-            s_norm,
-            &labeled,
-            &soft,
-            &cfg.annotate,
-        );
-        // Consult the oracle; build V_T^i = sample(V_T, η) ∪ O(Q̃^i).
-        let new_labels = oracle.label_batch(&anns);
-        gale_obs::counter_add!("gale.oracle.queries", q_i.len() as u64);
-        queries_issued += q_i.len();
-        let mut v_t_i: Vec<Example> = pool.sample(cfg.eta, &mut rng);
-        for (q, l) in q_i.iter().zip(&new_labels) {
-            pool.insert(*q, *l);
-            v_t_i.push(Example {
-                node: *q,
-                label: *l,
-            });
-        }
-        let annotate_time = ann_span.finish();
+        let select_time = select_span.finish();
 
-        // Incremental discriminator refresh (SGAND).
+        let annotate_span = gale_obs::span!("gale.annotate", iter = iter);
+        let (labels, annotations) = stages.label(&queries, &labeled);
+        gale_obs::counter_add!("gale.oracle.queries", queries.len() as u64);
+        queries_issued += queries.len();
+        // V_T^i = sample(V_T, η) ∪ O(Q̃^i) (Fig. 3 line 10).
+        let mut v_t_i: Vec<Example> = if iter == 0 {
+            Vec::new()
+        } else {
+            pool.sample(cfg.eta, &mut rng)
+        };
+        for (&node, &label) in queries.iter().zip(&labels) {
+            pool.insert(node, label);
+            v_t_i.push(Example { node, label });
+        }
+        let annotate_time = annotate_span.finish();
+
         let train_span = gale_obs::span!("gale.train", iter = iter);
-        let targets = ExamplePool::targets(&v_t_i);
-        let stats = sgan.update_discriminator(x_r, x_s, &targets, &mut rng);
+        let model = sgan.get_or_insert_with(|| Sgan::new(x_r.cols(), &cfg.sgan, &mut rng));
+        let stats = if iter == 0 {
+            // Full adversarial training (SGAN) on every example so far.
+            let targets = ExamplePool::targets(&pool.examples().collect::<Vec<_>>());
+            model.train(&x_r, &x_s, &targets, &val_targets, &mut rng)
+        } else {
+            // Incremental discriminator refresh (SGAND).
+            model.update_discriminator(&x_r, &x_s, &ExamplePool::targets(&v_t_i), &mut rng)
+        };
         let train_time = train_span.finish();
         if cfg.checkpoint_every_iteration {
-            save_checkpoint(cfg, &sgan, &format!("iter-{iter:03}.ckpt"));
+            save_checkpoint(cfg, model, &format!("iter-{iter:03}.ckpt"));
         }
         gale_obs::counter_add!("gale.iterations", 1);
         history.push(IterationRecord {
             iteration: iter,
-            queries: q_i,
+            queries,
             pool_size: pool.len(),
             d_loss: stats.d_loss,
             g_loss: stats.g_loss,
@@ -482,17 +520,19 @@ fn gale_loop(
             changed_fraction: memo.last_changed_fraction,
         });
         let _ = iter_span.finish();
-        last_annotations = anns;
+        last_annotations = annotations;
     }
 
+    let mut sgan = sgan.expect("iteration 0 trains the model");
     // Persist the final model for serving / resume before scoring it.
     save_checkpoint(cfg, &sgan, "final.ckpt");
-
     // Final classifier M output, prevalence-calibrated against the
     // validation fold when one is available (argmax otherwise).
-    let probs = sgan.class_probs(x_r);
-    let error_scores: Vec<f64> = (0..g.node_count()).map(|v| probs[(v, 0)]).collect();
-    let predictions = crate::calibrate::calibrated_predictions(&error_scores, val_examples);
+    let score_span = gale_obs::span!("gale.score");
+    sgan.eval_into(&x_r, eval_chunk, &mut probs, &mut h);
+    let error_scores: Vec<f64> = (0..probs.rows()).map(|v| probs[(v, 0)]).collect();
+    let predictions = calibrated_predictions(&error_scores, stages.val_examples());
+    let _ = score_span.finish();
 
     let outcome = GaleOutcome {
         predictions,
@@ -513,7 +553,7 @@ fn gale_loop(
         gale_obs::event!("gale.run_report", report = outcome.run_report().to_json());
         gale_obs::trace::flush();
     }
-    outcome
+    (outcome, represent_time)
 }
 
 #[cfg(test)]

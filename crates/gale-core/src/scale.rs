@@ -1,50 +1,46 @@
-//! Million-node GALE: the out-of-core pipeline.
+//! Million-node GALE: the out-of-core configuration of the GALE loop.
 //!
-//! [`run_gale_scale`] wires train → select → annotate over any adjacency
-//! exposing [`NeighborAccess`] + [`EdgeSample`] — an in-memory
+//! [`run_gale_scale`] runs [`crate::run_gale`]'s loop (cold start → select
+//! → annotate → train → final scoring) over any adjacency exposing
+//! [`NeighborAccess`] + [`EdgeSample`] — an in-memory
 //! [`gale_tensor::SparseMatrix`] or a memory-mapped `gale_graph::CsrStore`
 //! — without ever materializing the normalized operator or a full-graph
-//! activation set:
+//! activation set. Four stages differ from the in-memory configuration:
 //!
 //! * **Representation**: neighbor-sampled mini-batch GAE
 //!   ([`Gae::train_sampled`]) over the on-the-fly [`SymNormalized`]
-//!   operator; full-graph inference streams through the access kernels.
-//! * **Classifier**: the SGAN of Section IV on `X_R = [X | Z]`
-//!   (column-standardized), evaluated in fixed-size row chunks
-//!   ([`Sgan::scores_and_embeddings_chunked`]) so peak memory is
-//!   `O(chunk)`, not `O(n)`.
-//! * **Selection**: diversified typicality restricted to a bounded
-//!   candidate slate (the `candidate_pool` most uncertain unlabeled
-//!   nodes). `clusT` is the standard k'-means score over the slate;
-//!   `topoT` evaluates the Section V-A conflict term with
-//!   [`ppr_smooth_access`] power iteration — two smoothings per class,
-//!   never materializing `P`. Distance memoization is off (the slate
-//!   changes every iteration, so a cache would only add an `O(n)` map).
+//!   operator, with full-graph inference streamed through the access
+//!   kernels; `X_R = [X | Z]`, column-standardized. Noise-perturbed real
+//!   encodings stand in for GAugment's constraint-mined synthetic
+//!   encodings (synthetic graphs carry no constraint library).
+//! * **Candidates**: a bounded slate — a uniform sample at the cold start,
+//!   then the `candidate_pool` most uncertain unlabeled nodes — so the
+//!   k-means and qselect cost does not grow with `n`.
+//! * **Labels**: read from the truth mask; there is no detector-report
+//!   annotation stage.
+//! * **Validation fold**: none, so SGAN training never forwards the whole
+//!   graph per epoch, and final predictions are the argmax.
 //!
-//! Scale-path approximations, relative to [`crate::run_gale`]: GAugment's
-//! constraint-mined synthetic encodings are replaced by noise-perturbed
-//! real encodings (synthetic graphs carry no constraint library), and the
-//! oracle is consulted directly on the selected nodes (no detector-report
-//! annotation stage). Both substitutions are deliberate and documented in
-//! DESIGN.md's scale section.
+//! The shared loop evaluates the SGAN `eval_chunk` rows at a time, so the
+//! activation memory is `O(chunk)`, not `O(n)`, and typicality's PPR
+//! smoothings run over the same [`SymNormalized`] operator. Memoization is
+//! off: the slate changes every iteration, so a cache would only add an
+//! `O(n)` map. DESIGN.md's scale section documents the substitutions.
 //!
 //! Everything downstream of the RNG is deterministic in `(cfg.seed,
 //! thread count)`: the sampler, the access kernels, and qselect all carry
 //! bitwise thread-invariance contracts.
 
-use crate::calibrate::calibrated_predictions;
+use crate::annotate::Annotation;
 use crate::label::{Example, ExamplePool, Label};
-use crate::memo::MemoCache;
 use crate::metrics::Prf;
-use crate::select::qselect;
-use crate::sgan::{Sgan, SganConfig};
-use crate::strategies::cold_start_queries;
-use crate::typicality::clustering_typicality;
-use gale_graph::{ppr_smooth_access, NodeId, PropagationConfig};
+use crate::pipeline::{gale_loop, GaleConfig, Stages};
+use crate::sgan::SganConfig;
+use gale_graph::{NodeId, PropagationConfig};
 use gale_nn::{Gae, GaeConfig, MiniBatchConfig};
 use gale_tensor::{EdgeSample, Matrix, NeighborAccess, Rng, SymNormalized};
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the out-of-core GALE loop.
 #[derive(Debug, Clone)]
@@ -140,22 +136,6 @@ impl ScaleOutcome {
             .collect();
         Prf::from_sets(&predicted, &actual)
     }
-
-    /// Run totals as a [`gale_obs::RunReport`] (no per-iteration rows:
-    /// the scale loop reports stage aggregates plus the memory
-    /// high-water mark).
-    pub fn run_report(&self) -> gale_obs::RunReport {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let mut rep = gale_obs::RunReport::new("GALE scale run", &[]);
-        rep.total("queries_issued", self.queries_issued);
-        rep.total("pool_size", self.pool.len());
-        rep.total("train_ms", ms(self.train_time));
-        rep.total("select_ms", ms(self.select_time));
-        rep.total("annotate_ms", ms(self.annotate_time));
-        rep.total("total_ms", ms(self.total_time));
-        rep.total("peak_rss_bytes", self.peak_rss_bytes as f64);
-        rep
-    }
 }
 
 /// `[x | z]` with every column standardized to zero mean / unit variance
@@ -177,15 +157,13 @@ fn standardized_concat(x: &Matrix, z: &Matrix) -> Matrix {
     out
 }
 
-/// The `cap` unlabeled nodes whose score sits closest to the decision
-/// boundary, in ascending (uncertainty, node id) order — a deterministic
-/// slate for selection.
-fn most_uncertain_unlabeled(scores: &[f64], pool: &ExamplePool, cap: usize) -> Vec<usize> {
-    let mut keyed: Vec<(f64, usize)> = scores
-        .iter()
-        .enumerate()
-        .filter(|&(v, _)| !pool.contains(v))
-        .map(|(v, &p)| ((p - 0.5).abs(), v))
+/// The `cap` unlabeled nodes whose `P(error)` (column 0 of `probs`) sits
+/// closest to the decision boundary, in ascending (uncertainty, node id)
+/// order — a deterministic slate for selection.
+fn most_uncertain_unlabeled(probs: &Matrix, pool: &ExamplePool, cap: usize) -> Vec<usize> {
+    let mut keyed: Vec<(f64, usize)> = (0..probs.rows())
+        .filter(|&v| !pool.contains(v))
+        .map(|v| ((probs[(v, 0)] - 0.5).abs(), v))
         .collect();
     let cap = cap.min(keyed.len());
     if cap == 0 {
@@ -200,85 +178,52 @@ fn most_uncertain_unlabeled(scores: &[f64], pool: &ExamplePool, cap: usize) -> V
     keyed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Diversified typicality `T(v) = clusT(v) · topoT(v)` over the candidate
-/// slate, with the topological term evaluated by access-path PPR power
-/// iteration (Section V-A, out-of-core form).
-fn scale_typicality<S>(
-    s: &S,
-    h: &Matrix,
-    scores: &[f64],
-    cands: &[usize],
-    pool: &ExamplePool,
-    cfg: &ScaleGaleConfig,
-    rng: &mut Rng,
-) -> Vec<f64>
-where
-    S: NeighborAccess + Sync + ?Sized,
-{
-    let n = s.node_count();
-    let predicted_class = |v: usize| usize::from(scores[v] <= 0.5); // 0 = error
-    let (clus, _km) = clustering_typicality(
-        h,
-        cands,
-        (cfg.k_prime_factor * cfg.local_budget).max(1),
-        rng,
-    );
+/// [`run_gale_scale`]'s stages (see the module docs).
+struct OutOfCore<'a, A: NeighborAccess + ?Sized> {
+    s: SymNormalized<'a, A>,
+    truth: &'a [bool],
+    candidate_pool: usize,
+}
 
-    // Soft labels Ls(v): propagate the labeled one-hots, one smoothing per
-    // class; nodes reached by no mass fall back to the prediction.
-    let mut soft_mass: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for (l, mass) in soft_mass.iter_mut().enumerate() {
-        let mut y0 = vec![0.0f64; n];
-        let mut any = false;
-        for e in pool.examples() {
-            if e.label.class_index() == l {
-                y0[e.node] = 1.0;
-                any = true;
+impl<A: NeighborAccess + Sync + ?Sized> Stages for OutOfCore<'_, A> {
+    fn operator(&self) -> &(dyn NeighborAccess + Sync) {
+        &self.s
+    }
+
+    fn candidates(&self, pool: &ExamplePool, probs: Option<&Matrix>, rng: &mut Rng) -> Vec<NodeId> {
+        match probs {
+            Some(probs) => most_uncertain_unlabeled(probs, pool, self.candidate_pool),
+            // Cold start: a uniform slate, in node order.
+            None => {
+                let n = self.truth.len();
+                let mut slate = rng.sample_indices(n, self.candidate_pool.min(n));
+                slate.sort_unstable();
+                slate
             }
         }
-        *mass = if any {
-            ppr_smooth_access(s, &y0, &cfg.propagation)
-        } else {
-            vec![0.0; n]
-        };
-    }
-    let soft_class = |v: usize| {
-        let (e, c) = (soft_mass[0][v], soft_mass[1][v]);
-        if e.abs() + c.abs() < 1e-12 {
-            predicted_class(v)
-        } else {
-            usize::from(c > e)
-        }
-    };
-
-    // Conflict per class: m_l = P 1_{C_l} / |C_l|, conflict_l = P m_l.
-    let mut members: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-    for &v in cands {
-        members[predicted_class(v)].push(v);
-    }
-    let mut conflict: [Option<Vec<f64>>; 2] = [None, None];
-    for l in 0..2 {
-        if members[l].is_empty() {
-            continue;
-        }
-        let mut indicator = vec![0.0f64; n];
-        let w = 1.0 / members[l].len() as f64;
-        for &v in &members[l] {
-            indicator[v] = w;
-        }
-        let m_l = ppr_smooth_access(s, &indicator, &cfg.propagation);
-        conflict[l] = Some(ppr_smooth_access(s, &m_l, &cfg.propagation));
     }
 
-    cands
-        .iter()
-        .zip(&clus)
-        .map(|(&v, &clus_t)| {
-            let other = 1 - soft_class(v);
-            let c = conflict[other].as_ref().map(|vec| vec[v]).unwrap_or(0.0);
-            clus_t * (1.0 - c).clamp(0.0, 1.0)
-        })
-        .collect()
+    fn label(
+        &mut self,
+        queries: &[NodeId],
+        _: &[(NodeId, Label)],
+    ) -> (Vec<Label>, Vec<Annotation>) {
+        let labels = queries
+            .iter()
+            .map(|&v| {
+                if self.truth[v] {
+                    Label::Error
+                } else {
+                    Label::Correct
+                }
+            })
+            .collect();
+        (labels, Vec::new())
+    }
+
+    fn val_examples(&self) -> &[Example] {
+        &[]
+    }
 }
 
 /// Runs the out-of-core GALE loop against a ground-truth oracle.
@@ -288,6 +233,9 @@ where
 ///   dense floor of the scale path);
 /// * `truth` — per-node error mask; the oracle answers from it and the
 ///   final scores are evaluated against it by the caller.
+///
+/// As with [`crate::run_gale`], the loop's freed pages are handed back to
+/// the operating system before this returns.
 pub fn run_gale_scale<A>(adj: &A, x: &Matrix, truth: &[bool], cfg: &ScaleGaleConfig) -> ScaleOutcome
 where
     A: NeighborAccess + EdgeSample + Sync + ?Sized,
@@ -297,120 +245,54 @@ where
     assert_eq!(truth.len(), n, "run_gale_scale: truth/node mismatch");
     assert!(cfg.local_budget > 0, "run_gale_scale: zero budget");
     assert!(cfg.iterations > 0, "run_gale_scale: zero iterations");
-    let run_span = gale_obs::span!(
-        "gale.scale.run",
-        nodes = n,
-        iterations = cfg.iterations,
-        local_budget = cfg.local_budget,
-        seed = cfg.seed,
-    );
-    let started = Instant::now();
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let label_of = |e: bool| if e { Label::Error } else { Label::Correct };
-    let mut train_time = Duration::ZERO;
-    let mut select_time = Duration::ZERO;
-    let mut annotate_time = Duration::ZERO;
-
-    // --- Representation: sampled GAE + streamed inference. ---------------
-    let sp = gale_obs::span!("gale.scale.represent");
-    let s = SymNormalized::new(adj);
-    let mut gae = Gae::train_sampled(x, adj, &s, &cfg.gae, &cfg.minibatch, &mut rng);
-    let mut z = Matrix::zeros(0, 0);
-    gae.embed_access(&s, x, &mut z);
-    let x_r = standardized_concat(x, &z);
-    drop(z);
-    drop(gae);
-    // X_S: noise-perturbed real encodings stand in for GAugment's
-    // constraint-synthesized errors (see module docs).
-    let m = cfg.synthetic_rows.min(n);
-    let mut x_s = Matrix::zeros(m, x_r.cols());
-    for r in 0..m {
-        let src = rng.below(n);
-        for c in 0..x_r.cols() {
-            x_s[(r, c)] = x_r[(src, c)] + rng.gauss();
-        }
-    }
-    train_time += sp.finish();
-
-    // --- Cold start. ------------------------------------------------------
-    let mut pool = ExamplePool::new();
-    let mut queries_issued = 0usize;
-    let sp = gale_obs::span!("gale.scale.select", iter = 0usize);
-    let mut slate = rng.sample_indices(n, cfg.candidate_pool.min(n));
-    slate.sort_unstable();
-    let q0 = cold_start_queries(&x_r, &slate, cfg.local_budget, &mut rng);
-    select_time += sp.finish();
-    let sp = gale_obs::span!("gale.scale.annotate", iter = 0usize);
-    for &v in &q0 {
-        pool.insert(v, label_of(truth[v]));
-    }
-    queries_issued += q0.len();
-    gale_obs::counter_add!("gale.oracle.queries", q0.len() as u64);
-    annotate_time += sp.finish();
-
-    let sp = gale_obs::span!("gale.scale.train", iter = 0usize);
-    let mut sgan = Sgan::new(x_r.cols(), &cfg.sgan, &mut rng);
-    let targets = ExamplePool::targets(&pool.examples().collect::<Vec<_>>());
-    // Empty validation fold: early stopping would need a full-graph
-    // forward per epoch, exactly the O(n) activation the scale path bans.
-    let _ = sgan.train(&x_r, &x_s, &targets, &[], &mut rng);
-    train_time += sp.finish();
-
-    // --- Iterative improvement. -------------------------------------------
-    let mut scores: Vec<f64> = Vec::new();
-    let mut h = Matrix::zeros(0, 0);
-    for iter in 1..cfg.iterations {
-        let sp = gale_obs::span!("gale.scale.select", iter = iter);
-        sgan.scores_and_embeddings_chunked(&x_r, cfg.eval_chunk, &mut scores, &mut h);
-        let cands = most_uncertain_unlabeled(&scores, &pool, cfg.candidate_pool);
-        if cands.is_empty() {
-            let _ = sp.finish();
-            break;
-        }
-        let typ = scale_typicality(&s, &h, &scores, &cands, &pool, cfg, &mut rng);
-        let mut memo = MemoCache::new(false, 0.0);
-        let q_i = qselect(&h, &cands, &typ, cfg.local_budget, cfg.lambda, &mut memo);
-        select_time += sp.finish();
-
-        let sp = gale_obs::span!("gale.scale.annotate", iter = iter);
-        let mut v_t_i: Vec<Example> = pool.sample(cfg.eta, &mut rng);
-        for &v in &q_i {
-            let l = label_of(truth[v]);
-            pool.insert(v, l);
-            v_t_i.push(Example { node: v, label: l });
-        }
-        queries_issued += q_i.len();
-        gale_obs::counter_add!("gale.oracle.queries", q_i.len() as u64);
-        annotate_time += sp.finish();
-
-        let sp = gale_obs::span!("gale.scale.train", iter = iter);
-        let targets = ExamplePool::targets(&v_t_i);
-        let _ = sgan.update_discriminator(&x_r, &x_s, &targets, &mut rng);
-        train_time += sp.finish();
-    }
-
-    // --- Final scoring (chunked; no calibration fold at scale). -----------
-    let sp = gale_obs::span!("gale.scale.score");
-    sgan.scores_and_embeddings_chunked(&x_r, cfg.eval_chunk, &mut scores, &mut h);
-    let predictions = calibrated_predictions(&scores, &[]);
-    select_time += sp.finish();
-
-    let outcome = ScaleOutcome {
-        error_scores: scores,
-        predictions,
-        pool,
-        queries_issued,
-        train_time,
-        select_time,
-        annotate_time,
-        total_time: started.elapsed(),
-        peak_rss_bytes: gale_obs::record_peak_rss(),
+    let loop_cfg = GaleConfig {
+        local_budget: cfg.local_budget,
+        iterations: cfg.iterations,
+        eta: cfg.eta,
+        lambda: cfg.lambda,
+        k_prime_factor: cfg.k_prime_factor,
+        memoization: false,
+        sgan: cfg.sgan.clone(),
+        propagation: cfg.propagation,
+        seed: cfg.seed,
+        ..GaleConfig::default()
     };
-    let _ = run_span
-        .field("queries_issued", outcome.queries_issued)
-        .field("peak_rss_bytes", outcome.peak_rss_bytes as f64)
-        .finish();
-    outcome
+    let (outcome, represent_time) = gale_loop(&loop_cfg, &[], cfg.eval_chunk, |rng| {
+        let s = SymNormalized::new(adj);
+        let mut gae = Gae::train_sampled(x, adj, &s, &cfg.gae, &cfg.minibatch, rng);
+        let mut z = Matrix::zeros(0, 0);
+        gae.embed_access(&s, x, &mut z);
+        drop(gae);
+        let x_r = standardized_concat(x, &z);
+        drop(z);
+        // X_S: noise-perturbed real encodings stand in for GAugment's
+        // constraint-synthesized errors (see module docs).
+        let mut x_s = Matrix::zeros(cfg.synthetic_rows.min(n), x_r.cols());
+        for r in 0..x_s.rows() {
+            let src = rng.below(n);
+            for c in 0..x_r.cols() {
+                x_s[(r, c)] = x_r[(src, c)] + rng.gauss();
+            }
+        }
+        let stages = OutOfCore {
+            s,
+            truth,
+            candidate_pool: cfg.candidate_pool,
+        };
+        (x_r, x_s, stages)
+    });
+    gale_tensor::heap::release_free_pages();
+    ScaleOutcome {
+        train_time: represent_time + outcome.total_train_time(),
+        select_time: outcome.total_select_time(),
+        annotate_time: outcome.total_annotate_time(),
+        total_time: outcome.total_time,
+        error_scores: outcome.error_scores,
+        predictions: outcome.predictions,
+        pool: outcome.pool,
+        queries_issued: outcome.queries_issued,
+        peak_rss_bytes: gale_obs::record_peak_rss(),
+    }
 }
 
 #[cfg(test)]
@@ -508,8 +390,6 @@ mod tests {
             prf.precision,
             prf.recall
         );
-        let rep = out.run_report();
-        assert!(rep.totals.iter().any(|(k, _)| k == "peak_rss_bytes"));
     }
 
     #[test]
@@ -526,13 +406,18 @@ mod tests {
 
     #[test]
     fn uncertainty_slate_is_deterministic_and_bounded() {
-        let scores = vec![0.9, 0.5, 0.1, 0.52, 0.48, 0.5];
+        let scores = [0.9, 0.5, 0.1, 0.52, 0.48, 0.5];
+        let probs = Matrix::from_fn(
+            6,
+            2,
+            |v, c| if c == 0 { scores[v] } else { 1.0 - scores[v] },
+        );
         let mut pool = ExamplePool::new();
         pool.insert(4, Label::Correct);
-        let slate = most_uncertain_unlabeled(&scores, &pool, 3);
+        let slate = most_uncertain_unlabeled(&probs, &pool, 3);
         // |p-0.5|: node 1 and 5 tie at 0 (id order), then 3 at 0.02.
         assert_eq!(slate, vec![1, 5, 3]);
-        assert!(most_uncertain_unlabeled(&scores, &pool, 0).is_empty());
+        assert!(most_uncertain_unlabeled(&probs, &pool, 0).is_empty());
     }
 
     #[test]

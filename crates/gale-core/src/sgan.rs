@@ -572,65 +572,52 @@ impl Sgan {
         out.copy_from(self.d.tap(self.tap));
     }
 
-    /// Chunked evaluation for graphs too large to forward in one block:
-    /// streams `x` through the discriminator `chunk` rows at a time,
-    /// writing per-row `P(error)` (2-class renormalized, the same
-    /// expression as [`Sgan::class_probs`]) into `scores` and the tapped
-    /// embeddings into `h` (`n × tap_dim`). Evaluation mode is
-    /// row-independent (batch norm uses running statistics, dropout is
-    /// off), so the result is bitwise equal to the one-shot path at any
-    /// chunk size — asserted by the module tests. Peak extra memory is one
-    /// `chunk`-row activation set instead of `n` rows, which is what lets
-    /// the million-node pipeline score every node under the scale bench's
-    /// memory ceiling.
-    pub fn scores_and_embeddings_chunked(
+    /// One evaluation pass over `x`, `chunk` rows at a time: writes the
+    /// 2-class probabilities of [`Sgan::class_probs`] into `probs`
+    /// (`n × 2`) and the tapped embeddings of [`Sgan::embeddings`] into `h`
+    /// (`n × tap_dim`). Evaluation mode is row-independent (batch norm uses
+    /// running statistics, dropout is off), so both are bitwise equal to
+    /// the one-shot paths at any chunk size — asserted by the module tests.
+    /// When one chunk covers every row, `x` is forwarded as is; smaller
+    /// chunks hold one `chunk`-row activation set instead of `n` rows,
+    /// which is what lets the out-of-core loop score a million nodes under
+    /// the scale bench's memory ceiling.
+    pub(crate) fn eval_into(
         &mut self,
         x: &Matrix,
         chunk: usize,
-        scores: &mut Vec<f64>,
+        probs: &mut Matrix,
         h: &mut Matrix,
     ) {
-        assert!(
-            chunk > 0,
-            "scores_and_embeddings_chunked: chunk must be > 0"
-        );
+        assert!(chunk > 0, "eval_into: chunk must be > 0");
         let n = x.rows();
-        scores.clear();
-        scores.reserve(n);
-        if n == 0 {
-            h.resize(0, 0);
-            return;
-        }
-        let mut xb = Matrix::zeros(0, 0);
-        let mut pb = Matrix::zeros(0, 0);
+        probs.resize(n, 2);
+        let tap_dim = *self.cfg.d_hidden.last().expect("d_hidden is not empty");
+        h.resize(n, tap_dim);
+        let (mut xb, mut p3) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let mut lo = 0;
         while lo < n {
-            let hi = (lo + chunk).min(n);
-            xb.resize(hi - lo, x.cols());
-            for r in lo..hi {
-                xb.row_mut(r - lo).copy_from_slice(x.row(r));
-            }
-            self.probs3_into(&xb, &mut pb);
+            let hi = lo + chunk.min(n - lo);
+            let rows = if hi - lo == n {
+                x
+            } else {
+                xb.resize(hi - lo, x.cols());
+                for r in lo..hi {
+                    xb.row_mut(r - lo).copy_from_slice(x.row(r));
+                }
+                &xb
+            };
+            self.probs3_into(rows, &mut p3);
             let tap = self.d.tap(self.tap);
-            if lo == 0 {
-                h.resize(n, tap.cols());
-            }
-            for r in 0..tap.rows() {
+            for r in 0..p3.rows() {
                 h.row_mut(lo + r).copy_from_slice(tap.row(r));
-            }
-            for r in 0..pb.rows() {
-                let pe = pb[(r, 0)];
-                let pc = pb[(r, 1)];
-                scores.push(pe / (pe + pc).max(1e-12));
+                let (pe, pc) = (p3[(r, 0)], p3[(r, 1)]);
+                let z = (pe + pc).max(1e-12);
+                probs[(lo + r, 0)] = pe / z;
+                probs[(lo + r, 1)] = pc / z;
             }
             lo = hi;
         }
-    }
-
-    /// Per-row probability of the `error` class (classifier scores).
-    pub fn error_scores(&mut self, x: &Matrix) -> Vec<f64> {
-        let p = self.class_probs(x);
-        (0..x.rows()).map(|r| p[(r, 0)]).collect()
     }
 
     /// Generates fake encodings from synthetic inputs (diagnostics).
@@ -788,7 +775,8 @@ mod tests {
     #[test]
     fn chunked_eval_is_bitwise_equal_to_one_shot() {
         let mut rng = Rng::seed_from_u64(91);
-        let (x_r, x_s, labels) = toy_data(&mut rng, 37, 5);
+        let n = 90;
+        let (x_r, x_s, labels) = toy_data(&mut rng, n, 5);
         let targets: Vec<(usize, usize)> = labels
             .iter()
             .enumerate()
@@ -798,27 +786,20 @@ mod tests {
         let mut sgan = Sgan::new(5, &small_cfg(), &mut rng);
         let _ = sgan.train(&x_r, &x_s, &targets, &[], &mut rng);
 
-        let full_scores = sgan.error_scores(&x_r);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let full_probs = bits(&sgan.class_probs(&x_r));
         let full_h = sgan.embeddings(&x_r);
-        for chunk in [1, 7, 37, 1000] {
-            let mut scores = Vec::new();
-            let mut h = Matrix::zeros(0, 0);
-            sgan.scores_and_embeddings_chunked(&x_r, chunk, &mut scores, &mut h);
-            assert_eq!(scores.len(), 37);
-            assert_eq!(h.shape(), full_h.shape());
-            for r in 0..37 {
-                assert_eq!(
-                    scores[r].to_bits(),
-                    full_scores[r].to_bits(),
-                    "score row {r}, chunk {chunk}"
-                );
-                for c in 0..h.cols() {
-                    assert_eq!(
-                        h[(r, c)].to_bits(),
-                        full_h[(r, c)].to_bits(),
-                        "tap ({r},{c}), chunk {chunk}"
-                    );
-                }
+        for threads in [1, 2] {
+            for chunk in [1, 37, n] {
+                let (mut probs, mut h) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                gale_tensor::par::with_threads(threads, || {
+                    sgan.eval_into(&x_r, chunk, &mut probs, &mut h)
+                });
+                assert_eq!(probs.shape(), (n, 2));
+                assert_eq!(h.shape(), full_h.shape());
+                let at = format!("chunk {chunk}, {threads} threads");
+                assert_eq!(bits(&probs), full_probs, "probabilities, {at}");
+                assert_eq!(bits(&h), bits(&full_h), "tap, {at}");
             }
         }
     }

@@ -12,19 +12,23 @@
 //! `P` is symmetric (`P = α(I − (1−α)S)^{-1}` with symmetric `S`), so the
 //! conflict term is evaluated without materializing `P`: with
 //! `m_l = P · 1_{C_l} / |C_l|`, the expectation equals `(P · m_l)(v)` —
-//! two sparse smoothings per class instead of O(n²) storage.
+//! two sparse smoothings per class instead of O(n²) storage. Every
+//! smoothing goes through [`ppr_smooth_access`], so `S` may be a
+//! materialized [`gale_tensor::SparseMatrix`] or an adapter that is never
+//! materialized, such as [`gale_tensor::SymNormalized`] over a
+//! memory-mapped adjacency.
 
 use crate::label::Label;
 use crate::memo::MemoCache;
-use gale_graph::{ppr_smooth, soft_labels, PropagationConfig};
-use gale_tensor::{kmeans, KMeansConfig, KMeansResult, Matrix, Rng, SparseMatrix};
+use gale_graph::{ppr_smooth_access, PropagationConfig};
+use gale_tensor::{kmeans, KMeansConfig, KMeansResult, Matrix, NeighborAccess, Rng};
 
 /// Inputs needed to score typicality for the unlabeled pool.
 pub struct TypicalityContext<'a> {
     /// Discriminator embeddings `H_n(X_R)` for all nodes.
     pub embeddings: &'a Matrix,
     /// Symmetric-normalized propagation operator (static across iterations).
-    pub s_norm: &'a SparseMatrix,
+    pub s_norm: &'a (dyn NeighborAccess + Sync),
     /// Discriminator-predicted labels for every node (drives `C_l`).
     pub predicted: &'a [Label],
     /// Current labeled examples as `(node, label)`; the label-propagation
@@ -101,17 +105,28 @@ pub fn topological_typicality_full(
     unlabeled: &[usize],
 ) -> (Vec<f64>, [Option<Vec<f64>>; 2], Vec<usize>) {
     let n = ctx.embeddings.rows();
-    // Soft labels Ls(v): propagate the labeled one-hots; fall back to the
-    // discriminator prediction where no mass arrives.
-    let mut y0 = Matrix::zeros(n, 2);
-    for &(node, label) in ctx.labeled {
-        y0[(node, label.class_index())] = 1.0;
+    // Soft labels Ls(v): propagate each class's labeled one-hots; the
+    // larger mass wins (ties to class 0, as in `gale_graph::soft_labels`),
+    // and nodes no mass reaches fall back to the discriminator prediction.
+    let mut mass: [Option<Vec<f64>>; 2] = [None, None];
+    for (l, slot) in mass.iter_mut().enumerate() {
+        let mut y0 = vec![0.0; n];
+        for &(node, label) in ctx.labeled {
+            if label.class_index() == l {
+                y0[node] = 1.0;
+            }
+        }
+        if y0.contains(&1.0) {
+            *slot = Some(ppr_smooth_access(ctx.s_norm, &y0, &ctx.propagation));
+        }
     }
-    let (_, soft) = soft_labels(ctx.s_norm, &y0, &ctx.propagation);
+    let mass_at = |l: usize, v: usize| mass[l].as_ref().map_or(0.0, |m| m[v]);
     let soft_class = |v: usize| -> usize {
-        match soft[v] {
-            usize::MAX => ctx.predicted[v].class_index(),
-            c => c,
+        let (e, c) = (mass_at(0, v), mass_at(1, v));
+        if e.abs() + c.abs() < 1e-12 {
+            ctx.predicted[v].class_index()
+        } else {
+            usize::from(c > e)
         }
     };
 
@@ -131,8 +146,8 @@ pub fn topological_typicality_full(
         for &v in &class_members[l] {
             indicator[v] = w;
         }
-        let m_l = ppr_smooth(ctx.s_norm, &indicator, &ctx.propagation);
-        conflict[l] = Some(ppr_smooth(ctx.s_norm, &m_l, &ctx.propagation));
+        let m_l = ppr_smooth_access(ctx.s_norm, &indicator, &ctx.propagation);
+        conflict[l] = Some(ppr_smooth_access(ctx.s_norm, &m_l, &ctx.propagation));
     }
 
     let scores = unlabeled
@@ -252,10 +267,10 @@ pub fn typicality_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gale_tensor::{SparseMatrix, SymNormalized};
 
-    /// Two communities of 6 nodes bridged by one edge; embeddings mirror
-    /// the communities.
-    fn setup() -> (Matrix, SparseMatrix, Vec<Label>) {
+    /// Two communities of 6 nodes bridged by one edge.
+    fn adjacency() -> SparseMatrix {
         let mut triplets = Vec::new();
         let link = |a: usize, b: usize, t: &mut Vec<(usize, usize, f64)>| {
             t.push((a, b, 1.0));
@@ -269,8 +284,13 @@ mod tests {
             }
         }
         link(5, 6, &mut triplets);
-        let a = SparseMatrix::from_triplets(12, 12, triplets);
-        let s = a.sym_normalized_with_self_loops();
+        SparseMatrix::from_triplets(12, 12, triplets)
+    }
+
+    /// The normalized [`adjacency`], with embeddings and predictions that
+    /// mirror its communities.
+    fn setup() -> (Matrix, SparseMatrix, Vec<Label>) {
+        let s = adjacency().sym_normalized_with_self_loops();
         let mut rng = Rng::seed_from_u64(11);
         let mut h = Matrix::zeros(12, 3);
         for v in 0..12 {
@@ -378,6 +398,54 @@ mod tests {
         let second = typicality_scores(&ctx, &unlabeled, 3, &mut memo, &mut rng);
         for i in 0..unlabeled.len() {
             assert_eq!(first.combined[i], second.combined[i]);
+        }
+    }
+
+    #[test]
+    fn access_operator_matches_materialized_s_norm() {
+        let (h, s, predicted) = setup();
+        let a = adjacency();
+        let lazy = SymNormalized::new(&a);
+        let unlabeled: Vec<usize> = (1..11).collect();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for labeled in [
+            vec![(0usize, Label::Error), (11usize, Label::Correct)],
+            vec![(0, Label::Error)],
+            vec![(5, Label::Correct), (6, Label::Error), (2, Label::Error)],
+        ] {
+            let ctx = |s_norm| TypicalityContext {
+                embeddings: &h,
+                s_norm,
+                predicted: &predicted,
+                labeled: &labeled,
+                propagation: PropagationConfig::default(),
+            };
+            // Memo off: `combined` is bitwise equal over both operators.
+            for seed in [31, 32, 33] {
+                let mut combined = Vec::new();
+                for op in [&s as &(dyn NeighborAccess + Sync), &lazy] {
+                    let mut memo = MemoCache::new(false, 0.0);
+                    let mut rng = Rng::seed_from_u64(seed);
+                    let t = typicality_scores(&ctx(op), &unlabeled, 3, &mut memo, &mut rng);
+                    combined.push(bits(&t.combined));
+                }
+                assert_eq!(combined[0], combined[1], "seed {seed}, labels {labeled:?}");
+            }
+            // The soft-label classes are those of the matrix path, with
+            // the prediction where no mass arrives.
+            let (_, _, soft) = topological_typicality_full(&ctx(&lazy), &unlabeled);
+            let mut y0 = Matrix::zeros(12, 2);
+            for &(node, label) in &labeled {
+                y0[(node, label.class_index())] = 1.0;
+            }
+            let (_, classes) = gale_graph::soft_labels(&s, &y0, &PropagationConfig::default());
+            for v in 0..12 {
+                let want = match classes[v] {
+                    usize::MAX => predicted[v].class_index(),
+                    c => c,
+                };
+                assert_eq!(soft[v], want, "node {v}, labels {labeled:?}");
+            }
         }
     }
 }

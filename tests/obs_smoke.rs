@@ -110,10 +110,12 @@ fn telemetry_smoke_end_to_end() {
     let span_names: Vec<&str> = spans.iter().filter_map(|s| s["name"].as_str()).collect();
     for expected in [
         "gale.run",
+        "gale.represent",
         "gale.iteration",
         "gale.select",
         "gale.annotate",
         "gale.train",
+        "gale.score",
     ] {
         assert!(span_names.contains(&expected), "missing span {expected}");
     }
