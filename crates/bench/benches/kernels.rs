@@ -1,22 +1,13 @@
-//! Criterion bench for the compute kernels: register-tiled dense GEMM,
-//! parallel CSR SpMM, and pairwise distances, each against the naive
-//! sequential formulation they replaced.
-//!
-//! Unlike the other benches this target has a custom `main`: after the
-//! groups run it drains the shim's result registry, derives throughput
-//! per kernel, and writes `BENCH_kernels.json` at the repo root (override
-//! with `GALE_BENCH_OUT`). When a committed baseline is present and the
-//! run is not in smoke mode, the matmul/SpMM kernels are gated on their
-//! *intra-run speedup over the naive reference*: dropping more than 15%
-//! below the baseline's speedup for the same pair fails the process
-//! (skip with `GALE_BENCH_NO_GATE=1`).
+//! Compute-kernel bench: register-tiled dense GEMM, CSR SpMM and pairwise
+//! distances, each timed against the naive formulation it replaced with
+//! [`paired`] (one thread, interleaved passes). Writes
+//! `BENCH_kernels.json` and gates the matmul and SpMM speedups against
+//! the committed report (see `gale_bench::report`).
 
-use criterion::{black_box, take_results, BenchmarkId, Criterion};
-use gale_json::{json, Value};
-use gale_tensor::par::with_threads;
+use gale_bench::report::{paired, timed, Report, Rule};
 use gale_tensor::{Matrix, Rng, SparseMatrix};
 
-/// Naive i-j-k matmul — the pre-tiling kernel, pinned to one thread.
+/// Naive i-j-k matmul — the pre-tiling kernel.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
     for i in 0..a.rows() {
@@ -56,35 +47,31 @@ fn naive_pairwise(points: &Matrix) -> Matrix {
     out
 }
 
-fn bench_dense(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
-    group.sample_size(10);
-    for &n in &[64usize, 128, 256] {
+fn bench_dense(report: &mut Report) {
+    for n in [64usize, 128, 256] {
         let mut rng = Rng::seed_from_u64(n as u64);
         let a = Matrix::randn(n, n, 1.0, &mut rng);
         let b = Matrix::randn(n, n, 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |be, _| {
-            be.iter(|| black_box(with_threads(1, || naive_matmul(&a, &b))));
-        });
-        group.bench_with_input(BenchmarkId::new("tiled", n), &n, |be, _| {
-            be.iter(|| black_box(a.matmul(&b)));
-        });
+        let p = paired(
+            &format!("matmul/{n}"),
+            || naive_matmul(&a, &b),
+            || a.matmul(&b),
+        );
+        let gflop = 2e-9 * (n * n * n) as f64;
+        report.pair_rates("matmul", ["naive", "tiled"], n, "GFLOP/s", gflop, &p);
+        report.ratio(format!("matmul/{n}"), Rule::Speedup, p.ratio.median);
     }
-    // The largest size runs the tiled kernel only; the naive reference gets
-    // too slow to keep in the smoke budget.
+    // The largest size times the tiled kernel alone: the naive reference
+    // is too slow to pair at 512.
     let mut rng = Rng::seed_from_u64(512);
     let a = Matrix::randn(512, 512, 1.0, &mut rng);
     let b = Matrix::randn(512, 512, 1.0, &mut rng);
-    group.bench_with_input(BenchmarkId::new("tiled", 512usize), &512, |be, _| {
-        be.iter(|| black_box(a.matmul(&b)));
-    });
-    group.finish();
+    let s = timed("matmul/tiled/512", || a.matmul(&b));
+    report.rate("matmul/tiled/512", "GFLOP/s", 2e-9 * 512f64.powi(3), &s);
 }
 
-fn bench_spmm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spmm");
-    group.sample_size(10);
-    for &(rows, density) in &[(2000usize, 0.005f64), (4000, 0.002)] {
+fn bench_spmm(report: &mut Report) {
+    for (rows, density) in [(2000usize, 0.005f64), (4000, 0.002)] {
         let mut rng = Rng::seed_from_u64(rows as u64);
         let mut triplets = Vec::new();
         for r in 0..rows {
@@ -96,178 +83,38 @@ fn bench_spmm(c: &mut Criterion) {
         }
         let s = SparseMatrix::from_triplets(rows, rows, triplets);
         let d = Matrix::randn(rows, 32, 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::new("naive", rows), &rows, |be, _| {
-            be.iter(|| black_box(with_threads(1, || naive_spmm(&s, &d))));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", rows), &rows, |be, _| {
-            be.iter(|| black_box(s.matmul_dense(&d)));
-        });
+        let p = paired(
+            &format!("spmm/{rows}"),
+            || naive_spmm(&s, &d),
+            || s.matmul_dense(&d),
+        );
+        // Two flops per stored entry per dense column.
+        let gflop = 2e-9 * s.nnz() as f64 * 32.0;
+        report.pair_rates("spmm", ["naive", "parallel"], rows, "GFLOP/s", gflop, &p);
+        report.ratio(format!("spmm/{rows}"), Rule::Speedup, p.ratio.median);
     }
-    group.finish();
 }
 
-fn bench_pairwise(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pairwise");
-    group.sample_size(10);
+fn bench_pairwise(report: &mut Report) {
     let n = 600;
     let mut rng = Rng::seed_from_u64(9);
     let points = Matrix::randn(n, 16, 1.0, &mut rng);
-    group.bench_with_input(BenchmarkId::new("naive", n), &n, |be, _| {
-        be.iter(|| black_box(with_threads(1, || naive_pairwise(&points))));
-    });
-    group.bench_with_input(BenchmarkId::new("parallel", n), &n, |be, _| {
-        be.iter(|| black_box(gale_tensor::distance::pairwise_euclidean(&points)));
-    });
-    group.finish();
+    let p = paired(
+        "pairwise/600",
+        || naive_pairwise(&points),
+        || gale_tensor::distance::pairwise_euclidean(&points),
+    );
+    // n² distances over 16 dims: sub, mul, add, plus a sqrt (counted 1).
+    let gflop = 1e-9 * (n * n) as f64 * (3.0 * 16.0 + 1.0);
+    report.pair_rates("pairwise", ["naive", "parallel"], n, "GFLOP/s", gflop, &p);
+    // Recorded, not gated: no pairwise pair has ever been part of the gate.
+    report.sample("pairwise/600/speedup", "x", &p.ratio);
 }
-
-/// FLOP estimate per kernel id, for throughput derivation. Returns `None`
-/// for kernels whose cost model is not worth pinning down.
-fn flops_for(name: &str) -> Option<f64> {
-    let mut parts = name.split('/');
-    let group = parts.next()?;
-    let _variant = parts.next()?;
-    let n: f64 = parts.next()?.parse().ok()?;
-    match group {
-        "matmul" => Some(2.0 * n * n * n),
-        // Density * n^2 entries, times 2 flops per entry per dense column.
-        "spmm" => {
-            let density = if n >= 4000.0 { 0.002 } else { 0.005 };
-            Some(2.0 * density * n * n * 32.0)
-        }
-        // n^2 distances over 16 dims: sub, mul, add, plus a sqrt (counted 1).
-        "pairwise" => Some(n * n * (3.0 * 16.0 + 1.0)),
-        _ => None,
-    }
-}
-
-use gale_bench::paths::{repo_path, report_path};
 
 fn main() {
-    let _ = std::env::args();
-    let mut criterion = Criterion::default();
-    bench_dense(&mut criterion);
-    bench_spmm(&mut criterion);
-    bench_pairwise(&mut criterion);
-    criterion.final_summary();
-    // Custom main bypasses criterion_main!, so flush bench traces here.
-    criterion::flush_telemetry();
-
-    let out_path = report_path("GALE_BENCH_OUT", "BENCH_kernels.json");
-    // The baseline is whatever report was committed at the same path
-    // (override with GALE_BENCH_BASELINE); read it before overwriting.
-    let baseline_path = std::env::var("GALE_BENCH_BASELINE")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| out_path.clone());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| gale_json::from_str(&text).ok());
-
-    let results = take_results();
-    let mut entries = Vec::new();
-    for r in &results {
-        let mut entry = json!({
-            "name": r.name.clone(),
-            "mean_s": r.mean_s,
-            "min_s": r.min_s,
-            "max_s": r.max_s,
-            "samples": r.samples as f64,
-            "iters": r.iters as f64,
-        });
-        if let (Some(flops), Value::Object(map)) = (flops_for(&r.name), &mut entry) {
-            map.insert("gflops", Value::from(flops / r.mean_s / 1e9));
-        }
-        entries.push(entry);
-    }
-    // Derived speedups: optimized kernel vs the naive reference at the
-    // same size (`group/size` -> naive_mean / optimized_mean).
-    let mean_of = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.mean_s);
-    let mut speedups = gale_json::Map::new();
-    for r in &results {
-        let mut parts = r.name.split('/');
-        let (Some(group), Some(variant), Some(size)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        if variant == "naive" {
-            continue;
-        }
-        if let Some(naive_mean) = mean_of(&format!("{group}/naive/{size}")) {
-            speedups.insert(
-                format!("{group}/{size}"),
-                Value::from(naive_mean / r.mean_s),
-            );
-        }
-    }
-    // Snapshot the gated speedups before the map moves into the report.
-    let gated: Vec<(String, f64)> = speedups
-        .iter()
-        .filter(|(key, _)| key.starts_with("matmul/") || key.starts_with("spmm/"))
-        .filter_map(|(key, v)| v.as_f64().map(|s| (key.clone(), s)))
-        .collect();
-    let report = json!({
-        "schema": "gale-bench-kernels/v1",
-        "threads": gale_tensor::par::max_threads() as f64,
-        "smoke": criterion::smoke_mode(),
-        "entries": entries,
-        "speedups": Value::Object(speedups),
-    });
-    std::fs::write(&out_path, gale_json::to_string_pretty(&report))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", out_path.display()));
-    println!("kernel bench report written to {}", out_path.display());
-
-    // Regression gate: each optimized kernel's speedup over the naive
-    // reference *measured in the same run* may not drop more than 15%
-    // below the committed baseline's speedup for the same pair. Intra-run
-    // ratios transfer across machines — a CI runner and the box that
-    // produced the baseline disagree wildly on absolute seconds but agree
-    // on whether the tiled kernel still beats the naive one. Smoke runs
-    // measure one iteration and are too noisy to gate on.
-    if criterion::smoke_mode() || std::env::var("GALE_BENCH_NO_GATE").is_ok_and(|v| v == "1") {
-        return;
-    }
-    let Some(baseline) = baseline else {
-        println!(
-            "no baseline at {}; skipping the regression gate",
-            baseline_path.display()
-        );
-        return;
-    };
-    if baseline.get("smoke").and_then(|v| v.as_bool()) == Some(true) {
-        println!("baseline is a smoke run; skipping the regression gate");
-        return;
-    }
-    let Some(base_speedups) = baseline.get("speedups").and_then(|v| v.as_object()) else {
-        println!("baseline has no speedups map; skipping the regression gate");
-        return;
-    };
-    let mut failures = Vec::new();
-    for (key, current) in &gated {
-        let Some(base) = base_speedups.get(key).and_then(|v| v.as_f64()) else {
-            continue;
-        };
-        // A pair whose baseline speedup is ~1x (e.g. the parallel paths on
-        // a single-core runner) carries no optimization win to protect;
-        // gating it would only flag measurement noise.
-        if base < 1.2 {
-            continue;
-        }
-        if *current < base * 0.85 {
-            failures.push(format!(
-                "{key}: speedup {base:.2}x -> {current:.2}x ({:.0}% of baseline)",
-                current / base * 100.0
-            ));
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!(
-            "kernel speedup regressed >15% vs {}:",
-            baseline_path.display()
-        );
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("regression gate passed vs {}", baseline_path.display());
+    let mut report = Report::new("kernels");
+    bench_dense(&mut report);
+    bench_spmm(&mut report);
+    bench_pairwise(&mut report);
+    report.finish_or_exit();
 }

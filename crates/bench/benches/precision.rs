@@ -1,35 +1,18 @@
-//! Criterion bench for the mixed-precision inference backend: the same
-//! register-tiled GEMM and blocked distance-sweep kernels monomorphized
-//! over `f64` and `f32`, plus the committed score-tolerance measurement
-//! between a checkpointed SGAN and its one-way `f32` inference lowering.
-//!
-//! Like `kernels.rs` this target has a custom `main`: after the groups run
-//! it drains the shim's result registry into informational entries,
-//! measures the f32-over-f64 speedups with interleaved paired passes
-//! (f64 and f32 alternate within the same seconds, best-of-passes per
-//! side — two criterion groups run minutes apart see different machine
-//! weather and their ratio swung 40% run to run on one core), measures
-//! the maximum |p_f32 - p_f64| score divergence and verdict-flip count
-//! over a fixed deterministic eval corpus, and writes
-//! `BENCH_precision.json` at the repo root (override with
-//! `GALE_BENCH_PRECISION_OUT`). The serving legs of the same report are
-//! appended by `gale-loadgen bench-precision`.
-//!
-//! Two gates against the committed baseline (override with
-//! `GALE_BENCH_PRECISION_BASELINE`, skip with `GALE_BENCH_NO_GATE=1`):
-//!
-//! * throughput — non-smoke runs fail if an f32-over-f64 speedup drops
-//!   more than 15% below the committed speedup for the same kernel/size
-//!   (pairs whose baseline is under 1.2x are skipped, as everywhere);
-//! * tolerance — *every* run (the measurement is deterministic, smoke or
-//!   not) fails on any verdict flip beyond the committed count or a score
-//!   divergence more than 10% beyond the committed bound.
+//! Mixed-precision bench: the register-tiled GEMM and the blocked
+//! distance sweep monomorphized over `f64` and `f32`, timed as pairs with
+//! [`paired`] (one thread, interleaved passes), plus the score tolerance
+//! between a checkpointed SGAN and its one-way `f32` inference lowering
+//! over a fixed deterministic corpus. Writes `BENCH_precision.json`;
+//! `gale-loadgen bench-precision` then appends the serving half to the
+//! same report. The flip count and the divergence are gated on every run,
+//! smoke included (the corpus is deterministic); the speedups on full
+//! runs (see `gale_bench::report`).
 
-use criterion::{black_box, take_results, BenchmarkId, Criterion};
+use gale_bench::report::{paired, Report, Rule};
 use gale_core::{Sgan, SganConfig};
-use gale_json::{json, Value};
 use gale_tensor::distance::pairwise_sq_into;
 use gale_tensor::{Matrix, Rng, Workspace};
+use std::hint::black_box;
 
 const GEMM_SIZES: [usize; 3] = [128, 256, 512];
 const DIST_ROWS: [usize; 2] = [512, 1024];
@@ -58,49 +41,26 @@ fn tol_model() -> Sgan {
     )
 }
 
-/// Best-of-passes for an interleaved f64/f32 pair. The order within each
-/// pass alternates, so slow machine drift taxes both sides equally; the
-/// per-side minimum is the stable estimator of kernel cost (spikes only
-/// ever slow a pass down).
-fn paired_min(passes: usize, f64_op: &mut dyn FnMut(), f32_op: &mut dyn FnMut()) -> (f64, f64) {
-    let time_once = |op: &mut dyn FnMut()| {
-        let t = std::time::Instant::now();
-        op();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut m64, mut m32) = (f64::INFINITY, f64::INFINITY);
-    for pass in 0..passes {
-        if pass % 2 == 0 {
-            m64 = m64.min(time_once(f64_op));
-            m32 = m32.min(time_once(f32_op));
-        } else {
-            m32 = m32.min(time_once(f32_op));
-            m64 = m64.min(time_once(f64_op));
-        }
-    }
-    (m64, m32)
-}
-
-/// The committed f32-over-f64 speedups, one interleaved pair per kernel
-/// and size.
-fn measure_speedups() -> gale_json::Map {
-    let passes = if criterion::smoke_mode() { 2 } else { 16 };
-    let mut speedups = gale_json::Map::new();
-    for &n in &GEMM_SIZES {
+/// The f32-over-f64 pairs, recorded as Gop/s per side (`n³` MACs for
+/// GEMM, `n² · dim` for the sweep) and gated as speedups.
+fn bench_speedups(report: &mut Report) {
+    for n in GEMM_SIZES {
         let mut rng = Rng::seed_from_u64(n as u64);
         let a = Matrix::randn(n, n, 1.0, &mut rng);
         let b = Matrix::randn(n, n, 1.0, &mut rng);
         let (a32, b32) = (a.to_f32(), b.to_f32());
         let mut out: Matrix = Matrix::zeros(n, n);
         let mut out32: Matrix<f32> = Matrix::zeros(n, n);
-        let (m64, m32) = paired_min(
-            passes,
-            &mut || a.matmul_into(black_box(&b), &mut out),
-            &mut || a32.matmul_into(black_box(&b32), &mut out32),
+        let p = paired(
+            &format!("gemm/{n}"),
+            || a.matmul_into(black_box(&b), &mut out),
+            || a32.matmul_into(black_box(&b32), &mut out32),
         );
-        speedups.insert(format!("gemm/f32/{n}"), Value::from(m64 / m32));
+        let gop = 1e-9 * (n * n * n) as f64;
+        report.pair_rates("gemm", ["f64", "f32"], n, "Gop/s", gop, &p);
+        report.ratio(format!("gemm/f32/{n}"), Rule::Speedup, p.ratio.median);
     }
-    for &n in &DIST_ROWS {
+    for n in DIST_ROWS {
         let mut rng = Rng::seed_from_u64(1000 + n as u64);
         let x = Matrix::randn(n, DIST_DIM, 1.0, &mut rng);
         let x32 = x.to_f32();
@@ -108,61 +68,21 @@ fn measure_speedups() -> gale_json::Map {
         let mut ws32: Workspace<f32> = Workspace::new();
         let mut out: Matrix = Matrix::zeros(n, n);
         let mut out32: Matrix<f32> = Matrix::zeros(n, n);
-        let (m64, m32) = paired_min(
-            passes,
-            &mut || pairwise_sq_into(black_box(&x), &x, &mut ws, &mut out),
-            &mut || pairwise_sq_into(black_box(&x32), &x32, &mut ws32, &mut out32),
+        let p = paired(
+            &format!("distance/{n}"),
+            || pairwise_sq_into(black_box(&x), &x, &mut ws, &mut out),
+            || pairwise_sq_into(black_box(&x32), &x32, &mut ws32, &mut out32),
         );
-        speedups.insert(format!("distance/f32/{n}"), Value::from(m64 / m32));
+        let gop = 1e-9 * (n * n * DIST_DIM) as f64;
+        report.pair_rates("distance", ["f64", "f32"], n, "Gop/s", gop, &p);
+        report.ratio(format!("distance/f32/{n}"), Rule::Speedup, p.ratio.median);
     }
-    speedups
-}
-
-fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(10);
-    for &n in &GEMM_SIZES {
-        let mut rng = Rng::seed_from_u64(n as u64);
-        let a = Matrix::randn(n, n, 1.0, &mut rng);
-        let b = Matrix::randn(n, n, 1.0, &mut rng);
-        let (a32, b32) = (a.to_f32(), b.to_f32());
-        let mut out: Matrix = Matrix::zeros(n, n);
-        let mut out32: Matrix<f32> = Matrix::zeros(n, n);
-        group.bench_with_input(BenchmarkId::new("f64", n), &n, |be, _| {
-            be.iter(|| a.matmul_into(black_box(&b), &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("f32", n), &n, |be, _| {
-            be.iter(|| a32.matmul_into(black_box(&b32), &mut out32));
-        });
-    }
-    group.finish();
-}
-
-fn bench_distance(c: &mut Criterion) {
-    let mut group = c.benchmark_group("distance");
-    group.sample_size(10);
-    for &n in &DIST_ROWS {
-        let mut rng = Rng::seed_from_u64(1000 + n as u64);
-        let x = Matrix::randn(n, DIST_DIM, 1.0, &mut rng);
-        let x32 = x.to_f32();
-        let mut ws: Workspace = Workspace::new();
-        let mut ws32: Workspace<f32> = Workspace::new();
-        let mut out: Matrix = Matrix::zeros(n, n);
-        let mut out32: Matrix<f32> = Matrix::zeros(n, n);
-        group.bench_with_input(BenchmarkId::new("f64", n), &n, |be, _| {
-            be.iter(|| pairwise_sq_into(black_box(&x), &x, &mut ws, &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("f32", n), &n, |be, _| {
-            be.iter(|| pairwise_sq_into(black_box(&x32), &x32, &mut ws32, &mut out32));
-        });
-    }
-    group.finish();
 }
 
 /// Scores the fixed corpus at both precisions and reports the maximum
 /// absolute per-class probability divergence and the number of verdict
 /// flips (rows where `p_error > p_correct` disagrees between precisions).
-fn measure_tolerance() -> Value {
+fn measure_tolerance(report: &mut Report) {
     let mut model = tol_model();
     let mut infer32 = model.to_f32();
     let mut rng = Rng::seed_from_u64(TOL_CORPUS_SEED);
@@ -191,175 +111,15 @@ fn measure_tolerance() -> Value {
     println!(
         "tolerance corpus: {TOL_ROWS} rows, max |p_f32 - p_f64| {max_div:.3e}, {flips} verdict flip(s)"
     );
-    json!({
-        "rows": TOL_ROWS as f64,
-        "dim": TOL_DIM as f64,
-        "model_seed": TOL_MODEL_SEED as f64,
-        "corpus_seed": TOL_CORPUS_SEED as f64,
-        "max_abs_divergence": max_div,
-        "verdict_flips": flips as f64,
-    })
+    report.entry("tolerance/rows", "rows", TOL_ROWS as f64, 1, 0.0);
+    report.entry("tolerance/dim", "features", TOL_DIM as f64, 1, 0.0);
+    report.ratio("tolerance/verdict_flips", Rule::Flips, flips as f64);
+    report.ratio("tolerance/max_abs_divergence", Rule::Divergence, max_div);
 }
 
-use gale_bench::paths::{repo_path, report_path};
-
 fn main() {
-    let _ = std::env::args();
-    let mut criterion = Criterion::default();
-    bench_gemm(&mut criterion);
-    bench_distance(&mut criterion);
-    criterion.final_summary();
-    // Custom main bypasses criterion_main!, so flush bench traces here.
-    criterion::flush_telemetry();
-    let tolerance = measure_tolerance();
-
-    let out_path = report_path("GALE_BENCH_PRECISION_OUT", "BENCH_precision.json");
-    let baseline_path = std::env::var("GALE_BENCH_PRECISION_BASELINE")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| out_path.clone());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| gale_json::from_str(&text).ok());
-
-    let results = take_results();
-    let mut entries = Vec::new();
-    for r in &results {
-        // Element throughput: n*n*n MACs for GEMM, n*n*dim for the sweep.
-        let mut entry = json!({
-            "name": r.name.clone(),
-            "mean_s": r.mean_s,
-            "min_s": r.min_s,
-            "max_s": r.max_s,
-            "samples": r.samples as f64,
-            "iters": r.iters as f64,
-        });
-        let mut parts = r.name.split('/');
-        if let (Some(group), Some(_), Some(Ok(n)), Value::Object(map)) = (
-            parts.next(),
-            parts.next(),
-            parts.next().map(str::parse::<f64>),
-            &mut entry,
-        ) {
-            let ops = match group {
-                "gemm" => n * n * n,
-                "distance" => n * n * DIST_DIM as f64,
-                _ => 0.0,
-            };
-            if ops > 0.0 {
-                map.insert("ops_per_s".to_string(), Value::from(ops / r.mean_s));
-            }
-        }
-        entries.push(entry);
-    }
-    // f32-over-f64 speedup per kernel/size: `gemm/f32/256` is how much
-    // faster the f32 GEMM ran than the f64 GEMM of the same shape,
-    // measured interleaved so both sides share the same machine weather.
-    let speedups = measure_speedups();
-    for (key, v) in speedups.iter() {
-        if let Some(s) = v.as_f64() {
-            println!("{key}: {s:.2}x f32 over f64");
-        }
-    }
-    let gated: Vec<(String, f64)> = speedups
-        .iter()
-        .filter_map(|(key, v)| v.as_f64().map(|s| (key.clone(), s)))
-        .collect();
-    let report = json!({
-        "schema": "gale-bench-precision/v1",
-        "threads": gale_tensor::par::max_threads() as f64,
-        "smoke": criterion::smoke_mode(),
-        "entries": entries,
-        "speedups": Value::Object(speedups),
-        "tolerance": tolerance.clone(),
-    });
-    std::fs::write(&out_path, gale_json::to_string_pretty(&report))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", out_path.display()));
-    println!("precision bench report written to {}", out_path.display());
-
-    let mut failures = Vec::new();
-    let usable_baseline = match &baseline {
-        None => {
-            println!(
-                "no baseline at {}; skipping the regression gate",
-                baseline_path.display()
-            );
-            None
-        }
-        Some(b) => Some(b),
-    };
-
-    // Tolerance gate: deterministic, so it runs on every configuration —
-    // smoke included. A code change that flips a verdict on the committed
-    // corpus or grows the divergence bound must update the baseline
-    // deliberately, never by drift.
-    if std::env::var("GALE_BENCH_NO_GATE").is_ok_and(|v| v == "1") {
-        return;
-    }
-    if let Some(base_tol) = usable_baseline.and_then(|b| b.get("tolerance")) {
-        let base_flips = base_tol
-            .get("verdict_flips")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let base_div = base_tol
-            .get("max_abs_divergence")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let flips = tolerance
-            .get("verdict_flips")
-            .and_then(Value::as_f64)
-            .unwrap_or(f64::INFINITY);
-        let div = tolerance
-            .get("max_abs_divergence")
-            .and_then(Value::as_f64)
-            .unwrap_or(f64::INFINITY);
-        if flips > base_flips {
-            failures.push(format!(
-                "verdict flips on the committed corpus: {base_flips:.0} -> {flips:.0}"
-            ));
-        }
-        if div > base_div * 1.10 {
-            failures.push(format!(
-                "max score divergence: {base_div:.3e} -> {div:.3e} (>10% beyond baseline)"
-            ));
-        }
-    }
-    // Throughput gate: same contract as the other kernel benches — the
-    // intra-run f32-over-f64 speedup may not drop more than 15% below the
-    // committed speedup. Smoke runs (one iteration) are too noisy to gate.
-    let speedup_gate_live = !criterion::smoke_mode()
-        && usable_baseline
-            .map(|b| b.get("smoke").and_then(Value::as_bool) != Some(true))
-            .unwrap_or(false);
-    if speedup_gate_live {
-        let base_speedups = usable_baseline
-            .and_then(|b| b.get("speedups"))
-            .and_then(Value::as_object);
-        if let Some(base_speedups) = base_speedups {
-            for (key, current) in &gated {
-                let Some(base) = base_speedups.get(key).and_then(Value::as_f64) else {
-                    continue;
-                };
-                if base < 1.2 {
-                    continue;
-                }
-                if *current < base * 0.85 {
-                    failures.push(format!(
-                        "{key}: speedup {base:.2}x -> {current:.2}x ({:.0}% of baseline)",
-                        current / base * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!(
-            "precision contract regressed vs {}:",
-            baseline_path.display()
-        );
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("precision gate passed vs {}", baseline_path.display());
+    let mut report = Report::new("precision");
+    bench_speedups(&mut report);
+    measure_tolerance(&mut report);
+    report.finish_or_exit();
 }

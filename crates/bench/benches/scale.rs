@@ -11,31 +11,29 @@
 //! Profiles (`GALE_BENCH_SCALE_PROFILE`, default `ci`; `GALE_BENCH_SMOKE=1`
 //! forces `smoke`):
 //!
-//! * `smoke` — one tiny 2k-node leg, sub-second, no gate;
-//! * `ci`    — 10k + 100k legs (what the scale-bench CI job runs);
+//! * `smoke` — one tiny 2k-node leg, sub-second;
+//! * `ci`    — 10k + 100k legs (what CI's scale leg runs);
 //! * `full`  — 10k + 100k + 1M: regenerates the committed `BENCH_scale.json`.
 //!
-//! The report follows the `BENCH_kernels`/`BENCH_select` shape (`entries` +
-//! intra-run `speedups`), and the gate follows the same contract: ratios
-//! measured in one run transfer across machines, absolute seconds do not.
-//! Gated ratios:
+//! The report (see `gale_bench::report`) gates these speedups against the
+//! committed one — ratios measured in one run transfer across machines,
+//! absolute seconds do not:
 //!
 //! * `scale_gae_epoch/sampled_vs_full/10000` — a sampled mini-batch epoch
-//!   vs a legacy full-graph epoch at 10k (the tentpole's speedup);
+//!   vs a legacy full-graph epoch at 10k;
 //! * `scale_gae_epoch/linear_scaling/100000_vs_10000` — 10× the 10k epoch
 //!   time over the 100k epoch time. Sampled epochs cost
 //!   `O(batches · fanout²)`, not `O(n)`, so this ratio sits near the size
 //!   factor; regressing toward 1 means epoch cost started scaling with n;
 //! * `scale_rss/headroom/<n>` — the 4 GiB ceiling over the leg's peak RSS.
 //!
-//! Additionally (non-smoke) every pipeline leg's peak RSS must sit under
-//! the 4 GiB ceiling outright — the ISSUE's out-of-core acceptance bar.
-//! Skip all gating with `GALE_BENCH_NO_GATE=1`.
+//! On full runs every pipeline leg's peak RSS must also sit under the
+//! 4 GiB ceiling outright (an invariant): the out-of-core contract.
 
+use gale_bench::report::{Limit, Report, Rule};
 use gale_core::{run_gale_scale, ScaleGaleConfig, SganConfig};
 use gale_data::{generate_scale, ScaleGraph, ScaleSpec};
 use gale_graph::{CsrStore, PropagationConfig};
-use gale_json::{json, Value};
 use gale_nn::{Gae, GaeConfig, MiniBatchConfig};
 use gale_tensor::{Rng, SparseMatrix, SymNormalized};
 use std::sync::Arc;
@@ -46,12 +44,8 @@ const EDGES_PER_NODE: usize = 10;
 const TIMING_EPOCHS: usize = 3;
 const SEED: u64 = 0x5ca1eb;
 
-fn smoke() -> bool {
-    criterion::smoke_mode()
-}
-
 fn profile() -> &'static str {
-    if smoke() {
+    if gale_bench::report::smoke() {
         return "smoke";
     }
     match std::env::var("GALE_BENCH_SCALE_PROFILE").as_deref() {
@@ -133,15 +127,15 @@ fn sparse_from_store(store: &CsrStore) -> SparseMatrix {
 
 struct LegResult {
     nodes: usize,
-    entries: Vec<Value>,
     sampled_epoch_s: f64,
+    full_epoch_s: Option<f64>,
     peak_rss_bytes: u64,
 }
 
-fn run_leg(nodes: usize, with_full_ref: bool) -> std::io::Result<(LegResult, Option<f64>)> {
+fn run_leg(report: &mut Report, nodes: usize, with_full_ref: bool) -> std::io::Result<LegResult> {
     let edges = nodes * EDGES_PER_NODE;
     let dir = std::env::temp_dir().join(format!("gale-scale-bench-{}-{nodes}", std::process::id()));
-    let mut entries = Vec::new();
+    let mut entry = |name: String, unit: &str, value: f64| report.entry(name, unit, value, 1, 0.0);
 
     // 1. Streamed generation straight to the on-disk CSR format.
     let t0 = Instant::now();
@@ -149,11 +143,7 @@ fn run_leg(nodes: usize, with_full_ref: bool) -> std::io::Result<(LegResult, Opt
     let g: ScaleGraph = generate_scale(&spec, &dir)?;
     let gen_s = t0.elapsed().as_secs_f64();
     println!("scale/{nodes}: generated {edges} edges in {gen_s:.2}s");
-    entries.push(json!({
-        "name": format!("scale_generate/stream/{nodes}"),
-        "mean_s": gen_s,
-        "edges_per_s": edges as f64 / gen_s,
-    }));
+    entry(format!("scale_generate/stream/{nodes}"), "s", gen_s);
 
     // 2. Sampled mini-batch GAE epoch time over the mapped store.
     let s = SymNormalized::new(&g.adjacency);
@@ -167,11 +157,11 @@ fn run_leg(nodes: usize, with_full_ref: bool) -> std::io::Result<(LegResult, Opt
         &mut Rng::seed_from_u64(SEED),
     );
     let sampled_epoch_s = t0.elapsed().as_secs_f64() / TIMING_EPOCHS as f64;
-    entries.push(json!({
-        "name": format!("scale_gae_epoch/sampled/{nodes}"),
-        "mean_s": sampled_epoch_s,
-        "nodes_per_s": nodes as f64 / sampled_epoch_s,
-    }));
+    entry(
+        format!("scale_gae_epoch/sampled/{nodes}"),
+        "s",
+        sampled_epoch_s,
+    );
 
     // 2b. Legacy full-graph epoch reference (small legs only: it holds the
     // dense n×hidden activations the sampled path exists to avoid).
@@ -187,11 +177,7 @@ fn run_leg(nodes: usize, with_full_ref: bool) -> std::io::Result<(LegResult, Opt
             &mut Rng::seed_from_u64(SEED),
         );
         let full = t0.elapsed().as_secs_f64() / TIMING_EPOCHS as f64;
-        entries.push(json!({
-            "name": format!("scale_gae_epoch/full/{nodes}"),
-            "mean_s": full,
-            "nodes_per_s": nodes as f64 / full,
-        }));
+        entry(format!("scale_gae_epoch/full/{nodes}"), "s", full);
         Some(full)
     } else {
         None
@@ -207,164 +193,92 @@ fn run_leg(nodes: usize, with_full_ref: bool) -> std::io::Result<(LegResult, Opt
         out.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         prf.f1
     );
-    entries.push(json!({
-        "name": format!("scale_pipeline/out_of_core/{nodes}"),
-        "mean_s": pipeline_s,
-        "nodes_per_s": nodes as f64 / pipeline_s,
-        "train_s": out.train_time.as_secs_f64(),
-        "select_s": out.select_time.as_secs_f64(),
-        "annotate_s": out.annotate_time.as_secs_f64(),
-        "queries_issued": out.queries_issued as f64,
-        "f1": prf.f1,
-        "peak_rss_bytes": out.peak_rss_bytes as f64,
-    }));
+    let leg = format!("scale_pipeline/out_of_core/{nodes}");
+    entry(leg.clone(), "s", pipeline_s);
+    entry(format!("{leg}/train"), "s", out.train_time.as_secs_f64());
+    entry(format!("{leg}/select"), "s", out.select_time.as_secs_f64());
+    entry(
+        format!("{leg}/annotate"),
+        "s",
+        out.annotate_time.as_secs_f64(),
+    );
+    entry(format!("{leg}/queries"), "count", out.queries_issued as f64);
+    entry(format!("{leg}/f1"), "ratio", prf.f1);
+    entry(
+        format!("{leg}/peak_rss"),
+        "bytes",
+        out.peak_rss_bytes as f64,
+    );
 
     let peak = out.peak_rss_bytes;
     drop(out);
     drop(g);
     std::fs::remove_dir_all(&dir).ok();
-    Ok((
-        LegResult {
-            nodes,
-            entries,
-            sampled_epoch_s,
-            peak_rss_bytes: peak,
-        },
+    Ok(LegResult {
+        nodes,
+        sampled_epoch_s,
         full_epoch_s,
-    ))
+        peak_rss_bytes: peak,
+    })
 }
 
-use gale_bench::paths::{repo_path, report_path};
-
 fn main() {
-    let _ = std::env::args();
     let sizes = leg_sizes();
-    let smallest = sizes[0];
+    let mut report = Report::new("scale");
+    report.entry(
+        format!("profile/{}", profile()),
+        "legs",
+        sizes.len() as f64,
+        1,
+        0.0,
+    );
     let mut legs: Vec<LegResult> = Vec::new();
-    let mut full_ref: Option<(usize, f64)> = None;
     for &nodes in &sizes {
         // The full-graph reference only runs on the smallest leg: at 100k+
         // it would dominate wall-clock and drag the RSS high-water mark
         // above what the out-of-core path actually uses.
-        let (leg, full) = run_leg(nodes, nodes == smallest)
+        let leg = run_leg(&mut report, nodes, nodes == sizes[0])
             .unwrap_or_else(|e| panic!("scale leg {nodes} failed: {e}"));
-        if let Some(f) = full {
-            full_ref = Some((nodes, f));
-        }
         legs.push(leg);
     }
 
-    let mut entries = Vec::new();
     for leg in &legs {
-        entries.extend(leg.entries.iter().cloned());
-    }
-    let mut speedups = gale_json::Map::new();
-    if let Some((nodes, full_epoch)) = full_ref {
-        let sampled = legs.iter().find(|l| l.nodes == nodes).unwrap();
-        speedups.insert(
-            format!("scale_gae_epoch/sampled_vs_full/{nodes}"),
-            Value::from(full_epoch / sampled.sampled_epoch_s),
-        );
+        if let Some(full) = leg.full_epoch_s {
+            report.ratio(
+                format!("scale_gae_epoch/sampled_vs_full/{}", leg.nodes),
+                Rule::Speedup,
+                full / leg.sampled_epoch_s,
+            );
+        }
     }
     for pair in legs.windows(2) {
         let (small, big) = (&pair[0], &pair[1]);
         let factor = big.nodes as f64 / small.nodes as f64;
-        speedups.insert(
+        report.ratio(
             format!(
                 "scale_gae_epoch/linear_scaling/{}_vs_{}",
                 big.nodes, small.nodes
             ),
-            Value::from(factor * small.sampled_epoch_s / big.sampled_epoch_s),
+            Rule::Speedup,
+            factor * small.sampled_epoch_s / big.sampled_epoch_s,
         );
     }
+    // `peak_rss_bytes == 0` means no procfs (not Linux): nothing was
+    // measured, so there is no headroom ratio, and 0 holds the ceiling.
     for leg in &legs {
-        if leg.peak_rss_bytes > 0 {
-            speedups.insert(
+        let peak = leg.peak_rss_bytes as f64;
+        if peak > 0.0 {
+            report.ratio(
                 format!("scale_rss/headroom/{}", leg.nodes),
-                Value::from(RSS_CEILING_BYTES / leg.peak_rss_bytes as f64),
+                Rule::Speedup,
+                RSS_CEILING_BYTES / peak,
             );
         }
-    }
-    let gated: Vec<(String, f64)> = speedups
-        .iter()
-        .filter(|(key, _)| key.starts_with("scale_gae_epoch/") || key.starts_with("scale_rss/"))
-        .filter_map(|(key, v)| v.as_f64().map(|s| (key.clone(), s)))
-        .collect();
-
-    let out_path = report_path("GALE_BENCH_SCALE_OUT", "BENCH_scale.json");
-    let baseline_path = std::env::var("GALE_BENCH_SCALE_BASELINE")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| out_path.clone());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| gale_json::from_str(&text).ok());
-
-    let report = json!({
-        "schema": "gale-bench-scale/v1",
-        "threads": gale_tensor::par::max_threads() as f64,
-        "smoke": smoke(),
-        "profile": profile(),
-        "rss_ceiling_bytes": RSS_CEILING_BYTES,
-        "entries": entries,
-        "speedups": Value::Object(speedups),
-    });
-    std::fs::write(&out_path, gale_json::to_string_pretty(&report))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", out_path.display()));
-    println!("scale bench report written to {}", out_path.display());
-
-    if smoke() || std::env::var("GALE_BENCH_NO_GATE").is_ok_and(|v| v == "1") {
-        return;
-    }
-
-    // Absolute memory-ceiling gate: the out-of-core contract, not a
-    // baseline comparison. `peak_rss_bytes == 0` means no procfs (not
-    // Linux); there is nothing to measure, so nothing to gate.
-    let mut failures = Vec::new();
-    for leg in &legs {
-        if leg.peak_rss_bytes as f64 >= RSS_CEILING_BYTES {
-            failures.push(format!(
-                "scale_pipeline/out_of_core/{}: peak RSS {:.2} GiB >= 4 GiB ceiling",
-                leg.nodes,
-                leg.peak_rss_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
-            ));
-        }
-    }
-
-    // Baseline gate: intra-run ratios may not drop >15% below the
-    // committed report's, pairs with no real margin (base < 1.2) skipped —
-    // the BENCH_select contract.
-    if let Some(baseline) = baseline {
-        if baseline.get("smoke").and_then(|v| v.as_bool()) == Some(true) {
-            println!("baseline is a smoke run; skipping the ratio gate");
-        } else if let Some(base_speedups) = baseline.get("speedups").and_then(|v| v.as_object()) {
-            for (key, current) in &gated {
-                let Some(base) = base_speedups.get(key).and_then(|v| v.as_f64()) else {
-                    continue;
-                };
-                if base < 1.2 {
-                    continue;
-                }
-                if *current < base * 0.85 {
-                    failures.push(format!(
-                        "{key}: ratio {base:.2}x -> {current:.2}x ({:.0}% of baseline)",
-                        current / base * 100.0
-                    ));
-                }
-            }
-        }
-    } else {
-        println!(
-            "no baseline at {}; ratio gate skipped",
-            baseline_path.display()
+        report.invariant(
+            format!("scale_pipeline/out_of_core/{}/peak_rss", leg.nodes),
+            peak,
+            Limit::Below(RSS_CEILING_BYTES),
         );
     }
-
-    if !failures.is_empty() {
-        eprintln!("scale bench gate failed:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("scale bench gate passed");
+    report.finish_or_exit();
 }

@@ -2,7 +2,8 @@
 //!
 //! The experiment harness regenerating every table and figure of the GALE
 //! paper's evaluation (Section VIII), plus Criterion micro-benches for the
-//! algorithmic hot paths. See DESIGN.md's per-experiment index and
+//! algorithmic hot paths and the [`report`] contract every committed
+//! `BENCH_*.json` follows. See DESIGN.md's per-experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 
 #![forbid(unsafe_code)]
@@ -16,6 +17,7 @@ pub mod exp_table4;
 pub mod exp_tables;
 pub mod harness;
 pub mod paths;
+pub mod report;
 
 pub use exp_ablation::ablation;
 pub use exp_casestudy::casestudy;

@@ -1,10 +1,8 @@
-//! Repo-root-anchored path resolution shared by every Criterion bench.
+//! Repo-root-anchored path resolution shared by every bench.
 //!
 //! Cargo runs bench binaries with `crates/bench` as the working
-//! directory, so a bare `BENCH_kernels.json` passed through an env var
-//! from CI would resolve two levels deep and silently miss the committed
-//! baseline. Each bench used to carry its own copy of this fix; keeping
-//! one here stops the copies from drifting.
+//! directory, so a bare `bench-out` passed through `GALE_BENCH_OUT_DIR`
+//! from CI would resolve two levels deep and miss the repo root.
 
 use std::path::{Path, PathBuf};
 
@@ -20,14 +18,6 @@ pub fn repo_path(p: PathBuf) -> PathBuf {
     } else {
         repo_root().join(p)
     }
-}
-
-/// Resolves a bench report path: the env var `var` (anchored at the repo
-/// root when relative) when set, else `<repo root>/<default_name>`.
-pub fn report_path(var: &str, default_name: &str) -> PathBuf {
-    std::env::var(var)
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| repo_root().join(default_name))
 }
 
 #[cfg(test)]

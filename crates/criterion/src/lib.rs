@@ -16,43 +16,9 @@
 #![warn(missing_docs)]
 
 use std::fmt::Display;
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
-
-/// One recorded benchmark measurement (per-iteration seconds).
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Full benchmark id (`group/function/param`).
-    pub name: String,
-    /// Mean seconds per iteration across samples.
-    pub mean_s: f64,
-    /// Fastest sample.
-    pub min_s: f64,
-    /// Slowest sample.
-    pub max_s: f64,
-    /// Samples recorded.
-    pub samples: usize,
-    /// Iterations per sample.
-    pub iters: u64,
-}
-
-fn results_registry() -> &'static Mutex<Vec<BenchResult>> {
-    static REGISTRY: OnceLock<Mutex<Vec<BenchResult>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Drains every measurement recorded so far, in execution order. Lets a
-/// bench binary with a custom `main` post-process its own numbers (e.g.
-/// dump a machine-readable report or gate on throughput regressions).
-pub fn take_results() -> Vec<BenchResult> {
-    std::mem::take(
-        &mut *results_registry()
-            .lock()
-            .expect("results registry poisoned"),
-    )
-}
 
 /// `true` when `GALE_BENCH_SMOKE=1`: run everything once, skip calibration.
 pub fn smoke_mode() -> bool {
@@ -260,17 +226,6 @@ fn run_one(
         min_s = min,
         max_s = max
     );
-    results_registry()
-        .lock()
-        .expect("results registry poisoned")
-        .push(BenchResult {
-            name: name.to_string(),
-            mean_s: mean,
-            min_s: min,
-            max_s: max,
-            samples,
-            iters,
-        });
 }
 
 fn fmt_time(secs: f64) -> String {
@@ -331,22 +286,6 @@ mod tests {
         }
         // Smoke mode: exactly one sample of one iteration.
         assert_eq!(ran, 1);
-    }
-
-    #[test]
-    fn results_are_captured() {
-        std::env::set_var("GALE_BENCH_SMOKE", "1");
-        let mut c = Criterion::default();
-        c.bench_function("capture_me_unique", |b| b.iter(|| 1 + 1));
-        let results = take_results();
-        let mine: Vec<_> = results
-            .iter()
-            .filter(|r| r.name == "capture_me_unique")
-            .collect();
-        assert_eq!(mine.len(), 1);
-        assert_eq!(mine[0].samples, 1);
-        assert_eq!(mine[0].iters, 1);
-        assert!(mine[0].mean_s >= 0.0);
     }
 
     #[test]

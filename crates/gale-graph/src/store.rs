@@ -59,6 +59,10 @@ pub enum StoreError {
         /// Bytes the entry count requires.
         expected: u64,
     },
+    /// A store file's header or sections break the format: counts whose
+    /// sections overflow or exceed the file, offsets that start past 0,
+    /// decrease or end off `nnz`, or a column index out of range.
+    Malformed(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -74,6 +78,7 @@ impl std::fmt::Display for StoreError {
                     "csr writer: short spill file ({copied} of {expected} bytes)"
                 )
             }
+            StoreError::Malformed(what) => write!(f, "malformed csr store: {what}"),
         }
     }
 }
@@ -300,12 +305,75 @@ pub struct CsrStore {
     backing: Backing,
 }
 
-fn section_offsets(rows: u64, nnz: u64) -> (usize, usize, usize) {
-    let align = |x: u64| x.div_ceil(PAGE) * PAGE;
-    let indptr_off = PAGE;
-    let cols_off = align(indptr_off + 8 * (rows + 1));
-    let vals_off = align(cols_off + 8 * nnz);
-    (indptr_off as usize, cols_off as usize, vals_off as usize)
+fn malformed(what: String) -> io::Error {
+    StoreError::Malformed(what).into()
+}
+
+/// Byte offsets of the offset, column and value sections and the file
+/// length they need; `None` when the header's counts overflow them.
+fn section_offsets(rows: u64, nnz: u64) -> Option<(u64, u64, u64, u64)> {
+    let entries = nnz.checked_mul(8)?;
+    let cols_off = rows
+        .checked_add(1)?
+        .checked_mul(8)?
+        .checked_add(PAGE)?
+        .checked_next_multiple_of(PAGE)?;
+    let vals_off = cols_off
+        .checked_add(entries)?
+        .checked_next_multiple_of(PAGE)?;
+    Some((PAGE, cols_off, vals_off, vals_off.checked_add(entries)?))
+}
+
+/// Reads the header and checks, before anything is allocated or mapped,
+/// that its sections fit in the file. The store comes back with no
+/// sections loaded (an empty owned backing).
+fn read_layout(f: &mut File) -> io::Result<CsrStore> {
+    let (rows, cols, nnz) = read_header(f)?;
+    let (indptr_off, cols_off, vals_off, need) = section_offsets(rows, nnz)
+        .ok_or_else(|| malformed(format!("rows {rows} / nnz {nnz} overflow the layout")))?;
+    let len = f.metadata()?.len();
+    if len < need {
+        return Err(malformed(format!("truncated: {len} < {need} bytes")));
+    }
+    let size = |x: u64| usize::try_from(x).map_err(|_| malformed(format!("{x} exceeds usize")));
+    Ok(CsrStore {
+        rows: size(rows)?,
+        cols: size(cols)?,
+        nnz: size(nnz)?,
+        indptr_off: size(indptr_off)?,
+        cols_off: size(cols_off)?,
+        vals_off: size(vals_off)?,
+        backing: Backing::Owned {
+            indptr: Vec::new(),
+            cols: Vec::new(),
+            vals: Vec::new(),
+        },
+    })
+}
+
+/// Checks what every reader indexes by: offsets start at 0, never
+/// decrease and end at `nnz`; every column is below `cols`.
+fn validate(indptr: &[u64], col_idx: &[u64], cols: usize) -> io::Result<()> {
+    if indptr.first() != Some(&0) {
+        return Err(malformed("row offsets do not start at 0".into()));
+    }
+    if let Some(r) = indptr.windows(2).position(|w| w[0] > w[1]) {
+        return Err(malformed(format!("row offsets decrease after row {r}")));
+    }
+    let end = indptr.last().copied().unwrap_or(0);
+    if end != col_idx.len() as u64 {
+        return Err(malformed(format!(
+            "row offsets end at {end}, nnz is {}",
+            col_idx.len()
+        )));
+    }
+    if let Some(k) = col_idx.iter().position(|&c| c >= cols as u64) {
+        return Err(malformed(format!(
+            "entry {k}: column {} >= {cols}",
+            col_idx[k]
+        )));
+    }
+    Ok(())
 }
 
 fn read_header(f: &mut File) -> io::Result<(u64, u64, u64)> {
@@ -324,6 +392,11 @@ fn read_header(f: &mut File) -> io::Result<(u64, u64, u64)> {
 impl CsrStore {
     /// Opens a store, memory-mapping it on Linux and falling back to
     /// [`CsrStore::open_in_memory`] elsewhere.
+    ///
+    /// Both backings validate the file before returning it (see
+    /// [`StoreError::Malformed`], reported as `InvalidData`): one pass over
+    /// the row offsets and the column indices, O(rows + nnz), which on the
+    /// mapped backing also pages both sections in once.
     pub fn open(path: impl AsRef<Path>) -> io::Result<CsrStore> {
         #[cfg(target_os = "linux")]
         {
@@ -338,63 +411,49 @@ impl CsrStore {
     /// Opens a store via `mmap(2)`. Linux only.
     #[cfg(target_os = "linux")]
     pub fn open_mapped(path: impl AsRef<Path>) -> io::Result<CsrStore> {
-        let mut f = File::open(path)?;
-        let (rows, cols, nnz) = read_header(&mut f)?;
-        let (indptr_off, cols_off, vals_off) = section_offsets(rows, nnz);
-        let need = vals_off as u64 + 8 * nnz;
-        let len = f.metadata()?.len();
-        if len < need {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("CSR file truncated: {len} < {need} bytes"),
-            ));
-        }
-        let mapping = mapped::Mapping::map(&f, len as usize)?;
-        Ok(CsrStore {
-            rows: rows as usize,
-            cols: cols as usize,
-            nnz: nnz as usize,
-            indptr_off,
-            cols_off,
-            vals_off,
-            backing: Backing::Mapped(mapping),
+        Self::open_with(path.as_ref(), |f, _| {
+            let len = usize::try_from(f.metadata()?.len())
+                .map_err(|_| malformed("file exceeds the address space".into()))?;
+            Ok(Backing::Mapped(mapped::Mapping::map(f, len)?))
         })
     }
 
     /// Opens a store by decoding the sections into owned memory. Portable;
     /// also the explicit choice for tests comparing both backings.
     pub fn open_in_memory(path: impl AsRef<Path>) -> io::Result<CsrStore> {
-        let mut f = File::open(path)?;
-        let (rows, cols, nnz) = read_header(&mut f)?;
-        let (indptr_off, cols_off, vals_off) = section_offsets(rows, nnz);
-        let read_u64s = |f: &mut File, off: usize, count: usize| -> io::Result<Vec<u64>> {
-            f.seek(SeekFrom::Start(off as u64))?;
-            let mut bytes = vec![0u8; count * 8];
-            f.read_exact(&mut bytes)?;
-            Ok(bytes
-                .chunks_exact(8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .collect())
-        };
-        let indptr = read_u64s(&mut f, indptr_off, rows as usize + 1)?;
-        let cols_v = read_u64s(&mut f, cols_off, nnz as usize)?;
-        let vals = read_u64s(&mut f, vals_off, nnz as usize)?
-            .into_iter()
-            .map(f64::from_bits)
-            .collect();
-        Ok(CsrStore {
-            rows: rows as usize,
-            cols: cols as usize,
-            nnz: nnz as usize,
-            indptr_off,
-            cols_off,
-            vals_off,
-            backing: Backing::Owned {
-                indptr,
-                cols: cols_v,
-                vals,
-            },
+        Self::open_with(path.as_ref(), |f, l| {
+            let mut read_u64s = |off: usize, count: usize| -> io::Result<Vec<u64>> {
+                f.seek(SeekFrom::Start(off as u64))?;
+                let mut bytes = vec![0u8; count * 8];
+                f.read_exact(&mut bytes)?;
+                Ok(bytes
+                    .chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                    .collect())
+            };
+            Ok(Backing::Owned {
+                indptr: read_u64s(l.indptr_off, l.rows + 1)?,
+                cols: read_u64s(l.cols_off, l.nnz)?,
+                vals: read_u64s(l.vals_off, l.nnz)?
+                    .into_iter()
+                    .map(f64::from_bits)
+                    .collect(),
+            })
         })
+    }
+
+    /// Both open paths: `load` maps or reads sections that the layout
+    /// check has already proven to lie inside the file, and the store is
+    /// validated before it is handed out.
+    fn open_with(
+        path: &Path,
+        load: impl FnOnce(&mut File, &CsrStore) -> io::Result<Backing>,
+    ) -> io::Result<CsrStore> {
+        let mut f = File::open(path)?;
+        let mut store = read_layout(&mut f)?;
+        store.backing = load(&mut f, &store)?;
+        validate(store.indptr(), store.col_indices(), store.cols)?;
+        Ok(store)
     }
 
     /// Number of rows.
@@ -430,6 +489,14 @@ impl CsrStore {
             #[cfg(target_os = "linux")]
             Backing::Mapped(m) => m.u64s(self.indptr_off, self.rows + 1),
             Backing::Owned { indptr, .. } => indptr,
+        }
+    }
+
+    fn col_indices(&self) -> &[u64] {
+        match &self.backing {
+            #[cfg(target_os = "linux")]
+            Backing::Mapped(m) => m.u64s(self.cols_off, self.nnz),
+            Backing::Owned { cols, .. } => cols,
         }
     }
 
@@ -481,12 +548,7 @@ impl EdgeSample for CsrStore {
         assert!(k < self.nnz, "entry_at: {k} >= nnz {}", self.nnz);
         let indptr = self.indptr();
         let r = indptr.partition_point(|&p| p as usize <= k) - 1;
-        let col = match &self.backing {
-            #[cfg(target_os = "linux")]
-            Backing::Mapped(m) => m.u64s(self.cols_off, self.nnz)[k] as usize,
-            Backing::Owned { cols, .. } => cols[k] as usize,
-        };
-        (r, col)
+        (r, self.col_indices()[k] as usize)
     }
 }
 

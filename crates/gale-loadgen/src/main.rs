@@ -5,45 +5,37 @@
 //!   drives a live server with closed-loop keep-alive workers and prints a
 //!   JSON report. With `--reload-ckpt`, fires `POST /admin/reload` mid-run
 //!   and fails unless the swap dropped zero requests.
-//! - `gale-loadgen bench [--smoke]` — the committed serving benchmark:
-//!   boots the sibling `gale-serve` binary with one and with four shards,
-//!   measures each, checks a hot reload under four-shard load, measures
-//!   the cost of request tracing (alternating pooled passes against a
-//!   tracing-on and a tracing-off server), writes `BENCH_serve.json` at
-//!   the repo root (override with `GALE_BENCH_SERVE_OUT`), and gates the
-//!   intra-run ratios against the committed baseline (override with
-//!   `GALE_BENCH_SERVE_BASELINE`; skip with `GALE_BENCH_NO_GATE=1`). The
-//!   headline ratio is the wire overhead: the single-shard served p50 over
-//!   the server's own mean batched-forward time, scraped from `/metrics`
-//!   over the measured window. The tracing-on vs tracing-off pair is
-//!   gated intra-run: tracing may not cost more than 5% of p99.
-//! - `gale-loadgen bench-precision [--smoke]` — the serving half of the
-//!   committed precision report: boots an f64 shard and an f32 shard of
-//!   the same checkpoint side by side (alternating pooled passes, like
-//!   the tracing measurement), checks that both answer a fixed eval
-//!   request with identical verdicts, and merges serve p50/p99 and the
-//!   f32-over-f64 serving speedups into `BENCH_precision.json` written
-//!   earlier by `cargo bench -p gale-bench --bench precision` (override
-//!   with `GALE_BENCH_PRECISION_OUT`/`GALE_BENCH_PRECISION_BASELINE`).
+//! - `gale-loadgen bench` — the committed serving benchmark
+//!   (`BENCH_serve.json`): boots the sibling `gale-serve` binary with one
+//!   and with four shards, measures each, checks a hot reload under
+//!   four-shard load, and measures the cost of request tracing. The
+//!   headline ratio is the wire overhead: the single-shard served p50
+//!   over the server's own mean batched-forward time, scraped from
+//!   `/metrics` over the measured window. Tracing may not cost more than
+//!   5% of p99.
+//! - `gale-loadgen bench-precision` — the serving half of
+//!   `BENCH_precision.json`: boots an f64 shard and an f32 shard of the
+//!   same checkpoint side by side, checks that both answer a fixed eval
+//!   request with the same verdicts, and appends serve p50/p99 and the
+//!   f32-over-f64 serving speedups to the report that
+//!   `cargo bench -p gale-bench --bench precision` wrote earlier into the
+//!   same output directory.
+//! - `gale-loadgen bench-stream` — the committed streaming benchmark
+//!   (`BENCH_stream.json`): builds a `stream-demo` bundle, loads two
+//!   engines from it, drives identical mutation rounds through both, and
+//!   times the incremental k-hop refresh against a full from-scratch
+//!   re-embed and re-score of the mutated graph. The verdicts must agree
+//!   *bitwise* every round, smoke included. A second leg boots
+//!   `gale-serve --stream` and measures `POST /mutate` p50/p99 over the
+//!   wire, checking the graph version never runs backwards. Full runs
+//!   also hold the incremental-vs-full speedup to a hard 5x floor.
 //!
-//! - `gale-loadgen bench-stream [--smoke]` — the committed streaming
-//!   benchmark: builds a `stream-demo` bundle, loads two engines from it,
-//!   drives identical mutation rounds through both, and times the
-//!   incremental k-hop refresh against a full from-scratch re-embed and
-//!   re-score of the mutated graph. The verdicts must agree *bitwise*
-//!   every round — that check binds on every run, smoke included. A
-//!   second leg boots `gale-serve --stream` and measures `POST /mutate`
-//!   p50/p99 over the wire, checking the graph version never runs
-//!   backwards. Writes `BENCH_stream.json` (override with
-//!   `GALE_BENCH_STREAM_OUT`/`GALE_BENCH_STREAM_BASELINE`); non-smoke
-//!   runs also gate the incremental-vs-full speedup against a hard 5x
-//!   floor.
-//!
-//! Intra-run ratios — served latency over the forward time measured in
-//! the same run — transfer across machines the way absolute requests/sec
-//! never do, which is what makes the committed report a meaningful CI
-//! gate.
+//! The three benches write and gate their reports through
+//! `gale_bench::report` (`GALE_BENCH_OUT_DIR`, `GALE_BENCH_SMOKE`,
+//! `GALE_BENCH_NO_GATE`). Failed requests, legs that complete nothing and
+//! broken parity abort before a report is written.
 
+use gale_bench::report::{self, Limit, Report, Rule, Sample};
 use gale_json::{json, Value};
 use gale_loadgen::{
     one_shot, percentile, render_get, render_post, run, run_samples, wait_healthy, LoadConfig,
@@ -57,9 +49,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("bench-precision") => cmd_bench_precision(&args[1..]),
-        Some("bench-stream") => cmd_bench_stream(&args[1..]),
+        Some("bench") => no_flags(&args[1..]).and_then(|()| cmd_bench()),
+        Some("bench-precision") => no_flags(&args[1..]).and_then(|()| cmd_bench_precision()),
+        Some("bench-stream") => no_flags(&args[1..]).and_then(|()| cmd_bench_stream()),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -82,9 +74,12 @@ USAGE:
   gale-loadgen run --addr HOST:PORT [--concurrency N] [--duration-secs S]
                    [--warmup-secs S] [--rows N]
                    [--reload-ckpt PATH --reload-at-secs S]
-  gale-loadgen bench [--smoke]
-  gale-loadgen bench-precision [--smoke]
-  gale-loadgen bench-stream [--smoke]
+  gale-loadgen bench
+  gale-loadgen bench-precision
+  gale-loadgen bench-stream
+
+The bench commands read GALE_BENCH_OUT_DIR, GALE_BENCH_SMOKE and
+GALE_BENCH_NO_GATE (see EXPERIMENTS.md).
 ";
 
 fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Vec<(String, String)>, String> {
@@ -94,16 +89,16 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Vec<(String, String)
         if !allowed.contains(&flag.as_str()) {
             return Err(format!("unknown flag `{flag}`\n{USAGE}"));
         }
-        if flag == "--smoke" {
-            flags.push((flag.clone(), "1".to_string()));
-            continue;
-        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag `{flag}` needs a value"))?;
         flags.push((flag.clone(), value.clone()));
     }
     Ok(flags)
+}
+
+fn no_flags(args: &[String]) -> Result<(), String> {
+    parse_flags(args, &[]).map(drop)
 }
 
 fn find<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -143,7 +138,6 @@ fn report_json(name: &str, r: &LoadReport) -> Value {
         "versions": Value::Array(r.versions.iter().map(|&v| Value::Int(v as i64)).collect()),
     })
 }
-
 // ---------------------------------------------------------------------------
 // `run`: drive an already-running server
 // ---------------------------------------------------------------------------
@@ -233,23 +227,8 @@ fn run_with_reload(
 }
 
 // ---------------------------------------------------------------------------
-// `bench`: the committed BENCH_serve.json pipeline
+// Server plumbing shared by the bench commands
 // ---------------------------------------------------------------------------
-
-/// The throughput legs: `(name, shards)`, every leg traced.
-const LEGS: [(&str, usize); 2] = [("evloop/1", 1), ("evloop/4", 4)];
-
-fn repo_path(p: PathBuf) -> PathBuf {
-    if p.is_absolute() {
-        p
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(p)
-    }
-}
-
-fn smoke_mode(flags: &[(String, String)]) -> bool {
-    find(flags, "--smoke").is_some() || std::env::var("GALE_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
 
 /// The sibling `gale-serve` binary (same target directory as this one).
 fn serve_binary() -> Result<PathBuf, String> {
@@ -276,42 +255,54 @@ fn free_port() -> Result<u16, String> {
         .port())
 }
 
-/// Boots `gale-serve` pinned to one internal thread (`GALE_THREADS=1`), so
-/// shard scaling — not intra-op parallelism — is what the benchmark
-/// measures.
+/// A live `gale-serve`: its address, its process and its feature
+/// dimension.
+type Server = (String, std::process::Child, usize);
+
+/// Boots `gale-serve` on a free loopback port, pinned to one internal
+/// thread (`GALE_THREADS=1`) so shard scaling — not intra-op parallelism
+/// — is what the benchmark measures, and waits until it is healthy; with
+/// `stream`, it also serves that bundle's graph.
 fn spawn_server(
     binary: &Path,
     ckpt: &Path,
-    addr: &str,
     shards: usize,
     precision: &str,
     trace: bool,
-) -> Result<std::process::Child, String> {
-    std::process::Command::new(binary)
-        .args([
-            "serve",
-            "--ckpt",
-            &ckpt.to_string_lossy(),
-            "--addr",
-            addr,
-            "--shards",
-            &shards.to_string(),
-            "--precision",
-            precision,
-            // The default 2ms batching linger is tuned for open-loop
-            // traffic; under a closed loop it would dominate every leg's
-            // latency and hide the wire overhead the bench exists to
-            // measure.
-            "--max-wait-us",
-            "200",
-            "--trace",
-            if trace { "on" } else { "off" },
-        ])
+    stream: Option<&Path>,
+) -> Result<Server, String> {
+    let addr = format!("127.0.0.1:{}", free_port()?);
+    let mut command = std::process::Command::new(binary);
+    command.args([
+        "serve",
+        "--ckpt",
+        &ckpt.to_string_lossy(),
+        "--addr",
+        &addr,
+        "--shards",
+        &shards.to_string(),
+        "--precision",
+        precision,
+        // The default 2ms batching linger is tuned for open-loop
+        // traffic; under a closed loop it would dominate every leg's
+        // latency and hide the wire overhead the bench exists to
+        // measure.
+        "--max-wait-us",
+        "200",
+        "--trace",
+        if trace { "on" } else { "off" },
+    ]);
+    if let Some(bundle) = stream {
+        command.arg("--stream").arg(bundle);
+    }
+    let child = command
         .env("GALE_THREADS", "1")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::inherit())
         .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", binary.display()))
+        .map_err(|e| format!("cannot spawn {}: {e}", binary.display()))?;
+    let dim = wait_healthy(&addr, Duration::from_secs(10))?;
+    Ok((addr, child, dim))
 }
 
 /// The `(sum, count)` of a histogram the server exports in `/metrics`.
@@ -359,9 +350,127 @@ fn stop_server(addr: &str, mut child: std::process::Child) -> Result<(), String>
     }
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["--smoke"])?;
-    let smoke = smoke_mode(&flags);
+// ---------------------------------------------------------------------------
+// `bench`: BENCH_serve.json
+// ---------------------------------------------------------------------------
+
+/// The throughput legs: `(name, shards)`, every leg traced.
+const LEGS: [(&str, usize); 2] = [("evloop/1", 1), ("evloop/4", 4)];
+
+/// How much of p99 request tracing may cost (an invariant, not
+/// baseline-relative: the contract is "tracing is nearly free", and that
+/// holds on any machine).
+const TRACING_P99_BUDGET: f64 = 1.05;
+
+/// A leg with failed requests or no completions aborts the bench.
+fn check_leg(name: &str, r: &LoadReport) -> Result<(), String> {
+    if r.errors > 0 {
+        return Err(format!("leg {name} had {} failed requests", r.errors));
+    }
+    if r.ok == 0 {
+        return Err(format!("leg {name} completed zero requests"));
+    }
+    Ok(())
+}
+
+/// Records `<name>/rps` and the p50 and p99 of sorted latency samples
+/// (µs, spread = their interquartile range).
+fn record_latency(report: &mut Report, name: &str, rps: f64, sorted_us: &[u64]) {
+    let iqr = percentile(sorted_us, 0.75) - percentile(sorted_us, 0.25);
+    report.entry(format!("{name}/rps"), "1/s", rps, 1, 0.0);
+    for (q, label) in [(0.50, "p50"), (0.99, "p99")] {
+        let value = percentile(sorted_us, q);
+        report.entry(format!("{name}/{label}"), "us", value, sorted_us.len(), iqr);
+    }
+}
+
+/// Boots one single-shard server per `(precision, trace)`.
+fn spawn_two(
+    binary: &Path,
+    ckpt: &Path,
+    configs: [(&str, bool); 2],
+) -> Result<Vec<Server>, String> {
+    configs
+        .into_iter()
+        .map(|(precision, trace)| spawn_server(binary, ckpt, 1, precision, trace, None))
+        .collect()
+}
+
+/// Drives two live servers in alternating passes and returns each side's
+/// requests per second and sorted pooled latency samples. One pass's p99
+/// hangs off a handful of tail samples and mostly measures scheduler
+/// noise; swapping which side goes first each pass gives both sides the
+/// same machine weather, and pooling gives the tail enough samples.
+fn pooled_pair(servers: &[Server], labels: [&str; 2]) -> Result<[(f64, Vec<u64>); 2], String> {
+    let (passes, warmup, duration) = if report::smoke() {
+        (
+            1usize,
+            Duration::from_millis(100),
+            Duration::from_millis(300),
+        )
+    } else {
+        (6usize, Duration::from_millis(250), Duration::from_secs(1))
+    };
+    let mut totals = [LoadReport::default(), LoadReport::default()];
+    let mut pooled: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    for pass in 0..passes {
+        for side in [pass % 2, (pass + 1) % 2] {
+            let (addr, _, dim) = &servers[side];
+            let (report, samples) = run_samples(&LoadConfig {
+                addr: addr.clone(),
+                concurrency: 8,
+                duration,
+                warmup,
+                rows: 4,
+                dim: *dim,
+            });
+            totals[side].ok += report.ok;
+            totals[side].errors += report.errors;
+            pooled[side].extend(samples);
+        }
+    }
+    let secs = passes as f64 * duration.as_secs_f64();
+    for side in 0..2 {
+        check_leg(labels[side], &totals[side])?;
+        pooled[side].sort_unstable();
+    }
+    let [a, b] = pooled;
+    Ok([
+        (totals[0].ok as f64 / secs, a),
+        (totals[1].ok as f64 / secs, b),
+    ])
+}
+
+fn stop_all(servers: Vec<Server>) -> Result<(), String> {
+    for (addr, child, _) in servers {
+        stop_server(&addr, child)?;
+    }
+    Ok(())
+}
+
+/// Runs a `gale-serve` subcommand that builds a demo artifact.
+fn build_demo(binary: &Path, args: &[&str]) -> Result<(), String> {
+    let status = std::process::Command::new(binary)
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::inherit())
+        .status()
+        .map_err(|e| format!("{}: {e}", args[0]))?;
+    if status.success() {
+        Ok(())
+    } else {
+        Err(format!("{} exited with {status}", args[0]))
+    }
+}
+
+/// Trains a demo checkpoint with `seed` into `out`.
+fn train_demo(binary: &Path, out: &Path, seed: &str) -> Result<(), String> {
+    let out = out.to_string_lossy();
+    build_demo(binary, &["train-demo", "--out", &out, "--seed", seed])
+}
+
+fn cmd_bench() -> Result<(), String> {
+    let smoke = report::smoke();
     let binary = serve_binary()?;
     let scratch = std::env::temp_dir().join(format!("gale-loadgen-bench-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| format!("mkdir {}: {e}", scratch.display()))?;
@@ -370,23 +479,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // with, one to hot-swap to under load.
     let ckpt_a = scratch.join("bench-a.ckpt");
     let ckpt_b = scratch.join("bench-b.ckpt");
-    for (path, seed) in [(&ckpt_a, "7"), (&ckpt_b, "8")] {
-        let status = std::process::Command::new(&binary)
-            .args([
-                "train-demo",
-                "--out",
-                &path.to_string_lossy(),
-                "--seed",
-                seed,
-            ])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit())
-            .status()
-            .map_err(|e| format!("train-demo: {e}"))?;
-        if !status.success() {
-            return Err(format!("train-demo exited with {status}"));
-        }
-    }
+    train_demo(&binary, &ckpt_a, "7")?;
+    train_demo(&binary, &ckpt_b, "8")?;
 
     let (warmup, duration) = if smoke {
         (Duration::from_millis(200), Duration::from_millis(800))
@@ -397,12 +491,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // Throughput legs. Each also scrapes the server's own batched forward
     // time at the start and the end of the measured window, and keeps the
     // window's mean.
-    let mut entries = Vec::new();
-    let mut measured: Vec<(&str, LoadReport, f64)> = Vec::new();
+    let mut report = Report::new("serve");
+    let mut measured: Vec<(LoadReport, f64)> = Vec::new();
     for (name, shards) in LEGS {
-        let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(&binary, &ckpt_a, &addr, shards, "f64", true)?;
-        let dim = wait_healthy(&addr, Duration::from_secs(10))?;
+        let (addr, child, dim) = spawn_server(&binary, &ckpt_a, shards, "f64", true, None)?;
         let load = LoadConfig {
             addr: addr.clone(),
             concurrency: 8,
@@ -411,13 +503,13 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             rows: 4,
             dim,
         };
-        let (report, forward_us) = std::thread::scope(|s| {
-            let traffic = s.spawn(|| run(&load));
+        let ((leg, samples), forward_us) = std::thread::scope(|s| {
+            let traffic = s.spawn(|| run_samples(&load));
             std::thread::sleep(warmup);
             let start = scrape_histogram(&addr, "serve_stage_forward_us");
-            let report = traffic.join().expect("load generator panicked");
+            let out = traffic.join().expect("load generator panicked");
             let end = scrape_histogram(&addr, "serve_stage_forward_us");
-            (report, window_mean(start, end))
+            (out, window_mean(start, end))
         });
         stop_server(&addr, child)?;
         let forward_us = forward_us?;
@@ -425,33 +517,23 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "{:<16} {:>9.0} req/s  p50 {:>6.0}us  p99 {:>7.0}us  forward {:>5.1}us  \
              ({} ok, {} shed, {} errors)",
             name,
-            report.throughput_rps,
-            report.p50_us,
-            report.p99_us,
+            leg.throughput_rps,
+            leg.p50_us,
+            leg.p99_us,
             forward_us,
-            report.ok,
-            report.shed,
-            report.errors
+            leg.ok,
+            leg.shed,
+            leg.errors
         );
-        if report.errors > 0 {
-            return Err(format!("leg {name} had {} failed requests", report.errors));
-        }
-        if report.ok == 0 {
-            return Err(format!("leg {name} completed zero requests"));
-        }
-        let mut entry = report_json(name, &report);
-        if let Value::Object(fields) = &mut entry {
-            fields.insert("forward_us_mean", Value::from(forward_us));
-        }
-        entries.push(entry);
-        measured.push((name, report, forward_us));
+        check_leg(name, &leg)?;
+        record_latency(&mut report, name, leg.throughput_rps, &samples);
+        report.entry(format!("{name}/forward_mean"), "us", forward_us, 1, 0.0);
+        measured.push((leg, forward_us));
     }
 
     // Reload-under-load leg: four shards, hot swap mid-run, zero drops.
-    let reload_report = {
-        let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(&binary, &ckpt_a, &addr, 4, "f64", true)?;
-        let dim = wait_healthy(&addr, Duration::from_secs(10))?;
+    {
+        let (addr, child, dim) = spawn_server(&binary, &ckpt_a, 4, "f64", true, None)?;
         let cfg = LoadConfig {
             addr: addr.clone(),
             concurrency: 4,
@@ -462,149 +544,60 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         };
         let result = run_with_reload(&cfg, &ckpt_b.to_string_lossy(), warmup + duration / 3);
         stop_server(&addr, child)?;
-        let report = result?;
+        let leg = result?;
         gale_obs::info!(
             "reload/evloop/4: versions {:?}, {} ok, 0 shed, 0 errors",
-            report.versions,
-            report.ok
+            leg.versions,
+            leg.ok
         );
-        entries.push(report_json("reload/evloop/4", &report));
-        report
-    };
+        report.entry("reload/evloop/4/rps", "1/s", leg.throughput_rps, 1, 0.0);
+        let versions = leg.versions.len() as f64;
+        report.entry("reload/evloop/4/versions_seen", "count", versions, 1, 0.0);
+    }
 
-    let tracing = measure_tracing_overhead(&binary, &ckpt_a, smoke)?;
+    measure_tracing_overhead(&mut report, &binary, &ckpt_a)?;
     let _ = std::fs::remove_dir_all(&scratch);
 
     // Intra-run ratios: the shard-scaling speedup, and the wire overhead —
     // what a single-shard request costs end to end per microsecond of
-    // model forward.
-    let leg = |name: &str| {
-        measured
-            .iter()
-            .find(|(n, _, _)| *n == name)
-            .expect("every leg ran")
-    };
-    let (_, one, forward_one) = leg("evloop/1");
-    let (_, four, _) = leg("evloop/4");
-    let mut speedups = gale_json::Map::new();
-    speedups.insert(
-        "shards/4v1",
-        Value::from(four.throughput_rps / one.throughput_rps.max(1e-9)),
-    );
+    // model forward. The overhead divides by the forward time, so a faster
+    // forward raises it as surely as a slower wire path: after a forward
+    // speedup, re-take BENCH_serve.json.
+    let (one, forward_one) = &measured[0];
+    let (four, _) = &measured[1];
+    let shards = four.throughput_rps / one.throughput_rps.max(1e-9);
+    report.ratio("shards/4v1", Rule::Speedup, shards);
     let wire_overhead = one.p50_us / forward_one.max(1e-9);
     gale_obs::info!(
         "wire overhead: evloop/1 p50 {:.0}us / forward {forward_one:.1}us = {wire_overhead:.1}x",
         one.p50_us
     );
-
-    let out_path = std::env::var("GALE_BENCH_SERVE_OUT")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| repo_path("BENCH_serve.json".into()));
-    let baseline_path = std::env::var("GALE_BENCH_SERVE_BASELINE")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| out_path.clone());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| gale_json::from_str(&text).ok());
-
-    let report = json!({
-        "schema": "gale-bench-serve/v1",
-        "smoke": smoke,
-        "concurrency": 8,
-        "rows_per_request": 4,
-        "entries": Value::Array(entries),
-        "speedups": Value::Object(speedups),
-        "wire_overhead_ratio": wire_overhead,
-        "tracing": tracing,
-        "reload_versions": Value::Array(
-            reload_report.versions.iter().map(|&v| Value::Int(v as i64)).collect()
-        ),
-    });
-    std::fs::write(&out_path, gale_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
-    println!("serve bench report written to {}", out_path.display());
-
-    gate(&report, baseline.as_ref(), &baseline_path, smoke)
+    report.ratio("wire_overhead_ratio", Rule::Overhead, wire_overhead);
+    report.finish()
 }
 
 /// Measures what request tracing costs: two identical single-shard
 /// event-loop servers — one `--trace on`, one `--trace off` — alive at
-/// once, driven in alternating passes, percentiles taken over the pooled
-/// samples of each side. One pass's p99 hangs off a handful of tail
-/// samples and mostly measures scheduler noise; alternating passes give
-/// both sides the same machine weather and pooling gives the tail enough
-/// samples to be stable under the 5% gate.
-fn measure_tracing_overhead(binary: &Path, ckpt: &Path, smoke: bool) -> Result<Value, String> {
-    let (passes, warmup, duration) = if smoke {
-        (
-            1usize,
-            Duration::from_millis(100),
-            Duration::from_millis(300),
-        )
-    } else {
-        (6usize, Duration::from_millis(250), Duration::from_secs(1))
-    };
-    let mut servers = Vec::new();
-    for trace in [true, false] {
-        let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(binary, ckpt, &addr, 1, "f64", trace)?;
-        let dim = wait_healthy(&addr, Duration::from_secs(10))?;
-        servers.push((addr, child, dim));
-    }
-    let mut pooled: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-    let mut ok = [0u64; 2];
-    let mut errors = [0u64; 2];
-    for pass in 0..passes {
-        // Swap which side goes first each pass: any slow drift in machine
-        // conditions then averages out instead of always taxing one side.
-        for side in [pass % 2, (pass + 1) % 2] {
-            let (addr, _, dim) = &servers[side];
-            let (report, samples) = run_samples(&LoadConfig {
-                addr: addr.clone(),
-                concurrency: 8,
-                duration,
-                warmup,
-                rows: 4,
-                dim: *dim,
-            });
-            ok[side] += report.ok;
-            errors[side] += report.errors;
-            pooled[side].extend(samples);
-        }
-    }
-    for (addr, child, _) in servers {
-        stop_server(&addr, child)?;
-    }
-    for (side, label) in [(0, "on"), (1, "off")] {
-        if errors[side] > 0 {
-            return Err(format!(
-                "tracing-{label} leg had {} failed requests",
-                errors[side]
-            ));
-        }
-        if ok[side] == 0 {
-            return Err(format!("tracing-{label} leg completed zero requests"));
-        }
-    }
-    pooled[0].sort_unstable();
-    pooled[1].sort_unstable();
-    let secs = passes as f64 * duration.as_secs_f64();
-    let (p99_on, p99_off) = (percentile(&pooled[0], 0.99), percentile(&pooled[1], 0.99));
+/// once, driven by [`pooled_pair`].
+fn measure_tracing_overhead(report: &mut Report, binary: &Path, ckpt: &Path) -> Result<(), String> {
+    let servers = spawn_two(binary, ckpt, [("f64", true), ("f64", false)])?;
+    let pooled = pooled_pair(&servers, ["tracing-on", "tracing-off"]);
+    stop_all(servers)?;
+    let [(on_rps, on), (off_rps, off)] = pooled?;
+    let (p99_on, p99_off) = (percentile(&on, 0.99), percentile(&off, 0.99));
     let ratio = p99_on / p99_off.max(1e-9);
     gale_obs::info!(
-        "tracing on/off   p99 {p99_on:>7.0}us / {p99_off:>7.0}us ({:+.1}%), {:.0} / {:.0} req/s",
+        "tracing on/off   p99 {p99_on:>7.0}us / {p99_off:>7.0}us ({:+.1}%), {on_rps:.0} / {off_rps:.0} req/s",
         (ratio - 1.0) * 100.0,
-        ok[0] as f64 / secs,
-        ok[1] as f64 / secs
     );
-    Ok(json!({
-        "passes": passes as i64,
-        "on_rps": ok[0] as f64 / secs,
-        "off_rps": ok[1] as f64 / secs,
-        "p99_on_us": p99_on,
-        "p99_off_us": p99_off,
-        "p99_overhead_ratio": ratio,
-    }))
+    record_latency(report, "tracing/on", on_rps, &on);
+    record_latency(report, "tracing/off", off_rps, &off);
+    report.invariant(
+        "tracing/p99_overhead",
+        ratio,
+        Limit::AtMost(TRACING_P99_BUDGET),
+    );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -612,84 +605,55 @@ fn measure_tracing_overhead(binary: &Path, ckpt: &Path, smoke: bool) -> Result<V
 // ---------------------------------------------------------------------------
 
 /// Drives an f64 shard and an f32 shard of the same checkpoint side by
-/// side and merges serve-path p50/p99 plus the f32-over-f64 serving
-/// speedups into the precision report the criterion bench wrote earlier.
-/// Runs the kernel bench first; this command refuses to invent the file
-/// from scratch so the committed report is always the union of both
-/// halves.
-fn cmd_bench_precision(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["--smoke"])?;
-    let smoke = smoke_mode(&flags);
+/// side and appends serve-path p50/p99, the f32-over-f64 serving
+/// speedups and the serving tolerance to the precision report the
+/// kernel bench wrote into the same output directory. This command
+/// refuses to invent the file, so the report is always the union of
+/// both halves.
+fn cmd_bench_precision() -> Result<(), String> {
     let binary = serve_binary()?;
+    let kernel_half = report::out_dir().join(report::file_name("precision"));
+    let mut report = Report::read(&kernel_half)
+        .map_err(|e| format!("{e} — run `cargo bench -p gale-bench --bench precision` first"))?;
+    report.entries.retain(|e| !e.name.starts_with("serve/"));
+    report.ratios.retain(|r| !r.name.starts_with("serve/"));
+    // The merged report is smoke if either half ran in smoke mode.
+    report.smoke |= report::smoke();
+
     let scratch = std::env::temp_dir().join(format!("gale-loadgen-prec-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| format!("mkdir {}: {e}", scratch.display()))?;
     let ckpt = scratch.join("precision.ckpt");
-    let status = std::process::Command::new(&binary)
-        .args([
-            "train-demo",
-            "--out",
-            &ckpt.to_string_lossy(),
-            "--seed",
-            "7",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::inherit())
-        .status()
-        .map_err(|e| format!("train-demo: {e}"))?;
-    if !status.success() {
-        return Err(format!("train-demo exited with {status}"));
-    }
+    train_demo(&binary, &ckpt, "7")?;
+    let servers = spawn_two(&binary, &ckpt, [("f64", true), ("f32", true)])?;
+    let measured = serve_agreement(&servers)
+        .and_then(|agreement| Ok((agreement, pooled_pair(&servers, ["f64", "f32"])?)));
+    stop_all(servers)?;
+    let _ = std::fs::remove_dir_all(&scratch);
+    let ((rows, max_div, flips), [(rps64, p64), (rps32, p32)]) = measured?;
 
-    let out_path = std::env::var("GALE_BENCH_PRECISION_OUT")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| repo_path("BENCH_precision.json".into()));
-    let baseline_path = std::env::var("GALE_BENCH_PRECISION_BASELINE")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| out_path.clone());
-    let kernel_report: Value = std::fs::read_to_string(&out_path)
-        .map_err(|e| {
-            format!(
-                "cannot read {} ({e}) — run `cargo bench -p gale-bench --bench precision` first",
-                out_path.display()
-            )
-        })
-        .and_then(|text| {
-            gale_json::from_str(&text)
-                .map_err(|e| format!("{} is not JSON: {e}", out_path.display()))
-        })?;
-    let baseline: Option<Value> = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| gale_json::from_str(&text).ok());
+    report.entry("serve/agreement_rows", "rows", rows as f64, 1, 0.0);
+    report.ratio("serve/verdict_flips", Rule::Flips, flips as f64);
+    report.ratio("serve/max_abs_divergence", Rule::Divergence, max_div);
+    let (p99_64, p99_32) = (percentile(&p64, 0.99), percentile(&p32, 0.99));
+    gale_obs::info!(
+        "serve f64/f32   p99 {p99_64:>7.0}us / {p99_32:>7.0}us, {rps64:.0} / {rps32:.0} req/s"
+    );
+    record_latency(&mut report, "serve/f64", rps64, &p64);
+    record_latency(&mut report, "serve/f32", rps32, &p32);
+    report.ratio("serve/f32/rps", Rule::Speedup, rps32 / rps64.max(1e-9));
+    report.ratio("serve/f32/p99", Rule::Speedup, p99_64 / p99_32.max(1e-9));
+    report.finish()
+}
 
-    // One f64 server and one f32 server alive at once, single shard each —
-    // the same alternating-pooled-passes scheme as the tracing
-    // measurement, so both precisions see the same machine weather and the
-    // pooled tails are stable.
-    let (passes, warmup, duration) = if smoke {
-        (
-            1usize,
-            Duration::from_millis(100),
-            Duration::from_millis(300),
-        )
-    } else {
-        (6usize, Duration::from_millis(250), Duration::from_secs(1))
-    };
-    let mut servers = Vec::new();
-    for precision in ["f64", "f32"] {
-        let addr = format!("127.0.0.1:{}", free_port()?);
-        let child = spawn_server(&binary, &ckpt, &addr, 1, precision, true)?;
-        let dim = wait_healthy(&addr, Duration::from_secs(10))?;
-        servers.push((addr, child, dim));
-    }
-
-    // Fixed eval request to both shards before any load: identical rows,
-    // so the verdicts must agree and the score divergence is the serving
-    // path's own measurement of the tolerance contract.
-    let agreement_rows = 16usize;
-    let dim = servers[0].2;
-    let eval_body = gale_loadgen::score_body(agreement_rows, dim, 4242);
-    let mut replies = Vec::new();
-    for (addr, _, _) in &servers {
+/// Sends one fixed eval request to both shards before any load:
+/// identical rows, so the verdicts must agree and the score divergence
+/// is the serving path's own measurement of the tolerance contract.
+/// Returns `(rows, max |p_f32 - p_f64|, verdict flips)`.
+fn serve_agreement(servers: &[Server]) -> Result<(usize, f64, u64), String> {
+    let rows = 16usize;
+    let eval_body = gale_loadgen::score_body(rows, servers[0].2, 4242);
+    let mut probs = Vec::new();
+    for (addr, _, _) in servers {
         let (status, reply) = one_shot(addr, &render_post(addr, "/score", &eval_body))
             .map_err(|e| format!("eval request to {addr} failed: {e}"))?;
         if status != 200 {
@@ -700,31 +664,27 @@ fn cmd_bench_precision(args: &[String]) -> Result<(), String> {
         }
         let doc: Value = gale_json::from_str(&String::from_utf8_lossy(&reply))
             .map_err(|e| format!("eval reply is not JSON: {e}"))?;
-        replies.push(doc);
-    }
-    let probs_of = |doc: &Value| -> Result<Vec<f64>, String> {
-        doc.get("probs")
+        let p: Vec<f64> = doc
+            .get("probs")
             .and_then(Value::as_array)
-            .map(|rows| {
-                rows.iter()
-                    .flat_map(|row| row.as_array().into_iter().flatten())
-                    .filter_map(Value::as_f64)
-                    .collect()
-            })
-            .ok_or_else(|| "eval reply has no probs".to_string())
-    };
-    let (p64, p32) = (probs_of(&replies[0])?, probs_of(&replies[1])?);
-    if p64.len() != agreement_rows * 3 || p32.len() != agreement_rows * 3 {
-        return Err(format!(
-            "eval replies have {} / {} probs, wanted {}",
-            p64.len(),
-            p32.len(),
-            agreement_rows * 3
-        ));
+            .ok_or("eval reply has no probs")?
+            .iter()
+            .flat_map(|row| row.as_array().into_iter().flatten())
+            .filter_map(Value::as_f64)
+            .collect();
+        if p.len() != rows * 3 {
+            return Err(format!(
+                "eval reply has {} probs, wanted {}",
+                p.len(),
+                rows * 3
+            ));
+        }
+        probs.push(p);
     }
+    let (p64, p32) = (&probs[0], &probs[1]);
     let mut max_div = 0.0f64;
     let mut flips = 0u64;
-    for r in 0..agreement_rows {
+    for r in 0..rows {
         for c in 0..3 {
             max_div = max_div.max((p64[r * 3 + c] - p32[r * 3 + c]).abs());
         }
@@ -732,204 +692,15 @@ fn cmd_bench_precision(args: &[String]) -> Result<(), String> {
             flips += 1;
         }
     }
-    gale_obs::info!(
-        "serve eval: {agreement_rows} rows, max |p_f32 - p_f64| {max_div:.3e}, {flips} flip(s)"
-    );
-
-    let mut pooled: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-    let mut ok = [0u64; 2];
-    let mut errors = [0u64; 2];
-    for pass in 0..passes {
-        for side in [pass % 2, (pass + 1) % 2] {
-            let (addr, _, dim) = &servers[side];
-            let (report, samples) = run_samples(&LoadConfig {
-                addr: addr.clone(),
-                concurrency: 8,
-                duration,
-                warmup,
-                rows: 4,
-                dim: *dim,
-            });
-            ok[side] += report.ok;
-            errors[side] += report.errors;
-            pooled[side].extend(samples);
-        }
-    }
-    for (addr, child, _) in servers {
-        stop_server(&addr, child)?;
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-    for (side, label) in [(0, "f64"), (1, "f32")] {
-        if errors[side] > 0 {
-            return Err(format!("{label} leg had {} failed requests", errors[side]));
-        }
-        if ok[side] == 0 {
-            return Err(format!("{label} leg completed zero requests"));
-        }
-    }
-    pooled[0].sort_unstable();
-    pooled[1].sort_unstable();
-    let secs = passes as f64 * duration.as_secs_f64();
-    let side_json = |side: usize| {
-        json!({
-            "rps": ok[side] as f64 / secs,
-            "p50_us": percentile(&pooled[side], 0.50),
-            "p99_us": percentile(&pooled[side], 0.99),
-        })
-    };
-    let (rps64, rps32) = (ok[0] as f64 / secs, ok[1] as f64 / secs);
-    let (p99_64, p99_32) = (percentile(&pooled[0], 0.99), percentile(&pooled[1], 0.99));
-    gale_obs::info!(
-        "serve f64/f32   p99 {p99_64:>7.0}us / {p99_32:>7.0}us, {rps64:.0} / {rps32:.0} req/s"
-    );
-
-    // Merge: keep every field the kernel half wrote, append the serve
-    // section, and extend the speedups map with the serving ratios
-    // (higher is better for both: rps32/rps64 and p99_64/p99_32).
-    let mut speedups = gale_json::Map::new();
-    if let Some(kernel_speedups) = kernel_report.get("speedups").and_then(Value::as_object) {
-        for (key, v) in kernel_speedups.iter() {
-            speedups.insert(key.clone(), v.clone());
-        }
-    }
-    speedups.insert("serve/f32/rps", Value::from(rps32 / rps64.max(1e-9)));
-    speedups.insert("serve/f32/p99", Value::from(p99_64 / p99_32.max(1e-9)));
-    let mut merged = gale_json::Map::new();
-    if let Some(kernel) = kernel_report.as_object() {
-        for (key, v) in kernel.iter() {
-            if key != "speedups" && key != "serve" {
-                merged.insert(key.clone(), v.clone());
-            }
-        }
-    }
-    // The merged report is smoke if either half ran in smoke mode.
-    let kernel_smoke = kernel_report.get("smoke").and_then(Value::as_bool) == Some(true);
-    merged.insert("smoke", Value::from(smoke || kernel_smoke));
-    merged.insert("speedups", Value::Object(speedups));
-    merged.insert(
-        "serve",
-        json!({
-            "passes": passes as f64,
-            "f64": side_json(0),
-            "f32": side_json(1),
-            "agreement_rows": agreement_rows as f64,
-            "max_abs_divergence": max_div,
-            "verdict_flips": flips as f64,
-        }),
-    );
-    let report = Value::Object(merged);
-    std::fs::write(&out_path, gale_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
-    println!("precision serve report merged into {}", out_path.display());
-
-    gate_precision(
-        &report,
-        baseline.as_ref(),
-        &baseline_path,
-        smoke || kernel_smoke,
-    )
-}
-
-/// The precision gate, run over the fully-merged report: the tolerance
-/// half (verdict flips, score divergence — serving section) binds on
-/// every run because the eval request is deterministic; the speedup half
-/// follows the usual smoke rules and 1.2x floor.
-fn gate_precision(
-    report: &Value,
-    baseline: Option<&Value>,
-    baseline_path: &Path,
-    smoke: bool,
-) -> Result<(), String> {
-    if std::env::var("GALE_BENCH_NO_GATE").is_ok_and(|v| v == "1") {
-        return Ok(());
-    }
-    let mut failures = Vec::new();
-    let serve = report.get("serve");
-    let flips = serve
-        .and_then(|s| s.get("verdict_flips"))
-        .and_then(Value::as_f64)
-        .unwrap_or(f64::INFINITY);
-    let base_flips = baseline
-        .and_then(|b| b.get("serve"))
-        .and_then(|s| s.get("verdict_flips"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    if flips > base_flips {
-        failures.push(format!(
-            "serve verdict flips on the fixed eval request: {base_flips:.0} -> {flips:.0}"
-        ));
-    }
-    if let (Some(base_div), Some(div)) = (
-        baseline
-            .and_then(|b| b.get("serve"))
-            .and_then(|s| s.get("max_abs_divergence"))
-            .and_then(Value::as_f64),
-        serve
-            .and_then(|s| s.get("max_abs_divergence"))
-            .and_then(Value::as_f64),
-    ) {
-        if div > base_div * 1.10 {
-            failures.push(format!(
-                "serve score divergence: {base_div:.3e} -> {div:.3e} (>10% beyond baseline)"
-            ));
-        }
-    }
-    let usable_baseline = match baseline {
-        _ if smoke => None,
-        None => {
-            println!(
-                "no baseline at {}; skipping the speedup half of the gate",
-                baseline_path.display()
-            );
-            None
-        }
-        Some(b) if b.get("smoke").and_then(Value::as_bool) == Some(true) => {
-            println!("baseline is a smoke run; skipping the speedup half of the gate");
-            None
-        }
-        Some(b) => Some(b),
-    };
-    if let Some(baseline) = usable_baseline {
-        let current_speedups = report
-            .get("speedups")
-            .and_then(Value::as_object)
-            .expect("merged report always has speedups");
-        if let Some(base_speedups) = baseline.get("speedups").and_then(Value::as_object) {
-            for (key, base) in base_speedups.iter() {
-                let (Some(base), Some(current)) = (
-                    base.as_f64(),
-                    current_speedups.get(key).and_then(Value::as_f64),
-                ) else {
-                    continue;
-                };
-                if base < 1.2 {
-                    continue;
-                }
-                if current < base * 0.85 {
-                    failures.push(format!(
-                        "{key}: speedup {base:.2}x -> {current:.2}x ({:.0}% of baseline)",
-                        current / base * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        println!("precision gate passed");
-        Ok(())
-    } else {
-        Err(format!(
-            "precision contract regressed:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
+    gale_obs::info!("serve eval: {rows} rows, max |p_f32 - p_f64| {max_div:.3e}, {flips} flip(s)");
+    Ok((rows, max_div, flips))
 }
 
 // ---------------------------------------------------------------------------
-// `bench-stream`: the committed BENCH_stream.json pipeline
+// `bench-stream`: BENCH_stream.json
 // ---------------------------------------------------------------------------
 
-/// Hard floor on the incremental-vs-full speedup for non-smoke runs. The
+/// Hard floor on the incremental-vs-full speedup for full runs. The
 /// whole point of the delta overlay and k-hop dirty tracking is that a
 /// handful of mutations must not cost a whole-graph re-embed; 5x on the
 /// committed bundle size is the contract from the streaming design note.
@@ -996,9 +767,8 @@ fn assert_stream_parity(
     Ok(())
 }
 
-fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["--smoke"])?;
-    let smoke = smoke_mode(&flags);
+fn cmd_bench_stream() -> Result<(), String> {
+    let smoke = report::smoke();
     let binary = serve_binary()?;
     let scratch = std::env::temp_dir().join(format!("gale-loadgen-stream-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| format!("mkdir {}: {e}", scratch.display()))?;
@@ -1013,8 +783,9 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
     } else {
         (8000usize, 8usize, 12usize, 300usize)
     };
-    let status = std::process::Command::new(&binary)
-        .args([
+    build_demo(
+        &binary,
+        &[
             "stream-demo",
             "--out",
             &bundle.to_string_lossy(),
@@ -1024,14 +795,8 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
             &dim.to_string(),
             "--seed",
             "11",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::inherit())
-        .status()
-        .map_err(|e| format!("stream-demo: {e}"))?;
-    if !status.success() {
-        return Err(format!("stream-demo exited with {status}"));
-    }
+        ],
+    )?;
 
     // In-process leg: two engines from the same bundle (identical artifact
     // bits), identical mutation rounds into both. One refreshes its k-hop
@@ -1043,8 +808,7 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("loading {}: {e}", bundle.display()))?;
     let mut control = gale_stream::load_bundle(&bundle, cfg)
         .map_err(|e| format!("loading {}: {e}", bundle.display()))?;
-    let mut incr_ns = 0u128;
-    let mut full_ns = 0u128;
+    let (mut incr_us, mut full_us) = (Vec::new(), Vec::new());
     let mut refreshed_total = 0usize;
     for round in 0..rounds {
         let batch = stream_round(round, nodes, dim);
@@ -1063,48 +827,27 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
         }
         let t = std::time::Instant::now();
         refreshed_total += live.refresh();
-        incr_ns += t.elapsed().as_nanos();
+        incr_us.push(t.elapsed().as_secs_f64() * 1e6);
         let t = std::time::Instant::now();
         control.rescore_full();
-        full_ns += t.elapsed().as_nanos();
+        full_us.push(t.elapsed().as_secs_f64() * 1e6);
         assert_stream_parity(&mut live, &mut control, round)?;
     }
-    let speedup = full_ns as f64 / (incr_ns as f64).max(1.0);
+    let (incr_total, full_total) = (incr_us.iter().sum::<f64>(), full_us.iter().sum::<f64>());
+    let speedup = full_total / incr_total.max(1e-3);
     gale_obs::info!(
-        "stream {rounds} rounds over {nodes} nodes: incremental {:.0}us total \
-         ({} rows refreshed), full {:.0}us total — {speedup:.1}x, verdicts bitwise-equal",
-        incr_ns as f64 / 1_000.0,
-        refreshed_total,
-        full_ns as f64 / 1_000.0
+        "stream {rounds} rounds over {nodes} nodes: incremental {incr_total:.0}us total \
+         ({refreshed_total} rows refreshed), full {full_total:.0}us total — {speedup:.1}x, \
+         verdicts bitwise-equal"
     );
 
     // HTTP leg: the same bundle served with `--stream`, mutations over the
     // wire. Closed-loop single client — the interesting numbers are the
     // mutate latency tail and the graph version never running backwards.
-    let addr = format!("127.0.0.1:{}", free_port()?);
-    let child = std::process::Command::new(&binary)
-        .args([
-            "serve",
-            "--ckpt",
-            &bundle.join("sgan.ckpt").to_string_lossy(),
-            "--addr",
-            &addr,
-            "--shards",
-            "1",
-            "--max-wait-us",
-            "200",
-            "--trace",
-            "off",
-            "--stream",
-            &bundle.to_string_lossy(),
-        ])
-        .env("GALE_THREADS", "1")
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", binary.display()))?;
-    wait_healthy(&addr, Duration::from_secs(10))?;
+    let ckpt = bundle.join("sgan.ckpt");
+    let (addr, child, _) = spawn_server(&binary, &ckpt, 1, "f64", false, Some(&bundle))?;
     let mut samples = Vec::with_capacity(http_mutations);
+    let http_start = std::time::Instant::now();
     let mut last_version = 0u64;
     for round in 0..http_mutations {
         let batch: Vec<Value> = stream_round(round + rounds, nodes, dim)
@@ -1146,6 +889,7 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
             String::from_utf8_lossy(&rescore_reply)
         ));
     }
+    let http_rps = http_mutations as f64 / http_start.elapsed().as_secs_f64();
     stop_server(&addr, child)?;
     let _ = std::fs::remove_dir_all(&scratch);
     samples.sort_unstable();
@@ -1155,228 +899,31 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
          graph version {last_version}"
     );
 
-    let mut speedups = gale_json::Map::new();
-    speedups.insert("stream/incremental_vs_full", Value::from(speedup));
-    let report = json!({
-        "schema": "gale-bench-stream/v1",
-        "smoke": smoke,
-        "nodes": nodes as i64,
-        "feature_dim": dim as i64,
-        "rounds": rounds as i64,
-        "mutations_per_round": 3,
-        "incremental": json!({
-            "total_us": incr_ns as f64 / 1_000.0,
-            "mean_us_per_round": incr_ns as f64 / 1_000.0 / rounds as f64,
-            "rows_refreshed": refreshed_total as i64,
-        }),
-        "full": json!({
-            "total_us": full_ns as f64 / 1_000.0,
-            "mean_us_per_round": full_ns as f64 / 1_000.0 / rounds as f64,
-        }),
-        "verdict_parity": "bitwise",
-        "http": json!({
-            "mutate_batches": http_mutations as i64,
-            "p50_us": p50,
-            "p99_us": p99,
-            "graph_version_final": Value::Int(last_version as i64),
-        }),
-        "speedups": Value::Object(speedups),
-    });
-    let out_path = std::env::var("GALE_BENCH_STREAM_OUT")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| repo_path("BENCH_stream.json".into()));
-    let baseline_path = std::env::var("GALE_BENCH_STREAM_BASELINE")
-        .map(|p| repo_path(p.into()))
-        .unwrap_or_else(|_| out_path.clone());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| gale_json::from_str(&text).ok());
-    std::fs::write(&out_path, gale_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
-    println!("stream bench report written to {}", out_path.display());
-
-    gate_stream(&report, baseline.as_ref(), &baseline_path, smoke)
-}
-
-/// The streaming gate. Bitwise verdict parity already bound during the
-/// measurement (the bench errors out before writing a report), so this
-/// half covers the performance contract: a hard
-/// [`STREAM_SPEEDUP_FLOOR`] on non-smoke runs — the floor is part of the
-/// design's acceptance, not machine-relative — plus the usual
-/// baseline-ratio rules shared with the other benches.
-fn gate_stream(
-    report: &Value,
-    baseline: Option<&Value>,
-    baseline_path: &Path,
-    smoke: bool,
-) -> Result<(), String> {
-    if std::env::var("GALE_BENCH_NO_GATE").is_ok_and(|v| v == "1") {
-        return Ok(());
-    }
-    let mut failures = Vec::new();
-    let speedup = report
-        .get("speedups")
-        .and_then(|s| s.get("stream/incremental_vs_full"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    if !smoke && speedup < STREAM_SPEEDUP_FLOOR {
-        failures.push(format!(
-            "incremental refresh is only {speedup:.1}x faster than a full rebuild \
-             (floor {STREAM_SPEEDUP_FLOOR:.0}x)"
-        ));
-    }
-    let usable_baseline = match baseline {
-        _ if smoke => None,
-        None => {
-            println!(
-                "no baseline at {}; skipping the baseline half of the gate",
-                baseline_path.display()
-            );
-            None
-        }
-        Some(b) if b.get("smoke").and_then(Value::as_bool) == Some(true) => {
-            println!("baseline is a smoke run; skipping the baseline half of the gate");
-            None
-        }
-        Some(b) => Some(b),
-    };
-    if let Some(baseline) = usable_baseline {
-        if let (Some(base), Some(current)) = (
-            baseline
-                .get("speedups")
-                .and_then(|s| s.get("stream/incremental_vs_full"))
-                .and_then(Value::as_f64),
-            Some(speedup),
-        ) {
-            if base >= 1.2 && current < base * 0.85 {
-                failures.push(format!(
-                    "stream/incremental_vs_full: speedup {base:.2}x -> {current:.2}x \
-                     ({:.0}% of baseline)",
-                    current / base * 100.0
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        println!("stream gate passed");
-        Ok(())
-    } else {
-        Err(format!(
-            "streaming performance regressed:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
-}
-
-/// How much of p99 request tracing is allowed to cost — the
-/// [`measure_tracing_overhead`] pooled-sample ratio. Fixed, not
-/// baseline-relative: the contract is "tracing is nearly free", and that
-/// holds on any machine or none of this PR's design is working.
-const TRACING_P99_BUDGET: f64 = 1.05;
-
-/// The regression gate, mirroring the selection-bench contract: intra-run
-/// speedups may not drop more than 15% below the committed baseline (pairs
-/// whose baseline is under the 1.2x floor carry no win to protect and are
-/// skipped — on a single-core box `shards/4v1` sits at ~1x and the floor
-/// keeps it ungated until a multi-core runner commits a real ratio), and
-/// the wire-overhead ratio may not grow more than 25%. That ratio divides
-/// by the forward time, so a faster forward raises it as surely as a
-/// slower wire path does: after a forward speedup, re-take the baseline.
-/// The tracing-overhead budget ([`TRACING_P99_BUDGET`]) needs no
-/// baseline — both legs come from the current run.
-fn gate(
-    report: &Value,
-    baseline: Option<&Value>,
-    baseline_path: &Path,
-    smoke: bool,
-) -> Result<(), String> {
-    if smoke || std::env::var("GALE_BENCH_NO_GATE").is_ok_and(|v| v == "1") {
-        return Ok(());
-    }
-    let mut failures = Vec::new();
-    if let Some(ratio) = report
-        .get("tracing")
-        .and_then(|t| t.get("p99_overhead_ratio"))
-        .and_then(Value::as_f64)
-    {
-        if ratio > TRACING_P99_BUDGET {
-            failures.push(format!(
-                "tracing p99 overhead: {:.1}% (budget {:.0}%)",
-                (ratio - 1.0) * 100.0,
-                (TRACING_P99_BUDGET - 1.0) * 100.0
-            ));
-        }
-    }
-    let usable_baseline = match baseline {
-        None => {
-            println!(
-                "no baseline at {}; skipping the baseline half of the gate",
-                baseline_path.display()
-            );
-            None
-        }
-        Some(b) if b.get("smoke").and_then(Value::as_bool) == Some(true) => {
-            println!("baseline is a smoke run; skipping the baseline half of the gate");
-            None
-        }
-        Some(b) => Some(b),
-    };
-    if let Some(baseline) = usable_baseline {
-        let current_speedups = report
-            .get("speedups")
-            .and_then(Value::as_object)
-            .expect("report always has speedups");
-        if let Some(base_speedups) = baseline.get("speedups").and_then(Value::as_object) {
-            for (key, base) in base_speedups.iter() {
-                let (Some(base), Some(current)) = (
-                    base.as_f64(),
-                    current_speedups.get(key).and_then(Value::as_f64),
-                ) else {
-                    continue;
-                };
-                if base < 1.2 {
-                    continue;
-                }
-                if current < base * 0.85 {
-                    failures.push(format!(
-                        "{key}: speedup {base:.2}x -> {current:.2}x ({:.0}% of baseline)",
-                        current / base * 100.0
-                    ));
-                }
-            }
-        } else {
-            println!("baseline has no speedups map; skipping the baseline half of the gate");
-        }
-        if let (Some(base), Some(current)) = (
-            baseline.get("wire_overhead_ratio").and_then(Value::as_f64),
-            report.get("wire_overhead_ratio").and_then(Value::as_f64),
-        ) {
-            if current > base * 1.25 {
-                let forward = |doc: &Value| {
-                    doc.get("entries")?
-                        .as_array()?
-                        .iter()
-                        .find(|e| e.get("name").and_then(Value::as_str) == Some("evloop/1"))?
-                        .get("forward_us_mean")?
-                        .as_f64()
-                };
-                failures.push(format!(
-                    "wire overhead (evloop/1 p50 / forward): {base:.1}x -> {current:.1}x \
-                     (>25% worse; forward {:.1}us -> {:.1}us: if the forward got faster, \
-                     re-take BENCH_serve.json)",
-                    forward(baseline).unwrap_or(f64::NAN),
-                    forward(report).unwrap_or(f64::NAN)
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        println!("regression gate passed");
-        Ok(())
-    } else {
-        Err(format!(
-            "serving performance regressed:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
+    let mut report = Report::new("stream");
+    report.entry("stream/nodes", "nodes", nodes as f64, 1, 0.0);
+    report.sample("stream/incremental/round", "us", &Sample::of(&incr_us));
+    report.sample("stream/full/round", "us", &Sample::of(&full_us));
+    let refreshed = refreshed_total as f64;
+    report.entry(
+        "stream/incremental/rows_refreshed",
+        "rows",
+        refreshed,
+        rounds,
+        0.0,
+    );
+    record_latency(&mut report, "stream/http/mutate", http_rps, &samples);
+    report.entry(
+        "stream/http/graph_version_final",
+        "version",
+        last_version as f64,
+        1,
+        0.0,
+    );
+    report.ratio("stream/incremental_vs_full", Rule::Speedup, speedup);
+    report.invariant(
+        "stream/incremental_vs_full",
+        speedup,
+        Limit::AtLeast(STREAM_SPEEDUP_FLOOR),
+    );
+    report.finish()
 }

@@ -113,11 +113,14 @@ pub fn load_bundle(dir: &Path, cfg: StreamConfig) -> std::io::Result<StreamEngin
     };
     let standardizer = ColumnStandardizer::from_parts(decode("mean")?, decode("scale")?);
 
+    // A graph is square: a column past the last row would reach every
+    // consumer as an out-of-range neighbor.
     let store = gale_graph::CsrStore::open(dir.join(GRAPH))?;
-    if store.rows() != nodes {
+    if (store.rows(), store.cols()) != (nodes, nodes) {
         return Err(bad(format!(
-            "manifest says {nodes} nodes but graph has {} rows",
-            store.rows()
+            "manifest says {nodes} nodes but graph is {}x{}",
+            store.rows(),
+            store.cols()
         )));
     }
     // `load_gae` wants the training adjacency for its internal operator;

@@ -272,6 +272,15 @@ impl DeltaGraph {
     pub fn compact_into_store(&mut self, path: &std::path::Path) -> Result<(), StoreError> {
         write_csr(&*self, self.nodes, path)?;
         let store = CsrStore::open(path)?;
+        if (store.rows(), store.cols()) != (self.nodes, self.nodes) {
+            return Err(StoreError::Malformed(format!(
+                "{} is {}x{}, not the {}-node graph written",
+                path.display(),
+                store.rows(),
+                store.cols(),
+                self.nodes
+            )));
+        }
         self.install_base(BaseGraph::Store(store));
         Ok(())
     }

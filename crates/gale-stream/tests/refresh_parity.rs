@@ -203,3 +203,21 @@ fn bundle_roundtrip_preserves_verdict_bits() {
         assert_eq!(g.erroneous, e.erroneous);
     }
 }
+
+#[test]
+fn bundle_with_a_column_past_the_last_row_is_refused() {
+    let n = 12;
+    let (a, x) = random_graph(n, 7);
+    let direct = engine_over(a.clone(), x.clone(), 7);
+    let dir = std::env::temp_dir().join(format!("gale-stream-wide-{}", std::process::id()));
+    let (gae, sgan) = artifacts(7);
+    save_bundle(&dir, &a, &x, &gae, &sgan, direct.standardizer()).expect("save bundle");
+    // n rows over n + 1 columns: every column is in range of the store's
+    // own header, but node 0's neighbor `n` is not a node.
+    let wide = SparseMatrix::from_triplets(n, n + 1, [(0, n, 1.0), (1, 0, 1.0)]);
+    gale_graph::write_csr(&wide, n + 1, dir.join(gale_stream::bundle::GRAPH)).unwrap();
+    let err = load_bundle(&dir, StreamConfig::default()).err();
+    std::fs::remove_dir_all(&dir).ok();
+    let err = err.expect("a non-square graph must not load");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+}

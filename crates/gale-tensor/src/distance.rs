@@ -197,6 +197,15 @@ pub(crate) fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     dot_scalar8(a, b)
 }
 
+/// The SIMD backend the f64 distance kernels dispatch to on this CPU:
+/// `avx512`, `avx` or `scalar` (always `scalar` off x86-64).
+pub fn simd_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    return lanes8::tier();
+    #[cfg(not(target_arch = "x86_64"))]
+    "scalar"
+}
+
 /// Portable reference body of the eight-lane dot chain.
 #[inline]
 fn dot_scalar8(a: &[f64], b: &[f64]) -> f64 {
@@ -460,6 +469,11 @@ mod lanes8 {
         Avx512,
         Avx,
         Scalar,
+    }
+
+    /// The detected backend's name.
+    pub fn tier() -> &'static str {
+        ["avx512", "avx", "scalar"][isa() as usize]
     }
 
     /// Widest usable backend, detected once per process.
