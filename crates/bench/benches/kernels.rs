@@ -5,7 +5,7 @@
 //! the committed report (see `gale_bench::report`).
 
 use gale_bench::report::{paired, timed, Report, Rule};
-use gale_tensor::{Matrix, Rng, SparseMatrix};
+use gale_tensor::{spmm_access_into, Matrix, Rng, SparseMatrix};
 
 /// Naive i-j-k matmul — the pre-tiling kernel.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -86,7 +86,11 @@ fn bench_spmm(report: &mut Report) {
         let p = paired(
             &format!("spmm/{rows}"),
             || naive_spmm(&s, &d),
-            || s.matmul_dense(&d),
+            || {
+                let mut out = Matrix::zeros(0, 0);
+                spmm_access_into(&s, &d, &mut out);
+                out
+            },
         );
         // Two flops per stored entry per dense column.
         let gflop = 2e-9 * s.nnz() as f64 * 32.0;

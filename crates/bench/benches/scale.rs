@@ -36,7 +36,6 @@ use gale_data::{generate_scale, ScaleGraph, ScaleSpec};
 use gale_graph::{CsrStore, PropagationConfig};
 use gale_nn::{Gae, GaeConfig, MiniBatchConfig};
 use gale_tensor::{Rng, SparseMatrix, SymNormalized};
-use std::sync::Arc;
 use std::time::Instant;
 
 const RSS_CEILING_BYTES: f64 = 4.0 * 1024.0 * 1024.0 * 1024.0;
@@ -167,12 +166,12 @@ fn run_leg(report: &mut Report, nodes: usize, with_full_ref: bool) -> std::io::R
     // dense n×hidden activations the sampled path exists to avoid).
     let full_epoch_s = if with_full_ref {
         let a = sparse_from_store(&g.adjacency);
-        let s_norm = Arc::new(a.sym_normalized_with_self_loops());
+        let s_norm = a.sym_normalized_with_self_loops();
         let t0 = Instant::now();
         let _ = Gae::train(
             &g.features,
             &a,
-            s_norm,
+            &s_norm,
             &gae_cfg(TIMING_EPOCHS),
             &mut Rng::seed_from_u64(SEED),
         );

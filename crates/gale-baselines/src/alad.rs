@@ -1,4 +1,4 @@
-//! Alad-style anomaly detection (the paper's baseline (2), after [37]):
+//! Alad-style anomaly detection (the paper's baseline (2), after \[37\]):
 //! unsupervised node-anomaly ranking that combines attribute-distribution
 //! irregularity with local topological context, thresholded at the best
 //! validation F1 (the paper tunes Alad's threshold for its best AUC-PR).

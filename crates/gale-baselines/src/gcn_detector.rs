@@ -1,13 +1,12 @@
-//! GCN baseline (the paper's baseline (5a), after Kipf & Welling [30]):
+//! GCN baseline (the paper's baseline (5a), after Kipf & Welling \[30\]):
 //! a two-layer graph convolutional network trained semi-supervised on the
 //! labeled examples, with inverse-frequency class weights.
 
 use crate::common::DetectionResult;
 use gale_core::{Example, Label};
 use gale_graph::FeatureRepr;
-use gale_nn::{Activation, Adam, Gcn, Layer};
+use gale_nn::{Activation, Adam, Gcn, Params};
 use gale_tensor::{Matrix, Rng};
-use std::sync::Arc;
 
 /// GCN training configuration.
 #[derive(Debug, Clone)]
@@ -45,8 +44,8 @@ pub fn gcn_detector(
     let mut x = repr.x.clone();
     let (mean, std) = x.column_stats();
     x.standardize_columns(&mean, &std);
-    let s = Arc::new(repr.s_norm.clone());
-    let mut net = Gcn::new(s, repr.dim(), cfg.hidden, 2, Activation::Identity, rng);
+    let s = &repr.s_norm;
+    let mut net = Gcn::new(repr.dim(), cfg.hidden, 2, Activation::Identity, rng);
     let mut opt = Adam::new(cfg.lr);
     // Inverse-frequency class weights to counter the error/correct skew
     // (without them the GCN collapses to all-correct — the instability the
@@ -58,8 +57,9 @@ pub fn gcn_detector(
     } else {
         1.0
     };
+    let (mut logits, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     for _ in 0..cfg.epochs {
-        let logits = net.forward(&x, true);
+        net.forward([s, s], &x, &mut logits);
         let probs = logits.softmax_rows();
         let mut grad = Matrix::zeros(n, 2);
         let inv = 1.0 / labeled.len().max(1) as f64;
@@ -73,10 +73,10 @@ pub fn gcn_detector(
             }
         }
         net.zero_grad();
-        let _ = net.backward(&grad);
+        net.backward([s, s], &grad, &mut gx);
         opt.step(&mut net);
     }
-    let logits = net.forward(&x, false);
+    net.forward([s, s], &x, &mut logits);
     let probs = logits.softmax_rows();
     let scores: Vec<f64> = (0..n).map(|v| probs[(v, 0)]).collect();
     let predictions = gale_core::calibrated_predictions(&scores, val_examples);

@@ -1,4 +1,4 @@
-//! GEDet (the paper's baseline (5b) and GALE's pilot system [22]):
+//! GEDet (the paper's baseline (5b) and GALE's pilot system \[22\]):
 //! one-shot adversarially-learned few-shot error detection — the same
 //! SGAN + graph augmentation stack as GALE, but trained once on a fixed
 //! example set with no active-learning loop.

@@ -1,4 +1,4 @@
-//! Raha-lite (the paper's baseline (4), after [39]): configuration-free
+//! Raha-lite (the paper's baseline (4), after \[39\]): configuration-free
 //! error detection that runs a library of detection strategies, clusters
 //! nodes by their detector-signature vectors, and propagates a small number
 //! of labels cluster-wise.

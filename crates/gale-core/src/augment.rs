@@ -64,7 +64,7 @@ pub fn g_augment(
         },
         rng,
     );
-    let encoded = pipeline.transform(&clone);
+    let encoded = pipeline.transform(&clone, &repr.s_norm);
     let mut polluted: Vec<usize> = truth.erroneous_nodes().iter().copied().collect();
     polluted.sort_unstable();
     let mut x_s = encoded.select_rows(&polluted);

@@ -261,7 +261,7 @@ where
         let s = SymNormalized::new(adj);
         let mut gae = Gae::train_sampled(x, adj, &s, &cfg.gae, &cfg.minibatch, rng);
         let mut z = Matrix::zeros(0, 0);
-        gae.embed_access(&s, x, &mut z);
+        gae.embed(&s, x, &mut z);
         drop(gae);
         let x_r = standardized_concat(x, &z);
         drop(z);

@@ -10,8 +10,8 @@
 //! the one at the **lowest index in the candidate slice wins** — the
 //! ascending argmax scan rejects equal gains (`gain <= best`), so the first
 //! maximum seen is kept. The rule is part of the determinism contract (see
-//! DESIGN.md §6b.2) and holds identically for the memoized, un-memoized,
-//! and `GALE_EXACT_DIST=1` paths.
+//! DESIGN.md §6b.2) and holds identically for the memoized and
+//! un-memoized paths.
 //!
 //! Each round's distance fan-out (picked node → every remaining candidate)
 //! is one blocked [`MemoCache::fanout_distances`] kernel call feeding the

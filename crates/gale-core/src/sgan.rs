@@ -22,7 +22,7 @@ use gale_nn::checkpoint::{
 };
 use gale_nn::{
     feature_matching_loss, sgan_unsupervised_loss, softmax_cross_entropy, Activation, Adam,
-    InferNet, Layer, Mlp,
+    InferNet, Layer, Mlp, Params,
 };
 use gale_tensor::{Element, Matrix, Rng};
 use std::path::Path;

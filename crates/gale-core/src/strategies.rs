@@ -117,7 +117,7 @@ pub fn select_queries(
 }
 
 /// Cold-start selection (no trained model yet): clustering-based sampling
-/// over raw features, as the paper initializes `Q⁰` with [46].
+/// over raw features, as the paper initializes `Q⁰` with \[46\].
 pub fn cold_start_queries(
     features: &Matrix,
     unlabeled: &[usize],

@@ -9,8 +9,7 @@
 use gale_detect::{Constraint, DetectorLibrary};
 use gale_graph::{AttrKind, FeatureRepr, Graph};
 use gale_nn::{Gae, GaeConfig, HashEmbedder};
-use gale_tensor::{stats, Matrix, Pca, Rng};
-use std::sync::Arc;
+use gale_tensor::{stats, Matrix, Pca, Rng, SparseMatrix};
 
 /// Featurization configuration.
 #[derive(Debug, Clone)]
@@ -341,13 +340,14 @@ impl FeaturePipeline {
             None
         };
         let attr_block_dim = attr_block.cols();
+        let a = g.adjacency();
+        let s_norm = a.sym_normalized_with_self_loops();
         let (gae, x) = if cfg.skip_gae {
             (None, attr_block)
         } else {
-            let a = g.adjacency();
-            let s_norm = Arc::new(a.sym_normalized_with_self_loops());
-            let mut gae = Gae::train(&raw, &a, s_norm, &cfg.gae, rng);
-            let struct_block = gae.embed(&raw);
+            let mut gae = Gae::train(&raw, &a, &s_norm, &cfg.gae, rng);
+            let mut struct_block = Matrix::zeros(0, 0);
+            gae.embed(&s_norm, &raw, &mut struct_block);
             (Some(gae), attr_block.hstack(&struct_block))
         };
         let pipeline = FeaturePipeline {
@@ -359,12 +359,14 @@ impl FeaturePipeline {
             diag_cols,
             attr_dim: attr_block_dim,
         };
-        (pipeline, FeatureRepr::new(g, x))
+        (pipeline, FeatureRepr { x, a, s_norm })
     }
 
     /// Encodes another graph (typically a polluted clone with the same
-    /// topology) using the already-fitted PCA basis and GAE encoder.
-    pub fn transform(&mut self, g: &Graph) -> Matrix {
+    /// topology) using the already-fitted PCA basis and GAE encoder. The
+    /// encoder propagates over `s_norm`, the operator of the representation
+    /// [`FeaturePipeline::fit`] returned.
+    pub fn transform(&mut self, g: &Graph, s_norm: &SparseMatrix) -> Matrix {
         let raw = attribute_features(g, self.cfg.token_dim);
         let token_block = select_cols(&raw, &self.token_cols);
         let reduced = match &self.pca {
@@ -377,7 +379,11 @@ impl FeaturePipeline {
             attr_block = attr_block.hstack(&detector_signal_features(g, lib));
         }
         match &mut self.gae {
-            Some(gae) => attr_block.hstack(&gae.embed(&raw)),
+            Some(gae) => {
+                let mut struct_block = Matrix::zeros(0, 0);
+                gae.embed(s_norm, &raw, &mut struct_block);
+                attr_block.hstack(&struct_block)
+            }
             None => attr_block,
         }
     }
@@ -518,7 +524,7 @@ mod tests {
         };
         let (mut pipe, fr) = FeaturePipeline::fit(&g, &[], &cfg, &mut rng);
         // Transforming the same (unchanged) graph reproduces the fit output.
-        let x2 = pipe.transform(&g);
+        let x2 = pipe.transform(&g, &fr.s_norm);
         assert!(fr.x.approx_eq(&x2, 1e-9));
         assert_eq!(pipe.out_dim(), fr.dim());
     }
@@ -537,7 +543,7 @@ mod tests {
         let mut polluted = g.clone();
         let cat = polluted.schema.find_attr("cat").unwrap();
         polluted.node_mut(5).set(cat, "zzz".into());
-        let x2 = pipe.transform(&polluted);
+        let x2 = pipe.transform(&polluted, &fr.s_norm);
         // Row 5's categorical block moved; other rows only see second-order
         // effects (frequency tables, neighbor context), which must be far
         // smaller than the direct change.

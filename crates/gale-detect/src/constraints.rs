@@ -1,7 +1,7 @@
 //! GFD-style graph data constraints and their violation detectors.
 //!
 //! The paper grounds constraint-based detection in graph functional
-//! dependencies [18] contextualized by patterns. We implement the three rule
+//! dependencies \[18\] contextualized by patterns. We implement the three rule
 //! shapes its examples and evaluation actually exercise:
 //!
 //! * [`Constraint::TypeFd`] — within one node type, nodes agreeing on the

@@ -1,7 +1,7 @@
 //! Lightweight constraint mining with support/confidence thresholds.
 //!
 //! The paper discovers its rule set Σ with the GFD-discovery algorithm of
-//! [17], keeping rules above minimum support (number of matches) and
+//! \[17\], keeping rules above minimum support (number of matches) and
 //! confidence (fraction of matches satisfying the consequent) — e.g. support
 //! 1000/10/20 and confidence 0.9/0.8/0.85 for DBP/OAG/Yelp. This module
 //! mines the same three rule shapes [`crate::constraints`] can evaluate.

@@ -1,7 +1,7 @@
 //! Outlier detectors over numeric attributes.
 //!
 //! The paper's library includes "outlier detectors, which encode the
-//! algorithm in e.g. [7] (LOF)". We provide three complementary detectors:
+//! algorithm in e.g. \[7\] (LOF)". We provide three complementary detectors:
 //! a global z-score test, Tukey (IQR) fences, and a local-neighborhood
 //! deviation test in the spirit of LOF/Alad that compares a node's value
 //! against its graph neighbors.

@@ -11,7 +11,7 @@
 //! Because `S` is symmetric, `P` is symmetric too — the fact GALE's query
 //! selector exploits to evaluate row inner products ⟨P_v, m⟩ as `(P m)(v)`.
 
-use gale_tensor::{matvec_access, Matrix, NeighborAccess, SparseMatrix};
+use gale_tensor::{matvec_access, spmm_access_into, Matrix, NeighborAccess, SparseMatrix};
 
 /// Configuration shared by the propagation routines.
 #[derive(Debug, Clone, Copy)]
@@ -89,10 +89,12 @@ pub fn ppr_smooth_matrix(s_norm: &SparseMatrix, m: &Matrix, cfg: &PropagationCon
     assert_eq!(s_norm.rows(), m.rows(), "ppr_smooth_matrix: size mismatch");
     let alpha = cfg.alpha;
     let mut term = m.clone();
+    let mut next = Matrix::zeros(0, 0);
     let mut acc = m.scaled(alpha);
     let mut weight = alpha;
     for _ in 0..cfg.iterations {
-        term = s_norm.matmul_dense(&term);
+        spmm_access_into(s_norm, &term, &mut next);
+        std::mem::swap(&mut term, &mut next);
         weight *= 1.0 - alpha;
         acc.axpy(weight, &term);
     }

@@ -112,7 +112,7 @@ pub fn connected_components(neighbors: &[Vec<NodeId>]) -> (Vec<usize>, usize) {
 
 /// Degree assortativity coefficient over the undirected edges: the Pearson
 /// correlation of the degrees at the two ends of each edge. The annotator
-/// reports this as global context (Section III-B cites [38]).
+/// reports this as global context (Section III-B cites \[38\]).
 ///
 /// Returns 0.0 for graphs with fewer than 2 edges or degenerate degree
 /// variance.

@@ -1,7 +1,7 @@
 //! Element-wise activation layers.
 
 use crate::checkpoint::LayerState;
-use crate::layer::Layer;
+use crate::layer::{Layer, Params};
 use gale_tensor::{Element, Matrix};
 
 /// The supported activation functions.
@@ -136,6 +136,10 @@ impl ActivationLayer {
     }
 }
 
+impl Params for ActivationLayer {
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
+}
+
 impl Layer for ActivationLayer {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
@@ -171,8 +175,6 @@ impl Layer for ActivationLayer {
             grad_in.data_mut()[i] *= self.act.derivative(x, y);
         }
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
 
     fn state(&self) -> Option<LayerState> {
         Some(LayerState::Activation { act: self.act })

@@ -2,7 +2,7 @@
 //! and discriminator stacks.
 
 use crate::checkpoint::LayerState;
-use crate::layer::Layer;
+use crate::layer::{Layer, Params};
 use gale_tensor::Matrix;
 
 /// Per-feature batch normalization with learnable scale/shift and running
@@ -74,6 +74,13 @@ impl BatchNorm {
             std_inv: Vec::new(),
             train_pass: false,
         }
+    }
+}
+
+impl Params for BatchNorm {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+        f(&mut self.gamma, &mut self.g_gamma);
+        f(&mut self.beta, &mut self.g_beta);
     }
 }
 
@@ -186,11 +193,6 @@ impl Layer for BatchNorm {
                     * (n as f64 * dxh - sum_dxh - self.x_hat[(r, c)] * sum_dxh_xh);
             }
         }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.gamma, &mut self.g_gamma);
-        f(&mut self.beta, &mut self.g_beta);
     }
 
     fn state(&self) -> Option<LayerState> {

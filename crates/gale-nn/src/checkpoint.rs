@@ -21,8 +21,8 @@
 //! * **Adam** — betas, step count, and first/second moment tensors in
 //!   `visit_params` order, so optimization resumes exactly.
 //! * **GCN / GAE** — weight tensors and activations. The graph operator `S`
-//!   is *not* serialized (it belongs to the dataset, not the model); loaders
-//!   take it as an argument.
+//!   is *not* serialized: it belongs to the dataset, not the model, and
+//!   every forward takes it as an argument.
 
 use crate::activation::{Activation, ActivationLayer};
 use crate::batchnorm::BatchNorm;
@@ -34,10 +34,9 @@ use crate::linear::Linear;
 use crate::mlp::Mlp;
 use crate::optim::Adam;
 use gale_json::{json, Map, Value};
-use gale_tensor::{Matrix, Rng, SparseMatrix};
+use gale_tensor::{Matrix, Rng};
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Magic string identifying a gale checkpoint document.
 pub const FORMAT_NAME: &str = "gale-checkpoint";
@@ -496,7 +495,7 @@ fn gcn_layer_to_json(layer: &GcnLayer) -> Value {
     })
 }
 
-fn gcn_layer_from_json(v: &Value, s: Arc<SparseMatrix>) -> Result<GcnLayer, CkptError> {
+fn gcn_layer_from_json(v: &Value) -> Result<GcnLayer, CkptError> {
     let w = tensor_from_json(need(v, "w")?)?;
     let b = tensor_from_json(need(v, "b")?)?;
     if b.rows() != 1 || b.cols() != w.cols() {
@@ -509,11 +508,10 @@ fn gcn_layer_from_json(v: &Value, s: Arc<SparseMatrix>) -> Result<GcnLayer, Ckpt
     let name = need_str(v, "act")?;
     let act = Activation::from_name(name)
         .ok_or_else(|| CkptError::Schema(format!("unknown activation {name:?}")))?;
-    Ok(GcnLayer::from_parts(s, w, b, act))
+    Ok(GcnLayer::from_parts(w, b, act))
 }
 
-/// Serializes a two-layer GCN body. The graph operator `S` is not stored —
-/// pass it back in at load time.
+/// Serializes a two-layer GCN body. The graph operator `S` is not stored.
 pub fn gcn_to_json(gcn: &Gcn) -> Value {
     json!({
         "layer1": gcn_layer_to_json(&gcn.layer1),
@@ -521,11 +519,10 @@ pub fn gcn_to_json(gcn: &Gcn) -> Value {
     })
 }
 
-/// Rebuilds a GCN over the given graph operator from a body written by
-/// [`gcn_to_json`].
-pub fn gcn_from_json(v: &Value, s: Arc<SparseMatrix>) -> Result<Gcn, CkptError> {
-    let layer1 = gcn_layer_from_json(need(v, "layer1")?, s.clone())?;
-    let layer2 = gcn_layer_from_json(need(v, "layer2")?, s)?;
+/// Rebuilds a GCN from a body written by [`gcn_to_json`].
+pub fn gcn_from_json(v: &Value) -> Result<Gcn, CkptError> {
+    let layer1 = gcn_layer_from_json(need(v, "layer1")?)?;
+    let layer2 = gcn_layer_from_json(need(v, "layer2")?)?;
     if layer1.w.cols() != layer2.w.rows() {
         return Err(CkptError::Schema(format!(
             "gcn layer widths disagree: layer1 out {} vs layer2 in {}",
@@ -544,10 +541,9 @@ pub fn gae_to_json(gae: &Gae) -> Value {
     })
 }
 
-/// Rebuilds a GAE over the given graph operator from a body written by
-/// [`gae_to_json`].
-pub fn gae_from_json(v: &Value, s: Arc<SparseMatrix>) -> Result<Gae, CkptError> {
-    let encoder = gcn_from_json(need(v, "encoder")?, s)?;
+/// Rebuilds a GAE from a body written by [`gae_to_json`].
+pub fn gae_from_json(v: &Value) -> Result<Gae, CkptError> {
+    let encoder = gcn_from_json(need(v, "encoder")?)?;
     let final_loss = need_f64(v, "final_loss")?;
     Ok(Gae::from_parts(encoder, final_loss))
 }
@@ -646,31 +642,21 @@ pub fn load_mlp(path: impl AsRef<Path>) -> Result<Mlp, CkptError> {
     mlp_from_json(open_envelope(&doc, "mlp")?)
 }
 
-/// Saves a GCN checkpoint (`kind: "gcn"`).
-pub fn save_gcn(gcn: &Gcn, path: impl AsRef<Path>) -> Result<(), CkptError> {
-    write_file(path.as_ref(), &envelope("gcn", &gcn_to_json(gcn)))
-}
-
-/// Loads a GCN checkpoint over the given graph operator.
-pub fn load_gcn(path: impl AsRef<Path>, s: Arc<SparseMatrix>) -> Result<Gcn, CkptError> {
-    let doc = read_file(path.as_ref())?;
-    gcn_from_json(open_envelope(&doc, "gcn")?, s)
-}
-
 /// Saves a GAE checkpoint (`kind: "gae"`).
 pub fn save_gae(gae: &Gae, path: impl AsRef<Path>) -> Result<(), CkptError> {
     write_file(path.as_ref(), &envelope("gae", &gae_to_json(gae)))
 }
 
-/// Loads a GAE checkpoint over the given graph operator.
-pub fn load_gae(path: impl AsRef<Path>, s: Arc<SparseMatrix>) -> Result<Gae, CkptError> {
+/// Loads a GAE checkpoint written by [`save_gae`].
+pub fn load_gae(path: impl AsRef<Path>) -> Result<Gae, CkptError> {
     let doc = read_file(path.as_ref())?;
-    gae_from_json(open_envelope(&doc, "gae")?, s)
+    gae_from_json(open_envelope(&doc, "gae")?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Params;
 
     fn demo_mlp(rng: &mut Rng) -> Mlp {
         Mlp::dense(&[5, 8, 3], Activation::LeakyRelu, true, 0.25, rng)
@@ -798,6 +784,7 @@ mod tests {
 
     #[test]
     fn gcn_and_gae_round_trip() {
+        use gale_tensor::SparseMatrix;
         let mut triplets = Vec::new();
         for i in 0..5usize {
             let j = (i + 1) % 6;
@@ -805,19 +792,17 @@ mod tests {
             triplets.push((j, i, 1.0));
         }
         let a = SparseMatrix::from_triplets(6, 6, triplets);
-        let s = Arc::new(a.sym_normalized_with_self_loops());
+        let s = a.sym_normalized_with_self_loops();
         let mut rng = Rng::seed_from_u64(203);
         let x = Matrix::randn(6, 4, 1.0, &mut rng);
 
-        let mut gcn = Gcn::new(s.clone(), 4, 7, 2, Activation::Identity, &mut rng);
+        let mut gcn = Gcn::new(4, 7, 2, Activation::Identity, &mut rng);
         let doc = gcn_to_json(&gcn);
-        let mut back = gcn_from_json(
-            &gale_json::from_str(&doc.to_string_compact()).unwrap(),
-            s.clone(),
-        )
-        .unwrap();
-        let y1 = gcn.forward(&x, false);
-        let y2 = back.forward(&x, false);
+        let mut back =
+            gcn_from_json(&gale_json::from_str(&doc.to_string_compact()).unwrap()).unwrap();
+        let (mut y1, mut y2) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        gcn.forward([&s, &s], &x, &mut y1);
+        back.forward([&s, &s], &x, &mut y2);
         for (a, b) in y1.data().iter().zip(y2.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -830,12 +815,13 @@ mod tests {
             epochs: 3,
             ..Default::default()
         };
-        let mut gae = Gae::train(&x, &a, s.clone(), &cfg, &mut rng);
+        let mut gae = Gae::train(&x, &a, &s, &cfg, &mut rng);
         let gdoc = gae_to_json(&gae);
         let mut gback =
-            gae_from_json(&gale_json::from_str(&gdoc.to_string_compact()).unwrap(), s).unwrap();
-        let z1 = gae.embed(&x);
-        let z2 = gback.embed(&x);
+            gae_from_json(&gale_json::from_str(&gdoc.to_string_compact()).unwrap()).unwrap();
+        let (mut z1, mut z2) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        gae.embed(&s, &x, &mut z1);
+        gback.embed(&s, &x, &mut z2);
         for (a, b) in z1.data().iter().zip(z2.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

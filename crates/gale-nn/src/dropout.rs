@@ -4,7 +4,7 @@
 //! layers to prevent overfitting" (Section IV).
 
 use crate::checkpoint::LayerState;
-use crate::layer::Layer;
+use crate::layer::{Layer, Params};
 use gale_tensor::{Matrix, Rng};
 
 /// Inverted dropout: during training each unit is zeroed with probability
@@ -32,6 +32,10 @@ impl Dropout {
             train_pass: false,
         }
     }
+}
+
+impl Params for Dropout {
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
 }
 
 impl Layer for Dropout {
@@ -74,8 +78,6 @@ impl Layer for Dropout {
             *g *= m;
         }
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
 
     fn state(&self) -> Option<LayerState> {
         let (rng_state, cached_gauss) = self.rng.state();

@@ -1,5 +1,5 @@
 //! Graph autoencoder (GAE) for structural node embeddings (the paper's
-//! reference [31]).
+//! reference \[31\]).
 //!
 //! A two-layer GCN encoder produces embeddings `Z`; the inner-product decoder
 //! reconstructs edges with `Â_{ij} = σ(z_i · z_j)`. Training minimizes
@@ -10,12 +10,11 @@
 
 use crate::activation::Activation;
 use crate::gcn::Gcn;
-use crate::layer::Layer;
+use crate::layer::Params;
 use crate::loss::bce_with_logit_grad;
 use crate::optim::Adam;
 use crate::sampler::{NeighborSampler, SamplerConfig};
 use gale_tensor::{EdgeSample, Matrix, NeighborAccess, Rng, SparseMatrix, Workspace};
-use std::sync::Arc;
 
 /// Configuration of a GAE training run.
 #[derive(Debug, Clone)]
@@ -92,14 +91,14 @@ impl Gae {
     pub fn train(
         x: &Matrix,
         a: &SparseMatrix,
-        s_norm: Arc<SparseMatrix>,
+        s_norm: &SparseMatrix,
         cfg: &GaeConfig,
         rng: &mut Rng,
     ) -> Gae {
         let n = a.rows();
         assert_eq!(x.rows(), n, "Gae::train: feature/node mismatch");
+        assert_eq!(s_norm.rows(), n, "Gae::train: operator/node mismatch");
         let mut encoder = Gcn::new(
-            s_norm,
             x.cols(),
             cfg.hidden_dim,
             cfg.embed_dim,
@@ -126,7 +125,7 @@ impl Gae {
         let mut dz = Matrix::zeros(n, cfg.embed_dim);
         let mut gx = ws.take(n, x.cols());
         for _ in 0..cfg.epochs {
-            encoder.forward_into(x, true, &mut z);
+            encoder.forward([s_norm, s_norm], x, &mut z);
             dz.fill(0.0);
             let mut loss = 0.0;
             let mut samples = 0usize;
@@ -163,7 +162,7 @@ impl Gae {
                 final_loss = loss / samples as f64;
             }
             encoder.zero_grad();
-            encoder.backward_into(&dz, &mut gx);
+            encoder.backward([s_norm, s_norm], &dz, &mut gx);
             opt.step(&mut encoder);
         }
         ws.give(gx);
@@ -202,7 +201,7 @@ impl Gae {
             2,
             "Gae::train_sampled: the 2-layer encoder needs 2 fanouts"
         );
-        let mut encoder = Gcn::new_detached(
+        let mut encoder = Gcn::new(
             x.cols(),
             cfg.hidden_dim,
             cfg.embed_dim,
@@ -267,7 +266,12 @@ impl Gae {
 
                 let block = sampler.sample(s, &seeds, epoch, batch);
                 x.select_rows_into(block.inputs(), &mut xb);
-                encoder.forward_block_into(block, &xb, &mut z);
+                assert_eq!(
+                    xb.rows(),
+                    block.ops[1].cols(),
+                    "Gae: block frontier mismatch"
+                );
+                encoder.forward([&block.ops[1], &block.ops[0]], &xb, &mut z);
 
                 dz.resize(seeds.len(), cfg.embed_dim);
                 dz.fill(0.0);
@@ -289,7 +293,7 @@ impl Gae {
                 epoch_samples += pairs.len();
 
                 encoder.zero_grad();
-                encoder.backward_block_into(block, &dz, &mut gx);
+                encoder.backward([&block.ops_t[1], &block.ops_t[0]], &dz, &mut gx);
                 opt.step(&mut encoder);
             }
             if epoch_samples > 0 {
@@ -302,35 +306,35 @@ impl Gae {
         }
     }
 
-    /// Embeds all nodes through any [`NeighborAccess`] operator — the
-    /// evaluation pass matching [`Gae::train_sampled`], which never
-    /// materializes `S`.
-    pub fn embed_access<A: NeighborAccess + Sync + ?Sized>(
+    /// Embeds all nodes through the graph's propagation operator: the
+    /// materialized `S`, or any [`NeighborAccess`] view yielding its rows
+    /// (the out-of-core and streaming paths never materialize it).
+    pub fn embed<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
-        a: &A,
+        op: &A,
         x: &Matrix,
         out: &mut Matrix,
     ) {
-        self.encoder.forward_access_into(a, x, out);
+        assert_eq!(
+            x.rows(),
+            op.node_count(),
+            "Gae::embed: feature/node mismatch"
+        );
+        self.encoder.forward([op, op], x, out);
     }
 
     /// Embeds only the nodes in `rows` (sorted, deduplicated), writing
     /// `|rows| x out_dim` rows to `out` in `rows` order — each row
-    /// bitwise-equal to the corresponding row of [`Gae::embed_access`].
+    /// bitwise-equal to the corresponding row of [`Gae::embed`].
     /// The streaming path's incremental refresh after a graph delta.
-    pub fn embed_rows_access<A: NeighborAccess + Sync + ?Sized>(
+    pub fn embed_rows<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
-        a: &A,
+        op: &A,
         rows: &[usize],
         x: &Matrix,
         out: &mut Matrix,
     ) {
-        self.encoder.forward_rows_access_into(a, rows, x, out);
-    }
-
-    /// Produces embeddings for the given features (evaluation mode).
-    pub fn embed(&mut self, x: &Matrix) -> Matrix {
-        self.encoder.forward(x, false)
+        self.encoder.forward_rows(op, rows, x, out);
     }
 
     /// Reconstruction probability of the edge `(i, j)` given embeddings `z`.
@@ -363,15 +367,16 @@ mod tests {
     #[test]
     fn gae_separates_communities() {
         let a = two_cliques();
-        let s = Arc::new(a.sym_normalized_with_self_loops());
+        let s = a.sym_normalized_with_self_loops();
         let mut rng = Rng::seed_from_u64(121);
         let x = Matrix::randn(10, 6, 1.0, &mut rng);
         let cfg = GaeConfig {
             epochs: 120,
             ..Default::default()
         };
-        let mut gae = Gae::train(&x, &a, s, &cfg, &mut rng);
-        let z = gae.embed(&x);
+        let mut gae = Gae::train(&x, &a, &s, &cfg, &mut rng);
+        let mut z = Matrix::zeros(0, 0);
+        gae.embed(&s, &x, &mut z);
         // Intra-clique reconstruction beats the cross pair (0, 9).
         let intra = Gae::edge_probability(&z, 0, 1);
         let cross = Gae::edge_probability(&z, 0, 9);
@@ -382,13 +387,13 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let a = two_cliques();
-        let s = Arc::new(a.sym_normalized_with_self_loops());
+        let s = a.sym_normalized_with_self_loops();
         let mut rng = Rng::seed_from_u64(122);
         let x = Matrix::randn(10, 6, 1.0, &mut rng);
         let short = Gae::train(
             &x,
             &a,
-            s.clone(),
+            &s,
             &GaeConfig {
                 epochs: 2,
                 ..Default::default()
@@ -398,7 +403,7 @@ mod tests {
         let long = Gae::train(
             &x,
             &a,
-            s,
+            &s,
             &GaeConfig {
                 epochs: 150,
                 ..Default::default()
@@ -416,7 +421,7 @@ mod tests {
     #[test]
     fn embeddings_shape() {
         let a = two_cliques();
-        let s = Arc::new(a.sym_normalized_with_self_loops());
+        let s = a.sym_normalized_with_self_loops();
         let mut rng = Rng::seed_from_u64(123);
         let x = Matrix::randn(10, 4, 1.0, &mut rng);
         let cfg = GaeConfig {
@@ -424,7 +429,9 @@ mod tests {
             epochs: 3,
             ..Default::default()
         };
-        let mut gae = Gae::train(&x, &a, s, &cfg, &mut rng);
-        assert_eq!(gae.embed(&x).shape(), (10, 7));
+        let mut gae = Gae::train(&x, &a, &s, &cfg, &mut rng);
+        let mut z = Matrix::zeros(0, 0);
+        gae.embed(&s, &x, &mut z);
+        assert_eq!(z.shape(), (10, 7));
     }
 }

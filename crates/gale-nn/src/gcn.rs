@@ -1,19 +1,19 @@
 //! Graph convolutional layers (Kipf & Welling's first-order approximation,
-//! the paper's reference [30]).
+//! the paper's reference \[30\]).
 //!
 //! A layer computes `Z = act(S X W)` where `S` is the symmetric-normalized
-//! adjacency with self-loops. `S` is shared by reference between layers and
-//! is constant, so backprop only flows into `W` and `X`.
+//! adjacency with self-loops. The layer owns no operator: every pass takes
+//! it as an argument, so one forward/backward pair serves the materialized
+//! `S`, a sampled block's slices, an on-the-fly normalized view of an
+//! out-of-core store, and a streaming delta view alike. `S` is constant, so
+//! backprop only flows into `W` and `X`.
 
 use crate::activation::Activation;
-use crate::layer::Layer;
-use crate::sampler::Block;
-use gale_tensor::{spmm_access_into, CsrBlock, Matrix, NeighborAccess, Rng, SparseMatrix};
-use std::sync::Arc;
+use crate::layer::Params;
+use gale_tensor::{spmm_access_into, Matrix, NeighborAccess, Rng, SparseMatrix};
 
 /// One graph-convolution layer: `Z = act(S X W + b)`.
 pub struct GcnLayer {
-    pub(crate) s: Arc<SparseMatrix>,
     pub(crate) w: Matrix,
     pub(crate) b: Matrix,
     gw: Matrix,
@@ -28,33 +28,16 @@ pub struct GcnLayer {
 }
 
 impl GcnLayer {
-    /// Creates a GCN layer over the shared propagation operator `s`.
-    pub fn new(
-        s: Arc<SparseMatrix>,
-        in_dim: usize,
-        out_dim: usize,
-        act: Activation,
-        rng: &mut Rng,
-    ) -> Self {
+    /// Creates a GCN layer with Glorot-uniform weights.
+    pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
         let limit = (6.0 / (in_dim + out_dim) as f64).sqrt();
-        GcnLayer {
-            s,
-            w: Matrix::rand_uniform(in_dim, out_dim, -limit, limit, rng),
-            b: Matrix::zeros(1, out_dim),
-            gw: Matrix::zeros(in_dim, out_dim),
-            gb: Matrix::zeros(1, out_dim),
-            act,
-            cached_sx: Matrix::zeros(0, 0),
-            cached_pre: Matrix::zeros(0, 0),
-            cached_out: Matrix::zeros(0, 0),
-            scratch_dpre: Matrix::zeros(0, 0),
-            scratch_dxw: Matrix::zeros(0, 0),
-        }
+        let w = Matrix::rand_uniform(in_dim, out_dim, -limit, limit, rng);
+        GcnLayer::from_parts(w, Matrix::zeros(1, out_dim), act)
     }
 
-    /// Rebuilds a layer from checkpointed parameters over the given graph
-    /// operator. `b` must be a `1 x out_dim` row matching `w`.
-    pub fn from_parts(s: Arc<SparseMatrix>, w: Matrix, b: Matrix, act: Activation) -> Self {
+    /// Rebuilds a layer from checkpointed parameters. `b` must be a
+    /// `1 x out_dim` row matching `w`.
+    pub fn from_parts(w: Matrix, b: Matrix, act: Activation) -> Self {
         assert_eq!(
             (b.rows(), b.cols()),
             (1, w.cols()),
@@ -67,7 +50,6 @@ impl GcnLayer {
             Matrix::zeros(1, b.cols()),
         );
         GcnLayer {
-            s,
             w,
             b,
             gw,
@@ -81,12 +63,21 @@ impl GcnLayer {
         }
     }
 
-    /// Everything after the propagation product: `pre = (S X) W + b`,
-    /// `out = act(pre)`, caches refreshed for backward. Shared by the
-    /// full-graph, block, and access forward paths, so a block whose
-    /// operator slice equals the full `S` is bitwise identical to the
-    /// full-graph pass.
-    fn finish_forward(&mut self, out: &mut Matrix) {
+    /// `out = act(op X W + b)`, caching the activations backward needs.
+    ///
+    /// `op` is the full `S` (or any view yielding its rows), or a sampled
+    /// `|out rows| x |x rows|` slice from a
+    /// [`NeighborSampler`](crate::sampler::NeighborSampler) hop. A row of
+    /// `out` depends only on the entries `op` yields for it, in order, so
+    /// a slice that copies rows of `S` reproduces those rows of the
+    /// full-graph pass bit for bit.
+    pub fn forward<A: NeighborAccess + Sync + ?Sized>(
+        &mut self,
+        op: &A,
+        x: &Matrix,
+        out: &mut Matrix,
+    ) {
+        spmm_access_into(op, x, &mut self.cached_sx);
         self.cached_sx.matmul_into(&self.w, &mut self.cached_pre);
         self.cached_pre.add_row_broadcast(self.b.row(0));
         self.cached_out.copy_from(&self.cached_pre);
@@ -96,50 +87,18 @@ impl GcnLayer {
         out.copy_from(&self.cached_out);
     }
 
-    /// Forward over a sampled block slice: `out = act(op X W + b)` where
-    /// `op` is the induced `|out rows| x |x rows|` operator from a
-    /// [`NeighborSampler`](crate::sampler::NeighborSampler) hop.
-    pub fn forward_block_into(&mut self, op: &CsrBlock, x: &Matrix, out: &mut Matrix) {
-        assert_eq!(x.rows(), op.cols(), "GcnLayer: block frontier mismatch");
-        op.spmm_into(x, &mut self.cached_sx);
-        self.finish_forward(out);
-    }
-
-    /// Backward for a block forward: parameter gradients from the cached
-    /// activations, input gradient gathered through the transposed slice
-    /// (`grad_in = opᵀ (dpre Wᵀ)`), sized `|x rows| x in_dim`.
-    ///
-    /// For a full-fanout block over all nodes `opᵀ`'s rows are bitwise
-    /// equal to `S`'s rows (the operator is symmetric and its entries are
-    /// products of commuting factors), so this path reproduces
-    /// [`Layer::backward_into`] exactly.
-    pub fn backward_block_into(
+    /// Backward for the last [`GcnLayer::forward`]: accumulates the
+    /// parameter gradients and writes `grad_in = op_t (dpre Wᵀ)`, where
+    /// `op_t` is the transpose of the forward operator. `S` is symmetric,
+    /// so the full-graph pass gives `S` again; a sampled block gives its
+    /// stored transpose, whose rows for a full-fanout block over all nodes
+    /// are bitwise `S`'s rows (entries are products of commuting factors).
+    pub fn backward<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
-        op_t: &CsrBlock,
+        op_t: &A,
         grad_out: &Matrix,
         grad_in: &mut Matrix,
     ) {
-        self.backward_common(grad_out);
-        op_t.spmm_into(&self.scratch_dxw, grad_in);
-    }
-
-    /// Forward over any [`NeighborAccess`] operator (e.g. the normalized
-    /// view of a memory-mapped store) instead of the layer's own `S`; used
-    /// for full-graph inference at scales where `S` is never materialized.
-    pub fn forward_access_into<A: NeighborAccess + Sync + ?Sized>(
-        &mut self,
-        a: &A,
-        x: &Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(x.rows(), a.node_count(), "GcnLayer: node count mismatch");
-        spmm_access_into(a, x, &mut self.cached_sx);
-        self.finish_forward(out);
-    }
-
-    /// Computes dL/dpre and the parameter gradients shared by both backward
-    /// paths; leaves `S^T (dpre W^T)`'s inner product in `scratch_dxw`.
-    fn backward_common(&mut self, grad_out: &Matrix) {
         // dL/dpre = grad_out * act'(pre)  (elementwise).
         self.scratch_dpre.copy_from(grad_out);
         for i in 0..self.scratch_dpre.data().len() {
@@ -179,34 +138,11 @@ impl GcnLayer {
         }
         self.scratch_dpre
             .matmul_nt_into(&self.w, &mut self.scratch_dxw);
+        spmm_access_into(op_t, &self.scratch_dxw, grad_in);
     }
 }
 
-impl Layer for GcnLayer {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, x: &Matrix, _train: bool, out: &mut Matrix) {
-        assert_eq!(x.rows(), self.s.rows(), "GcnLayer: node count mismatch");
-        self.s.spmm_into(x, &mut self.cached_sx);
-        self.finish_forward(out);
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut out);
-        out
-    }
-
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-        self.backward_common(grad_out);
-        // dX = S^T (dpre W^T) = S (dpre W^T) since S is symmetric.
-        self.s.spmm_into(&self.scratch_dxw, grad_in);
-    }
-
+impl Params for GcnLayer {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         f(&mut self.w, &mut self.gw);
         f(&mut self.b, &mut self.gb);
@@ -227,75 +163,44 @@ impl Gcn {
     /// configurable output activation (identity for logits, identity for
     /// embeddings too).
     pub fn new(
-        s: Arc<SparseMatrix>,
         in_dim: usize,
         hidden_dim: usize,
         out_dim: usize,
         out_act: Activation,
         rng: &mut Rng,
     ) -> Self {
-        Gcn {
-            layer1: GcnLayer::new(s.clone(), in_dim, hidden_dim, Activation::Relu, rng),
-            layer2: GcnLayer::new(s, hidden_dim, out_dim, out_act, rng),
-            hidden: Matrix::zeros(0, 0),
-            ghidden: Matrix::zeros(0, 0),
-        }
+        let layer1 = GcnLayer::new(in_dim, hidden_dim, Activation::Relu, rng);
+        let layer2 = GcnLayer::new(hidden_dim, out_dim, out_act, rng);
+        Gcn::from_parts(layer1, layer2)
     }
 
-    /// Builds a GCN with no attached graph operator, for use exclusively
-    /// through the block ([`Gcn::forward_block_into`]) and access
-    /// ([`Gcn::forward_access_into`]) paths — the out-of-core training
-    /// configuration, where `S` is never materialized. The weight
-    /// initialization draws the same RNG sequence as [`Gcn::new`].
-    pub fn new_detached(
-        in_dim: usize,
-        hidden_dim: usize,
-        out_dim: usize,
-        out_act: Activation,
-        rng: &mut Rng,
-    ) -> Self {
-        Gcn::new(
-            Arc::new(SparseMatrix::zeros(0, 0)),
-            in_dim,
-            hidden_dim,
-            out_dim,
-            out_act,
-            rng,
-        )
-    }
-
-    /// Forward over a 2-hop sampled [`Block`]: `x` holds the feature rows
-    /// of `block.inputs()`, the output holds rows for `block.seeds()`.
-    pub fn forward_block_into(&mut self, block: &Block, x: &Matrix, out: &mut Matrix) {
-        assert_eq!(block.depth(), 2, "Gcn: need a 2-hop block");
-        self.layer1
-            .forward_block_into(&block.ops[1], x, &mut self.hidden);
-        self.layer2
-            .forward_block_into(&block.ops[0], &self.hidden, out);
-    }
-
-    /// Backward for [`Gcn::forward_block_into`]: `grad_out` has seed rows,
-    /// `grad_in` gets `block.inputs()` rows.
-    pub fn backward_block_into(&mut self, block: &Block, grad_out: &Matrix, grad_in: &mut Matrix) {
-        assert_eq!(block.depth(), 2, "Gcn: need a 2-hop block");
-        self.layer2
-            .backward_block_into(&block.ops_t[0], grad_out, &mut self.ghidden);
-        self.layer1
-            .backward_block_into(&block.ops_t[1], &self.ghidden, grad_in);
-    }
-
-    /// Full-graph inference over any [`NeighborAccess`] operator instead of
-    /// the attached `S` (evaluation path for out-of-core graphs). Memory is
-    /// the two layer activations — `n x hidden` and `n x out` — not the
-    /// operator.
-    pub fn forward_access_into<A: NeighborAccess + Sync + ?Sized>(
+    /// Forward through both layers, `ops[0]` feeding layer 1 and `ops[1]`
+    /// layer 2: `[s, s]` for the full graph (or any view of it), and
+    /// `[&block.ops[1], &block.ops[0]]` for a 2-hop sampled
+    /// [`Block`](crate::sampler::Block), where `x` holds the rows of
+    /// `block.inputs()` and `out` gets the rows of `block.seeds()`.
+    pub fn forward<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
-        a: &A,
+        ops: [&A; 2],
         x: &Matrix,
         out: &mut Matrix,
     ) {
-        self.layer1.forward_access_into(a, x, &mut self.hidden);
-        self.layer2.forward_access_into(a, &self.hidden, out);
+        self.layer1.forward(ops[0], x, &mut self.hidden);
+        self.layer2.forward(ops[1], &self.hidden, out);
+    }
+
+    /// Backward for the last [`Gcn::forward`]. `ops_t` holds each layer's
+    /// transposed operator in the same order as the forward's `ops`:
+    /// `[s, s]` for the symmetric full graph,
+    /// `[&block.ops_t[1], &block.ops_t[0]]` for a block.
+    pub fn backward<A: NeighborAccess + Sync + ?Sized>(
+        &mut self,
+        ops_t: [&A; 2],
+        grad_out: &Matrix,
+        grad_in: &mut Matrix,
+    ) {
+        self.layer2.backward(ops_t[1], grad_out, &mut self.ghidden);
+        self.layer1.backward(ops_t[0], &self.ghidden, grad_in);
     }
 
     /// Neighborhood-local inference: recomputes only the output rows
@@ -305,16 +210,16 @@ impl Gcn {
     ///
     /// The receptive field of a 2-layer GCN output row is its 2-hop
     /// neighborhood, so this gathers the 1-hop frontier `F = rows ∪
-    /// N(rows)`, runs layer 1 over the frontier's full operator rows, and
-    /// layer 2 over the `rows` operator rows with columns remapped into
-    /// the frontier. Both layers accumulate per row in the same ascending
-    /// column order as [`Gcn::forward_access_into`] and share
-    /// `finish_forward`, so each output row is **bitwise identical** to
-    /// the same row of the full pass (proptested in gale-stream).
+    /// N(rows)`, copies the frontier's operator rows (global columns) and
+    /// the `rows` operator rows (columns remapped into the frontier) into
+    /// two blocks, and runs [`Gcn::forward`] over them. Each block row
+    /// lists the same entries in the same ascending order as `a`, so each
+    /// output row is **bitwise identical** to the same row of the full
+    /// pass (proptested in gale-stream).
     ///
     /// Cost is `O(|F| · d̄)` operator entries instead of `O(nnz)` — the
     /// streaming path's incremental refresh after a graph delta.
-    pub fn forward_rows_access_into<A: NeighborAccess + Sync + ?Sized>(
+    pub fn forward_rows<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
         a: &A,
         rows: &[usize],
@@ -337,19 +242,15 @@ impl Gcn {
         let frontier: Vec<usize> = frontier_set.into_iter().collect();
 
         // Layer 1 over the frontier's full operator rows (global columns).
-        let mut op1 = CsrBlock::new();
-        op1.reset(a.node_count());
+        let mut op1 = SparseMatrix::zeros(0, a.node_count());
         for &r in &frontier {
             a.visit_neighbors(r, &mut |c, v| op1.push(c, v));
             op1.finish_row();
         }
-        self.layer1.forward_block_into(&op1, x, &mut self.hidden);
-
         // Layer 2 over the requested rows, columns remapped into frontier
         // positions (ascending global order maps to ascending local order,
         // preserving the accumulation order of the full pass).
-        let mut op2 = CsrBlock::new();
-        op2.reset(frontier.len());
+        let mut op2 = SparseMatrix::zeros(0, frontier.len());
         for &r in rows {
             a.visit_neighbors(r, &mut |c, v| {
                 let local = frontier.binary_search(&c).expect("frontier covers N(rows)");
@@ -357,7 +258,7 @@ impl Gcn {
             });
             op2.finish_row();
         }
-        self.layer2.forward_block_into(&op2, &self.hidden, out);
+        self.forward([&op1, &op2], x, out);
     }
 
     /// Hidden representation from the most recent forward pass.
@@ -381,28 +282,7 @@ impl Gcn {
     }
 }
 
-impl Layer for Gcn {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        self.layer1.forward_into(x, train, &mut self.hidden);
-        self.layer2.forward(&self.hidden, train)
-    }
-
-    fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
-        self.layer1.forward_into(x, train, &mut self.hidden);
-        self.layer2.forward_into(&self.hidden, train, out);
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut out);
-        out
-    }
-
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-        self.layer2.backward_into(grad_out, &mut self.ghidden);
-        self.layer1.backward_into(&self.ghidden, grad_in);
-    }
-
+impl Params for Gcn {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         self.layer1.visit_params(f);
         self.layer2.visit_params(f);
@@ -412,12 +292,12 @@ impl Layer for Gcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::input_gradient_error;
+    use crate::layer::{input_gradient_error, Layer};
     use crate::loss::softmax_cross_entropy;
     use crate::optim::Adam;
 
     /// Two 4-cliques joined by a single edge; perfect community structure.
-    fn two_cliques() -> Arc<SparseMatrix> {
+    fn two_cliques() -> SparseMatrix {
         let mut triplets = Vec::new();
         let connect = |a: usize, b: usize, t: &mut Vec<(usize, usize, f64)>| {
             t.push((a, b, 1.0));
@@ -430,16 +310,63 @@ mod tests {
             }
         }
         connect(3, 4, &mut triplets);
-        Arc::new(SparseMatrix::from_triplets(8, 8, triplets).sym_normalized_with_self_loops())
+        SparseMatrix::from_triplets(8, 8, triplets).sym_normalized_with_self_loops()
+    }
+
+    /// A GCN pass over a fixed full-graph operator.
+    trait Pass: Params + Send {
+        fn fwd(&mut self, s: &SparseMatrix, x: &Matrix, out: &mut Matrix);
+        fn bwd(&mut self, s: &SparseMatrix, grad_out: &Matrix, grad_in: &mut Matrix);
+    }
+
+    impl Pass for GcnLayer {
+        fn fwd(&mut self, s: &SparseMatrix, x: &Matrix, out: &mut Matrix) {
+            self.forward(s, x, out);
+        }
+        fn bwd(&mut self, s: &SparseMatrix, grad_out: &Matrix, grad_in: &mut Matrix) {
+            self.backward(s, grad_out, grad_in);
+        }
+    }
+
+    impl Pass for Gcn {
+        fn fwd(&mut self, s: &SparseMatrix, x: &Matrix, out: &mut Matrix) {
+            self.forward([s, s], x, out);
+        }
+        fn bwd(&mut self, s: &SparseMatrix, grad_out: &Matrix, grad_in: &mut Matrix) {
+            self.backward([s, s], grad_out, grad_in);
+        }
+    }
+
+    /// Binds a pass to its operator so the shared finite-difference check
+    /// can drive it as a [`Layer`].
+    struct OnGraph<'a, N>(N, &'a SparseMatrix);
+
+    impl<N: Pass> Params for OnGraph<'_, N> {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+            self.0.visit_params(f);
+        }
+    }
+
+    impl<N: Pass> Layer for OnGraph<'_, N> {
+        fn forward(&mut self, x: &Matrix, _train: bool) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.0.fwd(self.1, x, &mut out);
+            out
+        }
+        fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+            let mut grad_in = Matrix::zeros(0, 0);
+            self.0.bwd(self.1, grad_out, &mut grad_in);
+            grad_in
+        }
     }
 
     #[test]
     fn gcn_layer_gradient_check() {
         let s = two_cliques();
         let mut rng = Rng::seed_from_u64(111);
-        let mut layer = GcnLayer::new(s, 3, 2, Activation::Tanh, &mut rng);
+        let layer = GcnLayer::new(3, 2, Activation::Tanh, &mut rng);
         let x = Matrix::randn(8, 3, 1.0, &mut rng);
-        let err = input_gradient_error(&mut layer, &x, 1e-6);
+        let err = input_gradient_error(&mut OnGraph(layer, &s), &x, 1e-6);
         assert!(err < 1e-6, "gradient error {err}");
     }
 
@@ -447,9 +374,9 @@ mod tests {
     fn two_layer_gradient_check() {
         let s = two_cliques();
         let mut rng = Rng::seed_from_u64(112);
-        let mut net = Gcn::new(s, 3, 5, 2, Activation::Identity, &mut rng);
+        let net = Gcn::new(3, 5, 2, Activation::Identity, &mut rng);
         let x = Matrix::randn(8, 3, 1.0, &mut rng);
-        let err = input_gradient_error(&mut net, &x, 1e-6);
+        let err = input_gradient_error(&mut OnGraph(net, &s), &x, 1e-6);
         assert!(err < 1e-5, "gradient error {err}");
     }
 
@@ -459,17 +386,18 @@ mod tests {
         let s = two_cliques();
         let mut rng = Rng::seed_from_u64(113);
         let x = Matrix::randn(8, 4, 1.0, &mut rng);
-        let mut net = Gcn::new(s, 4, 8, 2, Activation::Identity, &mut rng);
+        let mut net = Gcn::new(4, 8, 2, Activation::Identity, &mut rng);
         let mut opt = Adam::new(0.05);
         let labels = [(0usize, 0usize), (7, 1)];
+        let (mut logits, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         for _ in 0..200 {
-            let logits = net.forward(&x, true);
+            net.forward([&s, &s], &x, &mut logits);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
             net.zero_grad();
-            let _ = net.backward(&grad);
+            net.backward([&s, &s], &grad, &mut gx);
             opt.step(&mut net);
         }
-        let logits = net.forward(&x, false);
+        net.forward([&s, &s], &x, &mut logits);
         let preds = logits.argmax_rows();
         for i in 0..4 {
             assert_eq!(preds[i], 0, "node {i} misclassified: {preds:?}");
@@ -483,13 +411,13 @@ mod tests {
     fn rows_forward_matches_full_access_bitwise() {
         let s = two_cliques();
         let mut rng = Rng::seed_from_u64(115);
-        let mut net = Gcn::new(s.clone(), 3, 6, 2, Activation::Identity, &mut rng);
+        let mut net = Gcn::new(3, 6, 2, Activation::Identity, &mut rng);
         let x = Matrix::randn(8, 3, 1.0, &mut rng);
         let mut full = Matrix::zeros(0, 0);
-        net.forward_access_into(s.as_ref(), &x, &mut full);
+        net.forward([&s, &s], &x, &mut full);
         for rows in [vec![0usize], vec![3, 4], vec![0, 1, 2, 3, 4, 5, 6, 7]] {
             let mut partial = Matrix::zeros(0, 0);
-            net.forward_rows_access_into(s.as_ref(), &rows, &x, &mut partial);
+            net.forward_rows(&s, &rows, &x, &mut partial);
             for (k, &r) in rows.iter().enumerate() {
                 let got: Vec<u64> = partial.row(k).iter().map(|v| v.to_bits()).collect();
                 let want: Vec<u64> = full.row(r).iter().map(|v| v.to_bits()).collect();
@@ -502,9 +430,9 @@ mod tests {
     fn hidden_exposed_after_forward() {
         let s = two_cliques();
         let mut rng = Rng::seed_from_u64(114);
-        let mut net = Gcn::new(s, 3, 6, 2, Activation::Identity, &mut rng);
+        let mut net = Gcn::new(3, 6, 2, Activation::Identity, &mut rng);
         let x = Matrix::randn(8, 3, 1.0, &mut rng);
-        let _ = net.forward(&x, false);
+        net.forward([&s, &s], &x, &mut Matrix::zeros(0, 0));
         assert_eq!(net.hidden().shape(), (8, 6));
     }
 }

@@ -23,11 +23,8 @@
 
 use crate::activation::Activation;
 use crate::checkpoint::LayerState;
-use crate::gae::Gae;
-use crate::gcn::{Gcn, GcnLayer};
 use crate::mlp::Mlp;
-use gale_tensor::{Element, Matrix, SparseMatrix};
-use std::sync::Arc;
+use gale_tensor::{Element, Matrix};
 
 /// Lowers an `f64` matrix into element type `E` (identity for `f64`,
 /// round-to-nearest for `f32`).
@@ -162,7 +159,9 @@ impl<E: Element> InferNet<E> {
             let out = &mut cur[0];
             match &self.layers[i] {
                 InferLayer::Linear { w, b } => {
-                    x_linear(input, w, b, out);
+                    // The evaluation path of `Linear::forward_into`.
+                    input.matmul_into(w, out);
+                    out.add_row_broadcast(b.row(0));
                 }
                 InferLayer::BatchNorm {
                     mean,
@@ -194,13 +193,6 @@ impl<E: Element> InferNet<E> {
     }
 }
 
-/// `out = x W + b`, the evaluation path of `Linear::forward_into` without
-/// the training-only input cache.
-fn x_linear<E: Element>(x: &Matrix<E>, w: &Matrix<E>, b: &Matrix<E>, out: &mut Matrix<E>) {
-    x.matmul_into(w, out);
-    out.add_row_broadcast(b.row(0));
-}
-
 impl Mlp {
     /// Lowers this network into a forward-only replica over element `E`.
     /// `to_infer::<f64>()` is the bitwise-parity reference; see the module
@@ -211,101 +203,6 @@ impl Mlp {
 
     /// One-way lowering to the `f32` inference replica.
     pub fn to_f32(&self) -> InferNet<f32> {
-        self.to_infer::<f32>()
-    }
-}
-
-/// One lowered graph-convolution layer: `out = act(S X W + b)` with the
-/// shared `f64` CSR operator lowered at accumulate time (see
-/// [`SparseMatrix::spmm_lowered_into`]).
-struct GcnInferLayer<E: Element> {
-    s: Arc<SparseMatrix>,
-    w: Matrix<E>,
-    b: Matrix<E>,
-    act: Activation,
-    sx: Matrix<E>,
-}
-
-impl<E: Element> GcnInferLayer<E> {
-    fn from_layer(l: &GcnLayer) -> Self {
-        GcnInferLayer {
-            s: l.s.clone(),
-            w: lower(&l.w),
-            b: lower(&l.b),
-            act: l.act,
-            sx: Matrix::zeros(0, 0),
-        }
-    }
-
-    fn forward_into(&mut self, x: &Matrix<E>, out: &mut Matrix<E>) {
-        self.s.spmm_lowered_into(x, &mut self.sx);
-        x_linear(&self.sx, &self.w, &self.b, out);
-        for v in out.data_mut() {
-            *v = self.act.apply_e(*v);
-        }
-    }
-}
-
-/// Forward-only replica of the two-layer [`Gcn`].
-pub struct GcnInfer<E: Element> {
-    layer1: GcnInferLayer<E>,
-    layer2: GcnInferLayer<E>,
-    hidden: Matrix<E>,
-}
-
-impl<E: Element> GcnInfer<E> {
-    /// Evaluation forward `out = act2(S act1(S X W1 + b1) W2 + b2)`.
-    pub fn forward_into(&mut self, x: &Matrix<E>, out: &mut Matrix<E>) {
-        self.layer1.forward_into(x, &mut self.hidden);
-        self.layer2.forward_into(&self.hidden, out);
-    }
-
-    /// The layer-1 activations from the most recent forward (the GAE
-    /// embedding surface).
-    pub fn hidden(&self) -> &Matrix<E> {
-        &self.hidden
-    }
-}
-
-impl Gcn {
-    /// Lowers the encoder into a forward-only replica over element `E`.
-    pub fn to_infer<E: Element>(&self) -> GcnInfer<E> {
-        GcnInfer {
-            layer1: GcnInferLayer::from_layer(&self.layer1),
-            layer2: GcnInferLayer::from_layer(&self.layer2),
-            hidden: Matrix::zeros(0, 0),
-        }
-    }
-
-    /// One-way lowering to the `f32` inference replica.
-    pub fn to_f32(&self) -> GcnInfer<f32> {
-        self.to_infer::<f32>()
-    }
-}
-
-/// Forward-only replica of a trained [`Gae`]: the encoder alone, since
-/// serving only ever needs embeddings (the decoder is a training loss).
-pub struct GaeInfer<E: Element> {
-    encoder: GcnInfer<E>,
-}
-
-impl<E: Element> GaeInfer<E> {
-    /// Embeddings `Z = encoder(X)`.
-    pub fn embed_into(&mut self, x: &Matrix<E>, z: &mut Matrix<E>) {
-        self.encoder.forward_into(x, z);
-    }
-}
-
-impl Gae {
-    /// Lowers the trained encoder into a forward-only replica over `E`.
-    pub fn to_infer<E: Element>(&self) -> GaeInfer<E> {
-        GaeInfer {
-            encoder: self.encoder.to_infer::<E>(),
-        }
-    }
-
-    /// One-way lowering to the `f32` inference replica.
-    pub fn to_f32(&self) -> GaeInfer<f32> {
         self.to_infer::<f32>()
     }
 }
@@ -355,41 +252,6 @@ mod tests {
         for (a, b) in y32.data().iter().zip(y64.data()) {
             let scale = 1.0 + b.abs();
             assert!((*a as f64 - b).abs() <= 1e-4 * scale, "f32 {a} vs f64 {b}");
-        }
-    }
-
-    #[test]
-    fn gcn_f64_replica_matches_eval_forward_bitwise() {
-        use crate::layer::Layer;
-        let mut rng = Rng::seed_from_u64(7);
-        let s = Arc::new(SparseMatrix::from_triplets(
-            5,
-            5,
-            [
-                (0, 0, 0.5),
-                (0, 1, 0.5),
-                (1, 0, 0.3),
-                (1, 1, 0.7),
-                (2, 2, 1.0),
-                (3, 3, 0.9),
-                (3, 4, 0.1),
-                (4, 4, 1.0),
-            ],
-        ));
-        let mut gcn = Gcn::new(s, 4, 6, 3, crate::activation::Activation::Sigmoid, &mut rng);
-        let x = Matrix::randn(5, 4, 1.0, &mut rng);
-        let mut want = Matrix::zeros(0, 0);
-        gcn.forward_into(&x, false, &mut want);
-        let mut replica = gcn.to_infer::<f64>();
-        let mut got = Matrix::zeros(0, 0);
-        replica.forward_into(&x, &mut got);
-        assert_eq!(got.shape(), want.shape());
-        for (g, w) in got.data().iter().zip(want.data()) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-        // Hidden tap must match the training object's hidden activations.
-        for (g, w) in replica.hidden().data().iter().zip(gcn.hidden().data()) {
-            assert_eq!(g.to_bits(), w.to_bits());
         }
     }
 

@@ -2,16 +2,36 @@
 //!
 //! Layers cache whatever they need during `forward` and return input
 //! gradients from `backward`; optimizers visit `(parameter, gradient)` pairs
-//! in a stable order through [`Layer::visit_params`].
+//! in a stable order through [`Params::visit_params`].
 
 use crate::checkpoint::LayerState;
 use gale_tensor::Matrix;
+
+/// A model's trainable parameters, the surface optimizers step. Networks
+/// whose forward needs more than `x` (the GCN takes its graph operator)
+/// implement this without [`Layer`].
+pub trait Params {
+    /// Visits every `(param, grad)` pair in a stable order.
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix));
+
+    /// Clears accumulated parameter gradients.
+    fn zero_grad(&mut self) {
+        self.visit_params(&mut |_, g| g.scale_inplace(0.0));
+    }
+
+    /// Total number of scalar parameters.
+    fn param_count(&mut self) -> usize {
+        let mut n = 0;
+        self.visit_params(&mut |p, _| n += p.rows() * p.cols());
+        n
+    }
+}
 
 /// A differentiable network layer with manually implemented backprop.
 ///
 /// `Send` is a supertrait so whole models can move into a serving thread;
 /// every layer is plain owned data, so the bound costs implementors nothing.
-pub trait Layer: Send {
+pub trait Layer: Params + Send {
     /// Forward pass. `train` enables stochastic behaviour (dropout) and
     /// batch statistics (batch norm).
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
@@ -35,25 +55,10 @@ pub trait Layer: Send {
         grad_in.copy_from(&self.backward(grad_out));
     }
 
-    /// Visits every `(param, grad)` pair in a stable order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix));
-
     /// Serializable snapshot of this layer for checkpointing, or `None` for
     /// layer types without checkpoint support (the default).
     fn state(&self) -> Option<LayerState> {
         None
-    }
-
-    /// Clears accumulated parameter gradients.
-    fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, g| g.scale_inplace(0.0));
-    }
-
-    /// Total number of scalar parameters.
-    fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p, _| n += p.rows() * p.cols());
-        n
     }
 }
 

@@ -36,8 +36,8 @@ pub use dropout::Dropout;
 pub use embedding::HashEmbedder;
 pub use gae::{Gae, GaeConfig, MiniBatchConfig};
 pub use gcn::{Gcn, GcnLayer};
-pub use infer::{GaeInfer, GcnInfer, InferLayer, InferNet};
-pub use layer::Layer;
+pub use infer::{InferLayer, InferNet};
+pub use layer::{Layer, Params};
 pub use linear::Linear;
 pub use loss::{
     bce_with_logit_grad, feature_matching_loss, sgan_unsupervised_loss, softmax_cross_entropy,

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer with bias.
 
 use crate::checkpoint::LayerState;
-use crate::layer::Layer;
+use crate::layer::{Layer, Params};
 use gale_tensor::{Matrix, Rng};
 
 /// `y = x W + b`, with Xavier/Glorot-uniform initialization.
@@ -89,6 +89,13 @@ impl Linear {
     }
 }
 
+impl Params for Linear {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+        f(&mut self.w, &mut self.gw);
+        f(&mut self.b, &mut self.gb);
+    }
+}
+
 impl Layer for Linear {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         let mut y = Matrix::zeros(0, 0);
@@ -118,11 +125,6 @@ impl Layer for Linear {
     fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         self.accumulate_param_grads(grad_out);
         grad_out.matmul_nt_into(&self.w, grad_in);
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.w, &mut self.gw);
-        f(&mut self.b, &mut self.gb);
     }
 
     fn state(&self) -> Option<LayerState> {

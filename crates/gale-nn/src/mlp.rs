@@ -4,7 +4,7 @@ use crate::activation::{Activation, ActivationLayer};
 use crate::batchnorm::BatchNorm;
 use crate::checkpoint::LayerState;
 use crate::dropout::Dropout;
-use crate::layer::Layer;
+use crate::layer::{Layer, Params};
 use crate::linear::Linear;
 use gale_tensor::{Matrix, Rng};
 
@@ -137,6 +137,14 @@ impl Default for Mlp {
     }
 }
 
+impl Params for Mlp {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+        for layer in &mut self.layers {
+            layer.visit_params(f);
+        }
+    }
+}
+
 impl Layer for Mlp {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         self.forward_inplace(x, train).clone()
@@ -182,12 +190,6 @@ impl Layer for Mlp {
                 gale_obs::metrics::buckets::TIME_US,
                 t.elapsed().as_micros() as f64
             );
-        }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Optimizers: Adam (the paper's choice, Section IV) and plain SGD.
 
-use crate::layer::Layer;
+use crate::layer::Params;
 use gale_tensor::Matrix;
 
 /// Adam optimizer with optional learning-rate decay ("reduce learning rate
@@ -33,7 +33,7 @@ impl Adam {
     ///
     /// The parameter visit order must be stable across calls; moment buffers
     /// are allocated lazily on the first step.
-    pub fn step(&mut self, net: &mut dyn Layer) {
+    pub fn step(&mut self, net: &mut dyn Params) {
         self.t += 1;
         let t = self.t as f64;
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
@@ -83,7 +83,7 @@ impl Sgd {
     }
 
     /// Applies `p -= lr * g` to every parameter.
-    pub fn step(&mut self, net: &mut dyn Layer) {
+    pub fn step(&mut self, net: &mut dyn Params) {
         let lr = self.lr;
         net.visit_params(&mut |p, g| p.axpy(-lr, g));
     }
@@ -112,13 +112,7 @@ mod tests {
         }
     }
 
-    impl Layer for Quadratic {
-        fn forward(&mut self, x: &Matrix, _t: bool) -> Matrix {
-            x.clone()
-        }
-        fn backward(&mut self, g: &Matrix) -> Matrix {
-            g.clone()
-        }
+    impl Params for Quadratic {
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
             f(&mut self.w, &mut self.g);
         }
@@ -157,6 +151,7 @@ mod tests {
     #[test]
     fn adam_trains_mlp_faster_than_it_starts() {
         use crate::activation::Activation;
+        use crate::layer::Layer;
         use crate::mlp::Mlp;
         let mut rng = Rng::seed_from_u64(91);
         let mut net = Mlp::dense(&[2, 8, 1], Activation::Tanh, false, 0.0, &mut rng);

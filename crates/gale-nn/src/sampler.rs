@@ -3,17 +3,18 @@
 //!
 //! A [`NeighborSampler`] expands a sorted seed set outward one hop per GCN
 //! layer, materializing at each hop an induced `|L_l| x |L_{l+1}|` operator
-//! slice ([`CsrBlock`]) plus its transpose for the backward gather. All
-//! buffers are reused across batches, so the steady-state loop allocates
-//! nothing.
+//! slice (a [`SparseMatrix`] built in place) plus its transpose for the
+//! backward gather. All buffers are reused across batches, so the
+//! steady-state loop allocates nothing.
 //!
 //! ## Determinism contract
 //!
 //! Sampling draws from an RNG derived from `(config seed, epoch, batch)`
 //! alone and block construction is serial, so a sampled run is a pure
 //! function of those three values — thread count never changes which
-//! neighbors are drawn, and the downstream block kernels are bitwise
-//! deterministic at any thread count (see `gale_tensor::block`).
+//! neighbors are drawn, and the one sparse × dense product every GCN pass
+//! runs ([`gale_tensor::spmm_access_into`]) is bitwise deterministic at any
+//! thread count.
 //!
 //! ## Full-fanout parity
 //!
@@ -22,17 +23,16 @@
 //! the seed set is *all* nodes of an operator that stores a diagonal entry
 //! in every row (the GCN's `S` always does — self-loops), every layer list
 //! is the identity and each block *is* the full operator, entry for entry.
-//! Because block products share the full path's per-row accumulation
-//! kernel, the sampled path is then bitwise identical to the full-graph
-//! path; the proptests in `tests/sampler_parity.rs` pin this at 1/2/8
-//! threads.
+//! Block and full-graph passes run the same kernel over the same entries,
+//! so the sampled path is then bitwise identical to the full-graph path;
+//! the proptests in `tests/sampler_parity.rs` pin this at 1/2/8 threads.
 //!
 //! When a fanout `f > 0` truncates a row with `m > f` non-self neighbors,
 //! the kept non-self values are scaled by `m / f` (Horvitz–Thompson style,
 //! so the sampled propagation is an unbiased estimate of the full one) and
 //! the self-loop entry is always kept, unscaled.
 
-use gale_tensor::{CsrBlock, NeighborAccess, Rng};
+use gale_tensor::{NeighborAccess, Rng, SparseMatrix};
 
 /// Configuration of a [`NeighborSampler`].
 #[derive(Debug, Clone)]
@@ -68,9 +68,9 @@ pub struct Block {
     /// Node lists per depth, `layers[0]` = seeds.
     pub layers: Vec<Vec<usize>>,
     /// `ops[l]`: induced operator from `layers[l+1]` to `layers[l]`.
-    pub ops: Vec<CsrBlock>,
+    pub ops: Vec<SparseMatrix>,
     /// `ops_t[l]`: transpose of `ops[l]`.
-    pub ops_t: Vec<CsrBlock>,
+    pub ops_t: Vec<SparseMatrix>,
 }
 
 impl Block {
@@ -165,8 +165,12 @@ impl NeighborSampler {
 
         // (Re)shape the block in place.
         self.block.layers.resize_with(depth + 1, Vec::new);
-        self.block.ops.resize_with(depth, CsrBlock::new);
-        self.block.ops_t.resize_with(depth, CsrBlock::new);
+        self.block
+            .ops
+            .resize_with(depth, || SparseMatrix::zeros(0, 0));
+        self.block
+            .ops_t
+            .resize_with(depth, || SparseMatrix::zeros(0, 0));
         self.block.layers[0].clear();
         self.block.layers[0].extend_from_slice(seeds);
 
@@ -275,7 +279,6 @@ impl NeighborSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gale_tensor::SparseMatrix;
 
     fn ring(n: usize) -> SparseMatrix {
         let mut t = Vec::new();

@@ -1,15 +1,15 @@
 //! The tentpole equivalence contract: a full-fanout sampled block over all
 //! nodes drives forward/backward passes that are bitwise identical to the
-//! legacy full-graph path, at 1, 2, and 8 threads; and sampled (truncated)
-//! runs are a pure function of `(seed, epoch, batch)` — thread count never
-//! changes a bit.
+//! full-graph pass, at 1, 2, and 8 threads; and sampled (truncated) runs
+//! are a pure function of `(seed, epoch, batch)` — thread count never
+//! changes a bit. Every GCN pass runs one kernel, so the output bits are
+//! also pinned across commits.
 
 use gale_nn::sampler::{NeighborSampler, SamplerConfig};
-use gale_nn::{Activation, Gae, GaeConfig, Gcn, Layer, MiniBatchConfig};
+use gale_nn::{Activation, Gae, GaeConfig, Gcn, MiniBatchConfig, Params};
 use gale_tensor::par::with_threads;
-use gale_tensor::{Matrix, Rng, SparseMatrix};
+use gale_tensor::{Matrix, Rng, SparseMatrix, SymNormalized};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -34,10 +34,9 @@ fn random_graph(n: usize, edges: usize, seed: u64) -> (SparseMatrix, SparseMatri
     (a, s)
 }
 
-/// One forward + backward through the legacy full-graph path.
-fn run_legacy(s: Arc<SparseMatrix>, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Matrix) {
+/// One forward + backward through the full-graph pass.
+fn run_full(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Matrix) {
     let mut net = Gcn::new(
-        s,
         x.cols(),
         5,
         3,
@@ -45,16 +44,16 @@ fn run_legacy(s: Arc<SparseMatrix>, x: &Matrix, grad: &Matrix, seed: u64) -> (Ma
         &mut Rng::seed_from_u64(seed),
     );
     let mut out = Matrix::zeros(0, 0);
-    net.forward_into(x, true, &mut out);
+    net.forward([s, s], x, &mut out);
     net.zero_grad();
     let mut gx = Matrix::zeros(0, 0);
-    net.backward_into(grad, &mut gx);
+    net.backward([s, s], grad, &mut gx);
     (out, gx)
 }
 
 /// The same pass through a full-fanout block over all nodes.
 fn run_block(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Matrix) {
-    let mut net = Gcn::new_detached(
+    let mut net = Gcn::new(
         x.cols(),
         5,
         3,
@@ -70,34 +69,33 @@ fn run_block(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix,
         "full-fanout frontier is all nodes"
     );
     let mut out = Matrix::zeros(0, 0);
-    net.forward_block_into(block, x, &mut out);
+    net.forward([&block.ops[1], &block.ops[0]], x, &mut out);
     net.zero_grad();
     let mut gx = Matrix::zeros(0, 0);
-    net.backward_block_into(block, grad, &mut gx);
+    net.backward([&block.ops_t[1], &block.ops_t[0]], grad, &mut gx);
     (out, gx)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Full-fanout block forward/backward == legacy full-graph pass,
-    /// bitwise, at every thread count.
+    /// Full-fanout block forward/backward == full-graph pass, bitwise, at
+    /// every thread count.
     #[test]
     fn full_fanout_block_bitwise_equals_full_graph(graph_seed in 0u64..1000, net_seed in 0u64..1000) {
         let n = 40 + (graph_seed as usize % 23);
         let (_, s) = random_graph(n, 3 * n, graph_seed);
-        let s = Arc::new(s);
         let mut rng = Rng::seed_from_u64(net_seed ^ 0xABCD);
         let x = Matrix::randn(n, 7, 1.0, &mut rng);
         let grad = Matrix::randn(n, 3, 1.0, &mut rng);
 
-        let baseline = with_threads(1, || run_legacy(s.clone(), &x, &grad, net_seed));
+        let baseline = with_threads(1, || run_full(&s, &x, &grad, net_seed));
         for t in THREAD_COUNTS {
-            let legacy = with_threads(t, || run_legacy(s.clone(), &x, &grad, net_seed));
+            let full = with_threads(t, || run_full(&s, &x, &grad, net_seed));
             let block = with_threads(t, || run_block(&s, &x, &grad, net_seed));
-            prop_assert_eq!(bits(&legacy.0), bits(&baseline.0), "legacy fwd, {} threads", t);
+            prop_assert_eq!(bits(&full.0), bits(&baseline.0), "full fwd, {} threads", t);
             prop_assert_eq!(bits(&block.0), bits(&baseline.0), "block fwd, {} threads", t);
-            prop_assert_eq!(bits(&legacy.1), bits(&baseline.1), "legacy bwd, {} threads", t);
+            prop_assert_eq!(bits(&full.1), bits(&baseline.1), "full bwd, {} threads", t);
             prop_assert_eq!(bits(&block.1), bits(&baseline.1), "block bwd, {} threads", t);
         }
     }
@@ -122,7 +120,7 @@ proptest! {
                     &x, &a, &s, &cfg, &mb, &mut Rng::seed_from_u64(seed ^ 0x77),
                 );
                 let mut z = Matrix::zeros(0, 0);
-                gae.embed_access(&s, &x, &mut z);
+                gae.embed(&s, &x, &mut z);
                 (z, gae.final_loss)
             })
         };
@@ -135,21 +133,83 @@ proptest! {
     }
 }
 
-/// Full-fanout mini-batch GAE (all edges per batch is unnecessary — what
-/// matters is that the *access* inference path over the in-memory operator
-/// matches the legacy embed path bitwise).
+/// Embedding through the on-the-fly normalized view of the adjacency (the
+/// out-of-core and streaming operator) matches the materialized `S`
+/// bitwise.
 #[test]
 fn access_inference_matches_legacy_embed() {
     let (a, s) = random_graph(50, 160, 77);
-    let s_arc = Arc::new(s.clone());
     let x = Matrix::randn(50, 6, 1.0, &mut Rng::seed_from_u64(1));
     let cfg = GaeConfig {
         epochs: 4,
         ..Default::default()
     };
-    let mut gae = Gae::train(&x, &a, s_arc, &cfg, &mut Rng::seed_from_u64(2));
-    let legacy = gae.embed(&x);
+    let mut gae = Gae::train(&x, &a, &s, &cfg, &mut Rng::seed_from_u64(2));
+    let mut materialized = Matrix::zeros(0, 0);
+    gae.embed(&s, &x, &mut materialized);
     let mut via_access = Matrix::zeros(0, 0);
-    gae.embed_access(&s, &x, &mut via_access);
-    assert_eq!(bits(&legacy), bits(&via_access));
+    gae.embed(&SymNormalized::new(&a), &x, &mut via_access);
+    assert_eq!(bits(&materialized), bits(&via_access));
+}
+
+/// FNV-1a over the bit patterns of every value, in order.
+fn fnv1a(parts: &[&Matrix]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for m in parts {
+        for v in m.data() {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn uniform(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| rng.f64() - 0.5).collect(),
+    )
+}
+
+/// The parity tests above compare the one kernel with itself; this pins
+/// its bits, so a change to the GCN's arithmetic shows up here. Inputs are
+/// drawn with `Rng::f64` only and the activations are ReLU and identity,
+/// so no libm call reaches a pinned value. A deliberate change to the
+/// arithmetic must update the constants (and say so).
+#[test]
+fn gcn_output_bits_are_pinned() {
+    let (_, s) = random_graph(48, 150, 2024);
+    let mut rng = Rng::seed_from_u64(99);
+    let x = uniform(48, 5, &mut rng);
+    let grad = uniform(48, 3, &mut rng);
+    let mut net = Gcn::new(5, 6, 3, Activation::Identity, &mut Rng::seed_from_u64(7));
+    let (mut out, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+
+    // Over the materialized S.
+    net.forward([&s, &s], &x, &mut out);
+    net.zero_grad();
+    net.backward([&s, &s], &grad, &mut gx);
+    assert_eq!(fnv1a(&[&out, &gx]), 0xc97a_fd0e_ad5e_5ff1, "full graph");
+
+    // Over a truncated-fanout sampled block.
+    let seeds = [1usize, 4, 9, 16, 25, 36];
+    let mut sampler = NeighborSampler::new(SamplerConfig {
+        fanouts: vec![2, 2],
+        seed: 3,
+    });
+    let block = sampler.sample(&s, &seeds, 1, 2);
+    assert!(block.inputs().len() < 48, "fanout 2 truncates the frontier");
+    let xb = x.select_rows(block.inputs());
+    let gb = grad.select_rows(&seeds);
+    net.forward([&block.ops[1], &block.ops[0]], &xb, &mut out);
+    net.zero_grad();
+    net.backward([&block.ops_t[1], &block.ops_t[0]], &gb, &mut gx);
+    assert_eq!(fnv1a(&[&out, &gx]), 0x1be0_3520_7a6b_30f9, "sampled block");
+
+    // Through the rows-subset forward.
+    net.forward_rows(&s, &[2, 3, 17, 40], &x, &mut out);
+    assert_eq!(fnv1a(&[&out]), 0x4dd4_ccad_2df3_6224, "row subset");
 }

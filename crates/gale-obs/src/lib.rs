@@ -11,7 +11,7 @@
 //!   [`metrics::Histogram`]s. The [`counter_add!`], [`gauge_set!`], and
 //!   [`hist_record!`] macros compile down to a single relaxed atomic load
 //!   when telemetry is disabled.
-//! * **Spans & events** ([`span`]): [`span!`] produces nested, wall-clock
+//! * **Spans & events** ([`span`](mod@span)): [`span!`] produces nested, wall-clock
 //!   timed spans with key-value fields; [`event!`] emits point-in-time
 //!   records. Both serialize to a JSONL trace via the [`trace`] sink, and
 //!   both stamp the current request id ([`span::request_scope`]) so a

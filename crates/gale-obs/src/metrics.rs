@@ -4,7 +4,7 @@
 //! Metrics are keyed by name and live for the whole process (entries are
 //! leaked on first registration so handles are `&'static` and updates are
 //! plain atomic operations with no lock). The registry itself is sharded
-//! across [`SHARDS`] mutexes hashed by name, so concurrent first-time
+//! across `SHARDS` mutexes hashed by name, so concurrent first-time
 //! registrations from the worker pool do not serialize on one lock; after
 //! registration (macros cache the handle in a per-call-site `OnceLock`)
 //! no lock is touched at all.

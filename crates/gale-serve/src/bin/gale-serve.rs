@@ -208,14 +208,14 @@ fn stream_demo(args: &[String]) -> Result<(), String> {
         epochs: 20,
         ..Default::default()
     };
-    let s_norm = std::sync::Arc::new(a.sym_normalized_with_self_loops());
-    let mut gae = gale_nn::Gae::train(&x, &a, s_norm, &gae_cfg, &mut rng);
+    let s_norm = a.sym_normalized_with_self_loops();
+    let mut gae = gale_nn::Gae::train(&x, &a, &s_norm, &gae_cfg, &mut rng);
     gale_obs::info!("stream-demo: GAE trained (loss {:.4})", gae.final_loss);
 
     // Embed through the access path — the exact operator the streaming
     // engine rebuilds at load time, so bundle bits match serving bits.
     let mut z = Matrix::zeros(0, 0);
-    gae.embed_access(&SymNormalized::new(&a), &x, &mut z);
+    gae.embed(&SymNormalized::new(&a), &x, &mut z);
     let mut inputs = Matrix::zeros(n, dim + z.cols());
     for r in 0..n {
         let row = inputs.row_mut(r);

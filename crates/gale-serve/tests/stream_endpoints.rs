@@ -26,10 +26,7 @@ fn engine(n: usize, seed: u64) -> StreamEngine {
     }
     let a = SparseMatrix::from_triplets(n, n, t);
     let x = Matrix::randn(n, DX, 1.0, &mut rng);
-    let gae = Gae::from_parts(
-        Gcn::new_detached(DX, 6, DZ, Activation::Identity, &mut rng),
-        0.0,
-    );
+    let gae = Gae::from_parts(Gcn::new(DX, 6, DZ, Activation::Identity, &mut rng), 0.0);
     let sgan = Sgan::new(
         DX + DZ,
         &SganConfig {

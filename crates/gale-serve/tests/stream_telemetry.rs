@@ -37,7 +37,7 @@ fn engine(rng: &mut Rng) -> StreamEngine {
     let ring = (0..n).flat_map(|i| [(i, (i + 1) % n, 1.0), ((i + 1) % n, i, 1.0)]);
     let a = SparseMatrix::from_triplets(n, n, ring);
     let x = Matrix::randn(n, DX, 1.0, rng);
-    let gae = Gae::from_parts(Gcn::new_detached(DX, 6, DZ, Activation::Identity, rng), 0.0);
+    let gae = Gae::from_parts(Gcn::new(DX, 6, DZ, Activation::Identity, rng), 0.0);
     let sgan = sgan(rng);
     let policy = CompactionPolicy {
         min_churn: 1,

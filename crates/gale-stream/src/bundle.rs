@@ -22,9 +22,8 @@ use gale_core::{ColumnStandardizer, Sgan};
 use gale_json::{json, Value};
 use gale_nn::checkpoint::{load_gae, save_gae, tensor_from_json, tensor_to_json};
 use gale_nn::Gae;
-use gale_tensor::{Matrix, NeighborAccess, SparseMatrix};
+use gale_tensor::{Matrix, NeighborAccess};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Manifest file name inside a bundle directory.
 pub const MANIFEST: &str = "bundle.json";
@@ -123,16 +122,7 @@ pub fn load_bundle(dir: &Path, cfg: StreamConfig) -> std::io::Result<StreamEngin
             store.cols()
         )));
     }
-    // `load_gae` wants the training adjacency for its internal operator;
-    // the streaming engine always embeds through its own delta view, so a
-    // materialized copy of the same bits is exactly right.
-    let mut triplets = Vec::with_capacity(store.nnz());
-    for r in 0..store.rows() {
-        store.visit_neighbors(r, &mut |c, v| triplets.push((r, c, v)));
-    }
-    let sparse = Arc::new(SparseMatrix::from_triplets(nodes, nodes, triplets));
-    let gae = load_gae(dir.join(GAE_CKPT), Arc::clone(&sparse))
-        .map_err(|e| bad(format!("gae checkpoint: {e}")))?;
+    let gae = load_gae(dir.join(GAE_CKPT)).map_err(|e| bad(format!("gae checkpoint: {e}")))?;
     let sgan = Sgan::load(dir.join(SGAN_CKPT)).map_err(|e| bad(format!("sgan checkpoint: {e}")))?;
 
     let graph = DeltaGraph::new(BaseGraph::Store(store));

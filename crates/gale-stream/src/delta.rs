@@ -3,7 +3,7 @@
 //!
 //! ## Overlay layout
 //!
-//! Each mutated row carries a [`RowOverlay`]: a `BTreeMap` of added
+//! Each mutated row carries a `RowOverlay`: a `BTreeMap` of added
 //! `(col, weight)` entries and a `BTreeSet` of masked base columns. The
 //! invariant is that a column lives in **either** the added map **or**
 //! the visible part of the base row, never both — re-weighting a base

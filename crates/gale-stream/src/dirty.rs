@@ -15,7 +15,7 @@
 //! both propagation hops: the 2-hop closure of `{v}`, marked once.
 //!
 //! Dirty nodes live in a `BTreeSet`, so draining yields the sorted order
-//! the incremental refresh ([`gale_nn::Gcn::forward_rows_access_into`])
+//! the incremental refresh ([`gale_nn::Gcn::forward_rows`])
 //! requires, deterministically.
 
 use gale_tensor::NeighborAccess;

@@ -130,7 +130,7 @@ impl StreamEngine {
         let mut z = Matrix::zeros(0, 0);
         {
             let op = SymNormalized::new(&graph);
-            gae.embed_access(&op, &x, &mut z);
+            gae.embed(&op, &x, &mut z);
         }
         let mut inputs = concat_rows(&x, &z);
         let standardizer = match standardizer {
@@ -380,7 +380,7 @@ impl StreamEngine {
         let mut z_sub = Matrix::zeros(0, 0);
         {
             let op = SymNormalized::new(&self.graph);
-            self.gae.embed_rows_access(&op, &rows, &self.x, &mut z_sub);
+            self.gae.embed_rows(&op, &rows, &self.x, &mut z_sub);
         }
         let dx = self.x.cols();
         let dz = self.z.cols();
@@ -414,7 +414,7 @@ impl StreamEngine {
     pub fn rescore_full(&mut self) -> usize {
         {
             let op = SymNormalized::new(&self.graph);
-            self.gae.embed_access(&op, &self.x, &mut self.z);
+            self.gae.embed(&op, &self.x, &mut self.z);
         }
         let mut inputs = concat_rows(&self.x, &self.z);
         self.standardizer.apply(&mut inputs);

@@ -19,10 +19,7 @@ const DZ: usize = 3;
 /// Deterministic model pair: same seed → identical weight bits.
 fn artifacts(seed: u64) -> (Gae, Sgan) {
     let mut rng = Rng::seed_from_u64(seed);
-    let gae = Gae::from_parts(
-        Gcn::new_detached(DX, HID, DZ, Activation::Identity, &mut rng),
-        0.0,
-    );
+    let gae = Gae::from_parts(Gcn::new(DX, HID, DZ, Activation::Identity, &mut rng), 0.0);
     let cfg = SganConfig {
         d_hidden: vec![8, 5],
         g_hidden: vec![8],

@@ -1,16 +1,17 @@
-//! Neighborhood access and induced CSR blocks for mini-batch training.
+//! Neighborhood access: one sparse × dense product for every operator.
 //!
 //! [`NeighborAccess`] abstracts "a sparse row-major operator whose rows can
-//! be visited in ascending column order" over both the in-memory
-//! [`SparseMatrix`](crate::SparseMatrix) and out-of-core stores (the
-//! memory-mapped CSR file in `gale-graph`). [`CsrBlock`] is a reusable
-//! induced sub-operator — the per-batch `|seeds| x |frontier|` slice a
-//! neighbor sampler materializes — with the same fixed per-row accumulation
-//! contract as `SparseMatrix`, so computing a subset of rows is bitwise
-//! identical to those rows of the full product at any thread count.
+//! be visited in ascending column order" over the in-memory
+//! [`SparseMatrix`] (the full `S`, or the per-batch `|seeds| x |frontier|`
+//! slice a neighbor sampler materializes), the on-the-fly
+//! [`SymNormalized`] view, and out-of-core stores (the memory-mapped CSR
+//! file in `gale-graph`). [`spmm_access_into`] is the only sparse × dense
+//! product: it accumulates each output row in visit order, so a subset of
+//! rows is bitwise identical to those rows of the full product, over any
+//! backing, at any thread count.
 
 use crate::matrix::Matrix;
-use crate::sparse::{csr_spmm_into, SparseMatrix};
+use crate::sparse::SparseMatrix;
 
 /// Read access to the rows of a sparse operator.
 ///
@@ -63,6 +64,7 @@ impl NeighborAccess for SparseMatrix {
         self.row_nnz(r)
     }
 
+    #[inline]
     fn visit_neighbors(&self, r: usize, f: &mut dyn FnMut(usize, f64)) {
         for (c, v) in self.row_iter(r) {
             f(c, v);
@@ -108,11 +110,6 @@ impl<'a, A: NeighborAccess + ?Sized> SymNormalized<'a, A> {
             *slot = if deg > 0.0 { 1.0 / deg.sqrt() } else { 0.0 };
         }
         SymNormalized { inner, inv_sqrt }
-    }
-
-    /// The `D̃^{-1/2}` diagonal.
-    pub fn inv_sqrt_degrees(&self) -> &[f64] {
-        &self.inv_sqrt
     }
 }
 
@@ -161,166 +158,15 @@ impl<A: NeighborAccess + ?Sized> NeighborAccess for SymNormalized<'_, A> {
     }
 }
 
-/// A reusable CSR sub-operator built row by row.
+/// `out = A * dense` for any [`NeighborAccess`] operator: the workspace's
+/// one sparse × dense product. Parallel over disjoint row chunks, each
+/// output row accumulated in the operator's visit order, so the result is
+/// bitwise identical on any thread count, and a row is the same bits
+/// whichever operator (full, sampled slice, or on-the-fly view) yields the
+/// same entries for it. `out` is resized to `node_count x dense.cols()`.
 ///
-/// Unlike [`SparseMatrix`] it is mutable-by-append and keeps its
-/// allocations across [`CsrBlock::reset`] calls, so a sampler can
-/// materialize one block per batch without per-batch allocation. Entries
-/// within a row must be pushed in the order the downstream product should
-/// accumulate them (ascending source column for bitwise parity with the
-/// full-graph path).
-#[derive(Debug, Clone, Default)]
-pub struct CsrBlock {
-    rows: usize,
-    cols: usize,
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CsrBlock {
-    /// An empty block.
-    pub fn new() -> Self {
-        CsrBlock {
-            rows: 0,
-            cols: 0,
-            indptr: vec![0],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Clears the block for reuse as a `0 x cols` operator, keeping
-    /// capacity.
-    pub fn reset(&mut self, cols: usize) {
-        self.rows = 0;
-        self.cols = cols;
-        self.indptr.clear();
-        self.indptr.push(0);
-        self.indices.clear();
-        self.values.clear();
-    }
-
-    /// Appends an entry to the row currently being built.
-    #[inline]
-    pub fn push(&mut self, col: usize, value: f64) {
-        debug_assert!(col < self.cols, "CsrBlock::push: col {col} out of range");
-        self.indices.push(col);
-        self.values.push(value);
-    }
-
-    /// Seals the row currently being built.
-    #[inline]
-    pub fn finish_row(&mut self) {
-        self.rows += 1;
-        self.indptr.push(self.indices.len());
-    }
-
-    /// Number of rows sealed so far.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column-space width.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Iterator over `(col, value)` pairs of row `r`.
-    #[inline]
-    pub fn row_iter(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let lo = self.indptr[r];
-        let hi = self.indptr[r + 1];
-        self.indices[lo..hi]
-            .iter()
-            .zip(&self.values[lo..hi])
-            .map(|(&c, &v)| (c, v))
-    }
-
-    /// Block-sparse * dense product into a reusable buffer; same parallel
-    /// row-chunk layout and fixed per-row accumulation as
-    /// [`SparseMatrix::spmm_into`].
-    pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            dense.rows(),
-            "CsrBlock::spmm_into: {}x{} * {}x{}",
-            self.rows,
-            self.cols,
-            dense.rows(),
-            dense.cols()
-        );
-        gale_obs::counter_add!("kernel.spmm.calls", 1);
-        gale_obs::counter_add!("kernel.spmm.flops", (2 * self.nnz() * dense.cols()) as u64);
-        csr_spmm_into(
-            &self.indptr,
-            &self.indices,
-            &self.values,
-            self.rows,
-            dense,
-            out,
-        );
-    }
-
-    /// Rebuilds `out` as this block's transpose. The counting sort is
-    /// stable, so each transposed row lists its entries in ascending source
-    /// row — for a block whose rows were pushed in ascending global-id
-    /// order, products against the transpose accumulate in the same order
-    /// as a gather over the symmetric full operator's rows.
-    pub fn transpose_into(&self, out: &mut CsrBlock) {
-        out.rows = self.cols;
-        out.cols = self.rows;
-        out.indptr.clear();
-        out.indptr.resize(self.cols + 1, 0);
-        out.indices.clear();
-        out.indices.resize(self.nnz(), 0);
-        out.values.clear();
-        out.values.resize(self.nnz(), 0.0);
-        for &c in &self.indices {
-            out.indptr[c + 1] += 1;
-        }
-        for i in 1..out.indptr.len() {
-            out.indptr[i] += out.indptr[i - 1];
-        }
-        let mut cursor: Vec<usize> = out.indptr[..self.cols].to_vec();
-        for r in 0..self.rows {
-            for (c, v) in self.row_iter(r) {
-                let slot = cursor[c];
-                out.indices[slot] = r;
-                out.values[slot] = v;
-                cursor[c] += 1;
-            }
-        }
-    }
-}
-
-impl NeighborAccess for CsrBlock {
-    fn node_count(&self) -> usize {
-        self.rows
-    }
-
-    fn neighbor_count(&self, r: usize) -> usize {
-        self.indptr[r + 1] - self.indptr[r]
-    }
-
-    fn visit_neighbors(&self, r: usize, f: &mut dyn FnMut(usize, f64)) {
-        for (c, v) in self.row_iter(r) {
-            f(c, v);
-        }
-    }
-}
-
-/// `out = A * dense` for any [`NeighborAccess`] operator, parallel over
-/// row chunks with fixed per-row accumulation order (bitwise identical on
-/// any thread count). `out` is resized to `node_count x dense.cols()`.
+/// Counts `kernel.spmm.calls` and `kernel.spmm.flops` (two per visited
+/// entry per dense column).
 pub fn spmm_access_into<A: NeighborAccess + Sync + ?Sized>(
     a: &A,
     dense: &Matrix,
@@ -332,15 +178,18 @@ pub fn spmm_access_into<A: NeighborAccess + Sync + ?Sized>(
     gale_obs::counter_add!("kernel.spmm.calls", 1);
     crate::par::par_chunks_mut(out.data_mut(), n.max(1), |start, block| {
         let row0 = start / n.max(1);
+        let mut entries = 0usize;
         for (b, orow) in block.chunks_mut(n).enumerate() {
             orow.fill(0.0);
             a.visit_neighbors(row0 + b, &mut |c, v| {
+                entries += 1;
                 let drow = dense.row(c);
                 for j in 0..n {
                     orow[j] += v * drow[j];
                 }
             });
         }
+        gale_obs::counter_add!("kernel.spmm.flops", 2 * entries * n);
     });
 }
 
@@ -381,11 +230,11 @@ mod tests {
         let mut rng = Rng::seed_from_u64(7);
         let s = random_sparse(37, 29, 5, &mut rng);
         let d = Matrix::randn(29, 8, 1.0, &mut rng);
-        let full = s.matmul_dense(&d);
+        let mut full = Matrix::zeros(0, 0);
+        spmm_access_into(&s, &d, &mut full);
         // Copy a subset of rows into a block and compare bitwise.
         let picked = [0usize, 3, 9, 17, 36];
-        let mut b = CsrBlock::new();
-        b.reset(29);
+        let mut b = SparseMatrix::zeros(0, 29);
         for &r in &picked {
             for (c, v) in s.row_iter(r) {
                 b.push(c, v);
@@ -393,7 +242,7 @@ mod tests {
             b.finish_row();
         }
         let mut out = Matrix::zeros(0, 0);
-        b.spmm_into(&d, &mut out);
+        spmm_access_into(&b, &d, &mut out);
         for (bi, &r) in picked.iter().enumerate() {
             let got: Vec<u64> = out.row(bi).iter().map(|f| f.to_bits()).collect();
             let want: Vec<u64> = full.row(r).iter().map(|f| f.to_bits()).collect();
@@ -405,23 +254,12 @@ mod tests {
     fn transpose_roundtrip_matches_sparse_transpose() {
         let mut rng = Rng::seed_from_u64(8);
         let s = random_sparse(23, 31, 4, &mut rng);
-        let mut b = CsrBlock::new();
-        b.reset(31);
-        for r in 0..23 {
-            for (c, v) in s.row_iter(r) {
-                b.push(c, v);
-            }
-            b.finish_row();
-        }
-        let mut t = CsrBlock::new();
-        b.transpose_into(&mut t);
-        let st = s.transpose();
-        assert_eq!(t.rows(), 31);
-        for r in 0..31 {
-            let got: Vec<(usize, f64)> = t.row_iter(r).collect();
-            let want: Vec<(usize, f64)> = st.row_iter(r).collect();
-            assert_eq!(got, want, "transposed row {r}");
-        }
+        let (mut t, mut tt) = (SparseMatrix::zeros(0, 0), SparseMatrix::zeros(0, 0));
+        s.transpose_into(&mut t);
+        assert_eq!((t.rows(), t.cols()), (31, 23));
+        assert_eq!(t.to_dense(), s.to_dense().transpose());
+        t.transpose_into(&mut tt);
+        assert_eq!(tt, s);
     }
 
     #[test]
@@ -455,7 +293,15 @@ mod tests {
         let mut rng = Rng::seed_from_u64(10);
         let s = random_sparse(41, 41, 6, &mut rng);
         let d = Matrix::randn(41, 5, 1.0, &mut rng);
-        let want = s.matmul_dense(&d);
+        // Reference: each row accumulated in stored-entry order.
+        let mut want: Matrix = Matrix::zeros(41, 5);
+        for r in 0..41 {
+            for (c, v) in s.row_iter(r) {
+                for j in 0..5 {
+                    want[(r, j)] += v * d[(c, j)];
+                }
+            }
+        }
         let mut got = Matrix::zeros(0, 0);
         spmm_access_into(&s, &d, &mut got);
         assert_eq!(

@@ -21,19 +21,8 @@
 //!   reference; they match within `1e-9` relative to the operand norm
 //!   scale (`1 + |x|² + |y|²`), enforced by property tests. Negative
 //!   round-off is clamped to zero before any `sqrt`.
-//! * **Exact escape hatch.** Setting `GALE_EXACT_DIST=1` routes every
-//!   blocked kernel through the scalar reference per pair, for bitwise
-//!   A/B runs against pre-kernel behavior.
 
 use crate::element::Element;
-use std::sync::OnceLock;
-
-/// True when `GALE_EXACT_DIST=1`: blocked kernels fall back to the scalar
-/// reference per pair (read once per process).
-pub fn exact_dist_mode() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| std::env::var("GALE_EXACT_DIST").is_ok_and(|v| v == "1"))
-}
 
 /// Euclidean (L2) distance between two equal-length vectors.
 #[inline]
@@ -168,20 +157,6 @@ pub fn pairwise_euclidean_into(points: &crate::Matrix, out: &mut crate::Matrix) 
 #[inline]
 pub fn row_norm_sq<E: Element>(row: &[E]) -> E {
     E::dot_chain(row, row)
-}
-
-/// Generic body of [`squared_euclidean`]: one ascending accumulation
-/// chain, bitwise identical to the f64 iterator-sum reference for
-/// `E = f64`. Used by the `GALE_EXACT_DIST=1` branches of the generic
-/// blocked kernels.
-#[inline]
-fn squared_euclidean_e<E: Element>(a: &[E], b: &[E]) -> E {
-    let mut s = E::ZERO;
-    for (x, y) in a.iter().zip(b) {
-        let d = *x - *y;
-        s += d * d;
-    }
-    s
 }
 
 /// Dot product over the same fixed eight-lane chain as [`row_norm_sq`], so
@@ -1328,9 +1303,7 @@ pub fn row_norms_sq<E: Element>(points: &crate::Matrix<E>) -> Vec<E> {
 ///
 /// The Gram product `x·yᵀ` goes through the register-tiled GEMM directly
 /// into `out`, then a second parallel pass rewrites each element as
-/// `xn[i] + yn[j] − 2·g[i][j]` clamped at zero. Under `GALE_EXACT_DIST=1`
-/// the whole matrix is instead filled with scalar [`squared_euclidean`]
-/// calls.
+/// `xn[i] + yn[j] − 2·g[i][j]` clamped at zero.
 pub fn pairwise_sq_with_norms_into<E: Element>(
     x: &crate::Matrix<E>,
     y: &crate::Matrix<E>,
@@ -1347,19 +1320,6 @@ pub fn pairwise_sq_with_norms_into<E: Element>(
         "kernel.pairwise_sq.flops",
         (n * m * (2 * x.cols() + 3)) as u64
     );
-    if exact_dist_mode() {
-        out.resize(n, m);
-        crate::par::par_chunks_mut(out.data_mut(), m.max(1), |start, block| {
-            let first_row = start / m.max(1);
-            for (b, orow) in block.chunks_mut(m).enumerate() {
-                let i = first_row + b;
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = squared_euclidean_e(x.row(i), y.row(j));
-                }
-            }
-        });
-        return;
-    }
     x.matmul_nt_into(y, out);
     crate::par::par_chunks_mut(out.data_mut(), m.max(1), |start, block| {
         let first_row = start / m.max(1);
@@ -1407,14 +1367,7 @@ pub fn dists_to_row_into<E: Element>(
         "kernel.dist_row.flops",
         (points.rows() * (2 * points.cols() + 4)) as u64
     );
-    let exact = exact_dist_mode();
     crate::par::par_chunks_mut(out, 1, |start, chunk| {
-        if exact {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = squared_euclidean_e(points.row(start + off), target).sqrt();
-            }
-            return;
-        }
         // Two passes per chunk: Gram-trick squared distances first (the
         // element type's interleaved dot chains), then a dependence-free
         // sqrt sweep the vectorizer can pack.
@@ -1446,8 +1399,7 @@ fn fill_sq_to_row<E: Element>(
 
 /// As [`dists_to_row_into`] but **squared** (no sqrt pass): the shape the
 /// k-means++ seeding and other nearest-centroid scans consume. Same
-/// determinism contract; `GALE_EXACT_DIST=1` falls back to scalar
-/// [`squared_euclidean`] per pair.
+/// determinism contract.
 pub fn sq_dists_to_row_into<E: Element>(
     points: &crate::Matrix<E>,
     norms: &[E],
@@ -1462,14 +1414,7 @@ pub fn sq_dists_to_row_into<E: Element>(
         "kernel.dist_row.flops",
         (points.rows() * (2 * points.cols() + 3)) as u64
     );
-    let exact = exact_dist_mode();
     crate::par::par_chunks_mut(out, 1, |start, chunk| {
-        if exact {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = squared_euclidean_e(points.row(start + off), target);
-            }
-            return;
-        }
         fill_sq_to_row(points, norms, target, target_sq, start, chunk);
     });
 }
@@ -1499,16 +1444,9 @@ pub fn indexed_dists_to_row_into<E: Element>(
         "kernel.dist_row.flops",
         (indices.len() * (2 * points.cols() + 4)) as u64
     );
-    let exact = exact_dist_mode();
     let trow = points.row(target);
     let tsq = norms[target];
     crate::par::par_chunks_mut(out, 1, |start, chunk| {
-        if exact {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = squared_euclidean_e(points.row(indices[start + off]), trow).sqrt();
-            }
-            return;
-        }
         fill_sq_indexed(points, norms, indices, trow, tsq, start, chunk);
         // Dependence-free sqrt sweep, vectorizable separately from the
         // gathered dot pass.

@@ -182,7 +182,6 @@ pub fn kmeans(points: &Matrix, cfg: &KMeansConfig, rng: &mut Rng) -> KMeansResul
     let mut survivors: Vec<usize> = Vec::new();
     let mut move_c = vec![0.0f64; k];
     let mut old = vec![0.0f64; d];
-    let exact = distance::exact_dist_mode();
 
     for it in 0..cfg.max_iter {
         iterations = it + 1;
@@ -215,16 +214,12 @@ pub fn kmeans(points: &Matrix, cfg: &KMeansConfig, rng: &mut Rng) -> KMeansResul
                         continue;
                     }
                     let c = assignments[i];
-                    let sq = if exact {
-                        squared_euclidean(points.row(i), centroids.row(c))
-                    } else {
-                        let g = distance::gram_sq(
-                            pnorms[i],
-                            cnorms[c],
-                            distance::dot_unrolled(points.row(i), centroids.row(c)),
-                        );
-                        g * BOUND_SLACK + 1e-12 * (pnorms[i] + cnorms[c])
-                    };
+                    let g = distance::gram_sq(
+                        pnorms[i],
+                        cnorms[c],
+                        distance::dot_unrolled(points.row(i), centroids.row(c)),
+                    );
+                    let sq = g * BOUND_SLACK + 1e-12 * (pnorms[i] + cnorms[c]);
                     b.upper = sq.sqrt();
                     b.tightened = true;
                     if b.upper >= b.lower {
@@ -279,15 +274,11 @@ pub fn kmeans(points: &Matrix, cfg: &KMeansConfig, rng: &mut Rng) -> KMeansResul
                     // Gram-trick inertia: both the pruned and unpruned
                     // variants run this same expression, so their reported
                     // inertia stays bitwise equal.
-                    inertia += if exact {
-                        squared_euclidean(points.row(i), centroids.row(c))
-                    } else {
-                        distance::gram_sq(
-                            pnorms[i],
-                            cnorms[c],
-                            distance::dot_unrolled(points.row(i), centroids.row(c)),
-                        )
-                    };
+                    inertia += distance::gram_sq(
+                        pnorms[i],
+                        cnorms[c],
+                        distance::dot_unrolled(points.row(i), centroids.row(c)),
+                    );
                     counts[c] += 1;
                     for (s, &p) in sums.row_mut(c).iter_mut().zip(points.row(i)) {
                         *s += p;
@@ -376,8 +367,7 @@ fn plus_plus_init(points: &Matrix, k: usize, rng: &mut Rng) -> Matrix {
     let first = rng.below(n);
     centroids.set_row(0, points.row(first));
 
-    // Seeding distances go through the blocked row kernel (scalar per pair
-    // under GALE_EXACT_DIST=1). A chosen centroid's self-pair cancels to
+    // Seeding distances go through the blocked row kernel. A chosen centroid's self-pair cancels to
     // exactly zero — the kernel's norm and dot share one summation order —
     // so `weighted` can never re-draw an already-picked point.
     let pnorms = distance::row_norms_sq(points);

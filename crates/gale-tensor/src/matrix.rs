@@ -2,7 +2,7 @@
 //!
 //! This is the numeric workhorse underneath GALE's neural layers, PCA, and
 //! clustering. It deliberately stays small and predictable: row-major
-//! layout, register-tiled matrix multiplies (see [`crate::gemm`]) with an
+//! layout, register-tiled matrix multiplies (see the private `gemm` module) with an
 //! ascending-`k` determinism guarantee, and `_into` variants of every hot
 //! product so training loops can reuse output buffers instead of
 //! reallocating each step.

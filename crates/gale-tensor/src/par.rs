@@ -91,7 +91,7 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Deterministic chunk boundaries for a loop over `0..n`: at most
-/// [`MAX_CHUNKS`] near-equal ranges, a pure function of `n`.
+/// `MAX_CHUNKS` near-equal ranges, a pure function of `n`.
 pub fn chunk_ranges(n: usize) -> Vec<Range<usize>> {
     let chunks = n.min(MAX_CHUNKS);
     (0..chunks)

@@ -66,7 +66,8 @@ impl SparseMatrix {
         }
     }
 
-    /// An all-zero sparse matrix.
+    /// An all-zero sparse matrix. `zeros(0, cols)` is an empty operator
+    /// to build row by row with [`SparseMatrix::push`].
     pub fn zeros(rows: usize, cols: usize) -> Self {
         SparseMatrix {
             rows,
@@ -86,6 +87,41 @@ impl SparseMatrix {
             indices: (0..n).collect(),
             values: vec![1.0; n],
         }
+    }
+
+    /// Clears the matrix for reuse as a `0 x cols` operator built row by
+    /// row with [`SparseMatrix::push`] and [`SparseMatrix::finish_row`],
+    /// keeping its allocations (a sampler rebuilds one per batch).
+    pub fn reset(&mut self, cols: usize) {
+        self.rows = 0;
+        self.cols = cols;
+        self.indptr.clear();
+        self.indptr.push(0);
+        self.indices.clear();
+        self.values.clear();
+    }
+
+    /// Appends an entry to the row currently being built. Columns must
+    /// ascend within a row.
+    #[inline]
+    pub fn push(&mut self, col: usize, value: f64) {
+        debug_assert!(
+            col < self.cols,
+            "SparseMatrix::push: col {col} out of range"
+        );
+        debug_assert!(
+            self.indices.len() == self.indptr[self.rows] || self.indices.last() < Some(&col),
+            "SparseMatrix::push: col {col} does not ascend"
+        );
+        self.indices.push(col);
+        self.values.push(value);
+    }
+
+    /// Seals the row currently being built.
+    #[inline]
+    pub fn finish_row(&mut self) {
+        self.rows += 1;
+        self.indptr.push(self.indices.len());
     }
 
     /// Number of rows.
@@ -143,87 +179,6 @@ impl SparseMatrix {
         }
     }
 
-    /// Sparse * dense product, producing a dense matrix.
-    ///
-    /// Rows of the output are independent, so the product runs in parallel
-    /// over row blocks; each row's accumulation order is fixed by the CSR
-    /// layout, making the result bitwise identical on any thread count.
-    pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.spmm_into(dense, &mut out);
-        out
-    }
-
-    /// [`SparseMatrix::matmul_dense`] writing into a reusable output buffer
-    /// (resized in place; previous contents are discarded).
-    pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            dense.rows(),
-            "matmul_dense: {}x{} * {}x{}",
-            self.rows,
-            self.cols,
-            dense.rows(),
-            dense.cols()
-        );
-        let n = dense.cols();
-        gale_obs::counter_add!("kernel.spmm.calls", 1);
-        gale_obs::counter_add!("kernel.spmm.flops", (2 * self.nnz() * n) as u64);
-        gale_obs::counter_add!(
-            "kernel.spmm.bytes",
-            (8 * (2 * self.nnz() + self.nnz() * n + self.rows * n)) as u64
-        );
-        csr_spmm_into(
-            &self.indptr,
-            &self.indices,
-            &self.values,
-            self.rows,
-            dense,
-            out,
-        );
-    }
-
-    /// [`SparseMatrix::spmm_into`] against a reduced-precision dense
-    /// operand: CSR values stay `f64` on disk and are lowered to `E` at
-    /// accumulate time, mirroring the f64 kernel's row-major, CSR-order
-    /// accumulation exactly. For `E = f64` the lowering is the identity and
-    /// the result is bitwise equal to [`SparseMatrix::spmm_into`]; for
-    /// `E = f32` it is the same deterministic chain at single precision.
-    pub fn spmm_lowered_into<E: crate::Element>(&self, dense: &Matrix<E>, out: &mut Matrix<E>) {
-        assert_eq!(
-            self.cols,
-            dense.rows(),
-            "spmm_lowered_into: {}x{} * {}x{}",
-            self.rows,
-            self.cols,
-            dense.rows(),
-            dense.cols()
-        );
-        let n = dense.cols();
-        gale_obs::counter_add!("kernel.spmm.calls", 1);
-        gale_obs::counter_add!("kernel.spmm.flops", (2 * self.nnz() * n) as u64);
-        gale_obs::counter_add!(
-            "kernel.spmm.bytes",
-            (std::mem::size_of::<E>() * (2 * self.nnz() + self.nnz() * n + self.rows * n)) as u64
-        );
-        out.resize(self.rows, n);
-        let (indptr, indices, values) = (&self.indptr, &self.indices, &self.values);
-        crate::par::par_chunks_mut(out.data_mut(), n.max(1), |start, block| {
-            let row0 = start / n.max(1);
-            for (b, orow) in block.chunks_mut(n).enumerate() {
-                orow.fill(E::ZERO);
-                let r = row0 + b;
-                for k in indptr[r]..indptr[r + 1] {
-                    let v = E::from_f64(values[k]);
-                    let drow = dense.row(indices[k]);
-                    for j in 0..n {
-                        orow[j] += v * drow[j];
-                    }
-                }
-            }
-        });
-    }
-
     /// The `(row, col)` coordinates of the `k`-th stored entry in row-major
     /// CSR order (`k < nnz()`). O(log rows) via the row-pointer table.
     pub fn entry_coords(&self, k: usize) -> (usize, usize) {
@@ -247,50 +202,36 @@ impl SparseMatrix {
         out
     }
 
-    /// Transposed sparse * vector product (`self^T * v`) without building the
-    /// transpose.
-    ///
-    /// Rows scatter into shared output columns, so the parallel path gives
-    /// each chunk of rows its own partial output vector and folds the
-    /// partials on the caller thread in **ascending chunk order**. The
-    /// chunking is a pure function of the row count, so results are bitwise
-    /// identical across thread counts.
-    pub fn matvec_t(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, v.len(), "matvec_t: height mismatch");
-        crate::par::par_map_reduce(
-            self.rows,
-            |range| {
-                let mut partial = vec![0.0; self.cols];
-                for r in range {
-                    let vr = v[r];
-                    if vr == 0.0 {
-                        continue;
-                    }
-                    for (c, w) in self.row_iter(r) {
-                        partial[c] += w * vr;
-                    }
-                }
-                partial
-            },
-            |mut acc, partial| {
-                for (a, p) in acc.iter_mut().zip(&partial) {
-                    *a += p;
-                }
-                acc
-            },
-        )
-        .unwrap_or_else(|| vec![0.0; self.cols])
-    }
-
-    /// Materializes the transpose in CSR form.
-    pub fn transpose(&self) -> SparseMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+    /// Rebuilds `out` as this matrix's transpose, reusing its allocations.
+    /// The counting sort is stable, so each transposed row lists its
+    /// entries in ascending source row: for a block whose rows were pushed
+    /// in ascending global-id order, products against the transpose
+    /// accumulate in the same order as a gather over the symmetric full
+    /// operator's rows.
+    pub fn transpose_into(&self, out: &mut SparseMatrix) {
+        out.rows = self.cols;
+        out.cols = self.rows;
+        out.indptr.clear();
+        out.indptr.resize(self.cols + 1, 0);
+        out.indices.clear();
+        out.indices.resize(self.nnz(), 0);
+        out.values.clear();
+        out.values.resize(self.nnz(), 0.0);
+        for &c in &self.indices {
+            out.indptr[c + 1] += 1;
+        }
+        for i in 1..out.indptr.len() {
+            out.indptr[i] += out.indptr[i - 1];
+        }
+        let mut cursor: Vec<usize> = out.indptr[..self.cols].to_vec();
         for r in 0..self.rows {
             for (c, v) in self.row_iter(r) {
-                triplets.push((c, r, v));
+                let slot = cursor[c];
+                out.indices[slot] = r;
+                out.values[slot] = v;
+                cursor[c] += 1;
             }
         }
-        SparseMatrix::from_triplets(self.cols, self.rows, triplets)
     }
 
     /// Row sums (out-weights); the degree vector for an adjacency matrix.
@@ -381,37 +322,6 @@ impl SparseMatrix {
     }
 }
 
-/// The shared CSR * dense kernel behind [`SparseMatrix::spmm_into`] and
-/// [`crate::block::CsrBlock::spmm_into`]: parallel over disjoint row
-/// chunks, each output row accumulated in stored-entry order, so any
-/// operator lowered to these three slices produces bitwise-identical rows
-/// at any thread count. `out` is resized to `rows x dense.cols()`.
-pub(crate) fn csr_spmm_into(
-    indptr: &[usize],
-    indices: &[usize],
-    values: &[f64],
-    rows: usize,
-    dense: &Matrix,
-    out: &mut Matrix,
-) {
-    let n = dense.cols();
-    out.resize(rows, n);
-    crate::par::par_chunks_mut(out.data_mut(), n.max(1), |start, block| {
-        let row0 = start / n.max(1);
-        for (b, orow) in block.chunks_mut(n).enumerate() {
-            orow.fill(0.0);
-            let r = row0 + b;
-            for k in indptr[r]..indptr[r + 1] {
-                let v = values[k];
-                let drow = dense.row(indices[k]);
-                for j in 0..n {
-                    orow[j] += v * drow[j];
-                }
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,28 +351,43 @@ mod tests {
     }
 
     #[test]
-    fn matmul_dense_matches_dense() {
+    fn spmm_matches_dense() {
         let mut rng = Rng::seed_from_u64(4);
         let s = small();
         let d = Matrix::randn(3, 5, 1.0, &mut rng);
-        let fast = s.matmul_dense(&d);
+        let mut fast = Matrix::zeros(0, 0);
+        crate::spmm_access_into(&s, &d, &mut fast);
         let slow = s.to_dense().matmul(&d);
         assert!(fast.approx_eq(&slow, 1e-12));
     }
 
     #[test]
-    fn matvec_and_transposed_matvec() {
+    fn matvec_sums_weighted_rows() {
         let s = small();
         assert_eq!(s.matvec(&[1.0, 1.0, 1.0]), vec![1.0, 5.0, 4.0]);
-        let vt = s.matvec_t(&[1.0, 1.0, 1.0]);
-        let slow = s.transpose().matvec(&[1.0, 1.0, 1.0]);
-        assert_eq!(vt, slow);
     }
 
     #[test]
     fn transpose_roundtrip() {
         let s = small();
-        assert_eq!(s.transpose().transpose(), s);
+        let (mut t, mut tt) = (SparseMatrix::zeros(0, 0), SparseMatrix::zeros(0, 0));
+        s.transpose_into(&mut t);
+        assert_eq!(t.to_dense(), s.to_dense().transpose());
+        t.transpose_into(&mut tt);
+        assert_eq!(tt, s);
+    }
+
+    #[test]
+    fn append_builder_matches_triplets() {
+        let mut b = SparseMatrix::identity(5);
+        b.reset(3);
+        for r in 0..3 {
+            for (c, v) in small().row_iter(r) {
+                b.push(c, v);
+            }
+            b.finish_row();
+        }
+        assert_eq!(b, small());
     }
 
     #[test]

@@ -2,16 +2,10 @@
 //! be bitwise identical to a naive sequential reference, at every thread
 //! count, for ragged shapes (not multiples of the 4x8 register tile) and
 //! for CSR matrices with empty rows.
-//!
-//! The one deliberate exception is `matvec_t`: its parallel path folds
-//! per-chunk partial vectors, which regroups the additions relative to a
-//! naive row loop once the matrix has more than 64 rows (one row per chunk
-//! below that). Its contract is therefore *thread-count invariance* plus
-//! naive equality in the single-row-chunk regime — both asserted below.
 
 use gale_tensor::distance::pairwise_euclidean_into;
 use gale_tensor::par::with_threads;
-use gale_tensor::{Matrix, Rng, SparseMatrix, Workspace};
+use gale_tensor::{spmm_access_into, Matrix, Rng, SparseMatrix, Workspace};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -84,16 +78,6 @@ fn naive_matvec(s: &SparseMatrix, v: &[f64]) -> Vec<f64> {
     (0..s.rows())
         .map(|r| s.row_iter(r).map(|(c, w)| w * v[c]).sum())
         .collect()
-}
-
-fn naive_matvec_t(s: &SparseMatrix, v: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; s.cols()];
-    for (r, &vr) in v.iter().enumerate() {
-        for (c, w) in s.row_iter(r) {
-            out[c] += w * vr;
-        }
-    }
-    out
 }
 
 /// Random CSR with roughly `density` fill and a deterministic sprinkling of
@@ -188,7 +172,11 @@ proptest! {
         let d = random_matrix(cols, n, seed.wrapping_add(2));
         let want = bits(naive_spmm(&s, &d).data());
         for t in THREAD_COUNTS {
-            let got = with_threads(t, || s.matmul_dense(&d));
+            let got = with_threads(t, || {
+                let mut out = Matrix::zeros(0, 0);
+                spmm_access_into(&s, &d, &mut out);
+                out
+            });
             prop_assert_eq!(&bits(got.data()), &want, "spmm {}x{}x{}, {} threads", rows, cols, n, t);
         }
     }
@@ -206,38 +194,6 @@ proptest! {
         for t in THREAD_COUNTS {
             let got = with_threads(t, || s.matvec(&v));
             prop_assert_eq!(&bits(&got), &want, "matvec {}x{}, {} threads", rows, cols, t);
-        }
-    }
-
-    #[test]
-    fn matvec_t_naive_in_single_row_chunk_regime(
-        rows in 1usize..65, // chunk_ranges gives one row per chunk up to 64
-        cols in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let s = random_csr(rows, cols, 0.3, seed);
-        let mut rng = Rng::seed_from_u64(seed.wrapping_add(4));
-        let v: Vec<f64> = (0..rows).map(|_| rng.gauss()).collect();
-        let want = bits(&naive_matvec_t(&s, &v));
-        for t in THREAD_COUNTS {
-            let got = with_threads(t, || s.matvec_t(&v));
-            prop_assert_eq!(&bits(&got), &want, "matvec_t {}x{}, {} threads", rows, cols, t);
-        }
-    }
-
-    #[test]
-    fn matvec_t_thread_invariant_above_chunk_threshold(
-        rows in 65usize..300,
-        cols in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let s = random_csr(rows, cols, 0.1, seed);
-        let mut rng = Rng::seed_from_u64(seed.wrapping_add(5));
-        let v: Vec<f64> = (0..rows).map(|_| rng.gauss()).collect();
-        let want = bits(&with_threads(1, || s.matvec_t(&v)));
-        for t in THREAD_COUNTS {
-            let got = with_threads(t, || s.matvec_t(&v));
-            prop_assert_eq!(&bits(&got), &want, "matvec_t {}x{}, {} threads", rows, cols, t);
         }
     }
 
@@ -273,8 +229,8 @@ proptest! {
                 prop_assert_eq!(bits(out.data()), bits(at.matmul_tn(&b).data()), "matmul_tn_into");
                 a.matmul_nt_into(&bt, &mut out);
                 prop_assert_eq!(bits(out.data()), bits(a.matmul_nt(&bt).data()), "matmul_nt_into");
-                s.spmm_into(&dense, &mut out);
-                prop_assert_eq!(bits(out.data()), bits(s.matmul_dense(&dense).data()), "spmm_into");
+                spmm_access_into(&s, &dense, &mut out);
+                prop_assert_eq!(bits(out.data()), bits(naive_spmm(&s, &dense).data()), "spmm_access_into");
                 ws.give(out);
                 Ok(())
             })?;
@@ -304,11 +260,11 @@ proptest! {
 fn empty_csr_and_all_empty_rows() {
     let s = SparseMatrix::zeros(5, 4);
     let d = random_matrix(4, 3, 7);
-    let out = s.matmul_dense(&d);
+    let mut out = Matrix::zeros(0, 0);
+    spmm_access_into(&s, &d, &mut out);
     assert_eq!(out.shape(), (5, 3));
     assert!(out.data().iter().all(|&x| x == 0.0));
     assert!(s.matvec(&[1.0; 4]).iter().all(|&x| x == 0.0));
-    assert!(s.matvec_t(&[1.0; 5]).iter().all(|&x| x == 0.0));
 }
 
 #[test]

@@ -338,7 +338,7 @@ pub mod collection {
         }
     }
 
-    /// Result of [`vec`].
+    /// Result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
