@@ -123,7 +123,7 @@ pub fn casestudy(scale: f64, seed: u64, knobs: &Knobs) -> (String, gale_json::Va
     let _ = writeln!(
         out,
         "annotation sizes: soft subgraphs <= {} nodes, {} queries annotated in the final batch",
-        cfg.annotate.soft_subgraph_size,
+        gale_core::annotate::SOFT_SUBGRAPH_SIZE,
         outcome.last_annotations.len()
     );
     (

@@ -3,7 +3,9 @@
 //! selector can re-estimate importance:
 //!
 //! * **Type 1 — soft subgraphs**: the PPR-influential neighborhood of the
-//!   query with propagated soft labels;
+//!   query with propagated soft labels. A batch's PPR rows come from one
+//!   pass of [`ppr_smooth_matrix`] over the queries' one-hot columns (`P`
+//!   is symmetric, so column `j` is query `j`'s row);
 //! * **Type 2 — detected errors**: attribute values flagged by base
 //!   detectors in Ψ, with normalized confidence;
 //! * **Type 3 — suggested corrections**: repairs from "invertible"
@@ -15,9 +17,9 @@ use crate::label::Label;
 use gale_detect::{DetectorLibrary, LibraryReport};
 use gale_graph::value::AttrValue;
 use gale_graph::{
-    degree_assortativity, ppr_single, AttrId, AttrKind, Graph, NodeId, PropagationConfig,
+    degree_assortativity, ppr_smooth_matrix, AttrId, AttrKind, Graph, NodeId, PropagationConfig,
 };
-use gale_tensor::SparseMatrix;
+use gale_tensor::{Matrix, SparseMatrix};
 
 /// One node of a Type-1 soft subgraph.
 #[derive(Debug, Clone)]
@@ -77,29 +79,15 @@ pub struct Annotation {
     pub numeric_percentiles: Vec<(AttrId, f64)>,
 }
 
-/// Annotation settings.
-#[derive(Debug, Clone)]
-pub struct AnnotateConfig {
-    /// Size cap of the Type-1 soft subgraph.
-    pub soft_subgraph_size: usize,
-    /// Propagation settings for the PPR influence.
-    pub propagation: PropagationConfig,
-}
-
-impl Default for AnnotateConfig {
-    fn default() -> Self {
-        AnnotateConfig {
-            soft_subgraph_size: 8,
-            propagation: PropagationConfig::default(),
-        }
-    }
-}
+/// Size cap of the Type-1 soft subgraph.
+pub const SOFT_SUBGRAPH_SIZE: usize = 8;
 
 /// QAnnotate (Fig. 6): annotates a batch of query nodes.
 ///
 /// `report` must be the library's run over `g`; `labeled` is the current
 /// example set; `soft` maps node → propagated soft label (from the
-/// typicality machinery) when available.
+/// typicality machinery) when available; `propagation` is the run's `P`,
+/// the one that also drives typicality and the soft labels.
 #[allow(clippy::too_many_arguments)]
 pub fn annotate(
     queries: &[NodeId],
@@ -109,22 +97,27 @@ pub fn annotate(
     s_norm: &SparseMatrix,
     labeled: &[(NodeId, Label)],
     soft: &[Option<Label>],
-    cfg: &AnnotateConfig,
+    propagation: &PropagationConfig,
 ) -> Vec<Annotation> {
     let assort = degree_assortativity(g);
+    // Type 1 for the whole batch: column j of one n x k pass is query j's
+    // PPR row.
+    let mut one_hots = Matrix::zeros(s_norm.rows(), queries.len());
+    for (j, &q) in queries.iter().enumerate() {
+        one_hots[(q, j)] = 1.0;
+    }
+    let ppr = ppr_smooth_matrix(s_norm, &one_hots, propagation);
     queries
         .iter()
-        .map(|&q| {
-            // Type 1: PPR row from the query; keep the strongest neighbors.
-            let ppr = ppr_single(s_norm, q, &cfg.propagation);
-            let mut ranked: Vec<(NodeId, f64)> = ppr
-                .iter()
-                .enumerate()
-                .filter(|&(v, &w)| v != q && w > 1e-9)
-                .map(|(v, &w)| (v, w))
+        .enumerate()
+        .map(|(j, &q)| {
+            // Keep the query's strongest neighbors.
+            let mut ranked: Vec<(NodeId, f64)> = (0..ppr.rows())
+                .map(|v| (v, ppr[(v, j)]))
+                .filter(|&(v, w)| v != q && w > 1e-9)
                 .collect();
             ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN PPR weight"));
-            ranked.truncate(cfg.soft_subgraph_size);
+            ranked.truncate(SOFT_SUBGRAPH_SIZE);
             let soft_subgraph = ranked
                 .iter()
                 .map(|&(v, w)| SoftNeighbor {
@@ -138,7 +131,7 @@ pub fn annotate(
             let most_influential_labeled = labeled
                 .iter()
                 .filter(|(v, _)| *v != q)
-                .map(|&(v, l)| (v, l, ppr[v]))
+                .map(|&(v, l)| (v, l, ppr[(v, j)]))
                 .max_by(|a, b| a.2.partial_cmp(&b.2).expect("NaN PPR weight"))
                 .filter(|&(_, _, w)| w > 1e-12);
 
@@ -314,7 +307,7 @@ mod tests {
             &s,
             &labeled,
             &soft,
-            &AnnotateConfig::default(),
+            &PropagationConfig::default(),
         );
         assert_eq!(anns.len(), 1);
         let a = &anns[0];
@@ -351,7 +344,7 @@ mod tests {
             &s,
             &[],
             &[None; 20],
-            &AnnotateConfig::default(),
+            &PropagationConfig::default(),
         );
         let a = &anns[0];
         assert!(!a.is_flagged());
@@ -373,7 +366,7 @@ mod tests {
             &s,
             &[],
             &soft,
-            &AnnotateConfig::default(),
+            &PropagationConfig::default(),
         );
         let n1 = anns[0]
             .soft_subgraph
@@ -394,7 +387,7 @@ mod tests {
             &s,
             &[(0, Label::Correct)],
             &[None; 20],
-            &AnnotateConfig::default(),
+            &PropagationConfig::default(),
         );
         let text = anns[0].render(&g);
         assert!(text.contains("annotation for node 2"));
@@ -414,7 +407,7 @@ mod tests {
             &s,
             &[],
             &[None; 20],
-            &AnnotateConfig::default(),
+            &PropagationConfig::default(),
         );
         let pop = g.schema.find_attr("population").unwrap();
         let pct_of = |a: &Annotation| {
@@ -441,11 +434,9 @@ mod tests {
     #[test]
     fn subgraph_size_capped() {
         let (g, lib, report, s) = setup();
-        let cfg = AnnotateConfig {
-            soft_subgraph_size: 3,
-            ..Default::default()
-        };
+        let cfg = PropagationConfig::default();
         let anns = annotate(&[10], &g, &lib, &report, &s, &[], &[None; 20], &cfg);
-        assert!(anns[0].soft_subgraph.len() <= 3);
+        // Every node but the query is reached on this 20-node chain.
+        assert_eq!(anns[0].soft_subgraph.len(), SOFT_SUBGRAPH_SIZE);
     }
 }

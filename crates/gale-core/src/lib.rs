@@ -25,7 +25,7 @@ pub mod standardize;
 pub mod strategies;
 pub mod typicality;
 
-pub use annotate::{annotate, AnnotateConfig, Annotation};
+pub use annotate::{annotate, Annotation};
 pub use augment::{g_augment, AugmentConfig, Augmented};
 pub use calibrate::calibrated_predictions;
 pub use label::{Example, ExamplePool, Label};

@@ -24,8 +24,8 @@ use std::collections::HashMap;
 pub struct SelectionState {
     /// k'-means centroids over the unlabeled embeddings.
     pub centroids: Matrix,
-    /// Smoothed opposite-class influence per class (indexed by class).
-    pub conflict: [Option<Vec<f64>>; 2],
+    /// Smoothed class influence, `n x 2`: column `l` is `P m_l`.
+    pub conflict: Matrix,
     /// Soft-label class per node (usize::MAX = unknown).
     pub soft_classes: Vec<usize>,
 }

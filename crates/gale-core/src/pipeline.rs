@@ -8,7 +8,7 @@
 //! nodes are candidates, where labels come from, and whether there is a
 //! validation fold — and in how many rows one evaluation forward covers.
 
-use crate::annotate::{annotate, AnnotateConfig, Annotation};
+use crate::annotate::{annotate, Annotation};
 use crate::augment::{g_augment, AugmentConfig};
 use crate::calibrate::calibrated_predictions;
 use crate::label::{Example, ExamplePool, Label};
@@ -47,10 +47,9 @@ pub struct GaleConfig {
     pub sgan: SganConfig,
     /// GAugment settings.
     pub augment: AugmentConfig,
-    /// Propagation settings shared by typicality and annotation.
+    /// The PPR operator's settings, shared by typicality, the soft labels
+    /// and annotation's PPR rows.
     pub propagation: PropagationConfig,
-    /// Annotation settings.
-    pub annotate: AnnotateConfig,
     /// Master seed.
     pub seed: u64,
     /// When set, the trained SGAN is checkpointed to `<dir>/final.ckpt` at
@@ -77,7 +76,6 @@ impl Default for GaleConfig {
             sgan: SganConfig::default(),
             augment: AugmentConfig::default(),
             propagation: PropagationConfig::default(),
-            annotate: AnnotateConfig::default(),
             seed: 0x9a1e,
             checkpoint_dir: None,
             checkpoint_every_iteration: false,
@@ -382,7 +380,7 @@ impl Stages for InMemory<'_> {
             &self.s_norm,
             labeled,
             &soft,
-            &self.cfg.annotate,
+            &self.cfg.propagation,
         );
         (self.oracle.label_batch(&anns), anns)
     }

@@ -11,16 +11,17 @@
 //!
 //! `P` is symmetric (`P = α(I − (1−α)S)^{-1}` with symmetric `S`), so the
 //! conflict term is evaluated without materializing `P`: with
-//! `m_l = P · 1_{C_l} / |C_l|`, the expectation equals `(P · m_l)(v)` —
-//! two sparse smoothings per class instead of O(n²) storage. Every
-//! smoothing goes through [`ppr_smooth_access`], so `S` may be a
-//! materialized [`gale_tensor::SparseMatrix`] or an adapter that is never
-//! materialized, such as [`gale_tensor::SymNormalized`] over a
-//! memory-mapped adjacency.
+//! `m_l = P · 1_{C_l} / |C_l|`, the expectation equals `(P · m_l)(v)`.
+//! Both classes' propagations are batched into two passes of
+//! [`ppr_smooth_matrix`]: one `n x 4` pass over the labeled one-hots (for
+//! `Ls(v)`) and the class indicators, then one `n x 2` pass over the two
+//! `m_l`. `S` may be a materialized [`gale_tensor::SparseMatrix`] or an
+//! adapter that is never materialized, such as
+//! [`gale_tensor::SymNormalized`] over a memory-mapped adjacency.
 
 use crate::label::Label;
 use crate::memo::MemoCache;
-use gale_graph::{ppr_smooth_access, PropagationConfig};
+use gale_graph::{ppr_smooth_matrix, PropagationConfig};
 use gale_tensor::{kmeans, KMeansConfig, KMeansResult, Matrix, NeighborAccess, Rng};
 
 /// Inputs needed to score typicality for the unlabeled pool.
@@ -96,67 +97,53 @@ pub fn topological_typicality(ctx: &TypicalityContext<'_>, unlabeled: &[usize]) 
     topological_typicality_full(ctx, unlabeled).0
 }
 
-/// As [`topological_typicality`], additionally returning the per-class
-/// conflict vectors and the soft-label classes (cached by the memoization
-/// layer for cheap re-scoring).
-#[allow(clippy::type_complexity)]
+/// As [`topological_typicality`], additionally returning the `n x 2`
+/// conflict matrix (column `l` is `P m_l`) and the soft-label classes
+/// (cached by the memoization layer for cheap re-scoring).
 pub fn topological_typicality_full(
     ctx: &TypicalityContext<'_>,
     unlabeled: &[usize],
-) -> (Vec<f64>, [Option<Vec<f64>>; 2], Vec<usize>) {
+) -> (Vec<f64>, Matrix, Vec<usize>) {
     let n = ctx.embeddings.rows();
-    // Soft labels Ls(v): propagate each class's labeled one-hots; the
-    // larger mass wins (ties to class 0, as in `gale_graph::soft_labels`),
-    // and nodes no mass reaches fall back to the discriminator prediction.
-    let mut mass: [Option<Vec<f64>>; 2] = [None, None];
-    for (l, slot) in mass.iter_mut().enumerate() {
-        let mut y0 = vec![0.0; n];
-        for &(node, label) in ctx.labeled {
-            if label.class_index() == l {
-                y0[node] = 1.0;
-            }
-        }
-        if y0.contains(&1.0) {
-            *slot = Some(ppr_smooth_access(ctx.s_norm, &y0, &ctx.propagation));
+    // Class membership C_l: unlabeled nodes with predicted label l.
+    let mut class_members: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    for &v in unlabeled {
+        class_members[ctx.predicted[v].class_index()].push(v);
+    }
+    // One pass over four columns: column l holds class l's labeled
+    // one-hots (their smoothing is the mass behind Ls(v)), column 2 + l
+    // the indicator 1_{C_l} / |C_l| (its smoothing is m_l). A class with
+    // no labeled node or no member leaves a zero column, which smooths to
+    // zero: no mass, no conflict.
+    let mut seeds = Matrix::zeros(n, 4);
+    for &(node, label) in ctx.labeled {
+        seeds[(node, label.class_index())] = 1.0;
+    }
+    for (l, members) in class_members.iter().enumerate() {
+        let w = 1.0 / members.len() as f64;
+        for &v in members {
+            seeds[(v, 2 + l)] = w;
         }
     }
-    let mass_at = |l: usize, v: usize| mass[l].as_ref().map_or(0.0, |m| m[v]);
+    let smoothed = ppr_smooth_matrix(ctx.s_norm, &seeds, &ctx.propagation);
+    // conflict_l = P m_l, both classes in one more pass.
+    let m = Matrix::from_fn(n, 2, |v, l| smoothed[(v, 2 + l)]);
+    let conflict = ppr_smooth_matrix(ctx.s_norm, &m, &ctx.propagation);
+
+    // Soft labels Ls(v): the larger mass wins (ties to class 0, as in
+    // `gale_graph::soft_labels`), and nodes no mass reaches fall back to
+    // the discriminator prediction.
     let soft_class = |v: usize| -> usize {
-        let (e, c) = (mass_at(0, v), mass_at(1, v));
+        let (e, c) = (smoothed[(v, 0)], smoothed[(v, 1)]);
         if e.abs() + c.abs() < 1e-12 {
             ctx.predicted[v].class_index()
         } else {
             usize::from(c > e)
         }
     };
-
-    // Class membership C_l: unlabeled nodes with predicted label l.
-    let mut class_members: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-    for &v in unlabeled {
-        class_members[ctx.predicted[v].class_index()].push(v);
-    }
-    // m_l = P 1_{C_l} / |C_l|; conflict_l = P m_l. Zero when C_l is empty.
-    let mut conflict: [Option<Vec<f64>>; 2] = [None, None];
-    for l in 0..2 {
-        if class_members[l].is_empty() {
-            continue;
-        }
-        let mut indicator = vec![0.0; n];
-        let w = 1.0 / class_members[l].len() as f64;
-        for &v in &class_members[l] {
-            indicator[v] = w;
-        }
-        let m_l = ppr_smooth_access(ctx.s_norm, &indicator, &ctx.propagation);
-        conflict[l] = Some(ppr_smooth_access(ctx.s_norm, &m_l, &ctx.propagation));
-    }
-
     let scores = unlabeled
         .iter()
-        .map(|&v| {
-            let other = 1 - soft_class(v);
-            let c = conflict[other].as_ref().map(|vec| vec[v]).unwrap_or(0.0);
-            (1.0 - c).clamp(0.0, 1.0)
-        })
+        .map(|&v| (1.0 - conflict[(v, 1 - soft_class(v))]).clamp(0.0, 1.0))
         .collect();
     let soft_classes = (0..n).map(soft_class).collect();
     (scores, conflict, soft_classes)
@@ -212,10 +199,7 @@ pub fn typicality_scores(
                         Some(&c) if c <= 1 => c,
                         _ => ctx.predicted[v].class_index(),
                     };
-                    let conflict = state.conflict[1 - soft]
-                        .as_ref()
-                        .map(|vec| vec[v])
-                        .unwrap_or(0.0);
+                    let conflict = state.conflict[(v, 1 - soft)];
                     let t = clus * (1.0 - conflict).clamp(0.0, 1.0);
                     memo.store_typicality(v, t);
                     t

@@ -91,6 +91,9 @@ impl MisspellingDetector {
             .collect()
     }
 
+    /// The nearest dictionary word within `max_distance`. Ties go to the
+    /// smallest word, so the answer does not depend on the map's
+    /// iteration order (std seeds it per process).
     fn closest<'d>(
         &self,
         dict: &'d HashMap<String, usize>,
@@ -100,7 +103,7 @@ impl MisspellingDetector {
             .filter(|(w, _)| *w != value)
             .map(|(w, _)| (w.as_str(), levenshtein(value, w)))
             .filter(|(_, d)| *d <= self.max_distance && *d > 0)
-            .min_by_key(|(_, d)| *d)
+            .min_by_key(|&(w, d)| (d, w))
     }
 }
 
@@ -323,6 +326,28 @@ mod tests {
         assert!(d.iter().any(|x| x.node == 0 && x.attr == order), "{d:?}");
         let s = det.suggest(&g, 0, order).unwrap();
         assert_eq!(s, AttrValue::Text("Malvales".into()));
+    }
+
+    #[test]
+    fn equidistant_dictionary_words_resolve_to_the_smallest() {
+        // "Bxle" is one edit from four dictionary words.
+        let mut g = Graph::new();
+        for (i, word) in ["Bale", "Bile", "Axle", "Bole"].iter().enumerate() {
+            for _ in 0..3 + i {
+                g.add_node_with("t", &[("w", AttrKind::Categorical, (*word).into())]);
+            }
+        }
+        let rare = g.add_node_with("t", &[("w", AttrKind::Categorical, "Bxle".into())]);
+        let attr = g.schema.find_attr("w").unwrap();
+        let det = MisspellingDetector::default();
+        let hits = det.detect(&g);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].node, rare);
+        assert!(hits[0].message.contains("of 'Axle'"), "{}", hits[0].message);
+        // Each call builds a fresh map with its own iteration order.
+        for _ in 0..10 {
+            assert_eq!(det.suggest(&g, rare, attr), Some("Axle".into()));
+        }
     }
 
     #[test]

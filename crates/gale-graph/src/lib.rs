@@ -23,9 +23,7 @@ pub mod value;
 
 pub use features::FeatureRepr;
 pub use graph::{Edge, Graph, Node, NodeId};
-pub use propagation::{
-    ppr_single, ppr_smooth, ppr_smooth_access, ppr_smooth_matrix, soft_labels, PropagationConfig,
-};
+pub use propagation::{ppr_smooth_access, ppr_smooth_matrix, soft_labels, PropagationConfig};
 pub use schema::{AttrId, AttrKind, EdgeTypeId, NodeTypeId, Schema};
 pub use store::{write_csr, CsrStore, CsrWriter, StoreError};
 pub use traversal::{

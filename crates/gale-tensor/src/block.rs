@@ -193,23 +193,6 @@ pub fn spmm_access_into<A: NeighborAccess + Sync + ?Sized>(
     });
 }
 
-/// `out[r] = Σ_c A[r,c] * v[c]` for any [`NeighborAccess`] operator,
-/// parallel over row chunks, deterministic at any thread count.
-pub fn matvec_access<A: NeighborAccess + Sync + ?Sized>(a: &A, v: &[f64], out: &mut Vec<f64>) {
-    let rows = a.node_count();
-    out.clear();
-    out.resize(rows, 0.0);
-    crate::par::par_chunks_mut(out, 1, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            // Start from -0.0 like `Iterator::sum::<f64>` so empty rows
-            // are bitwise identical to `SparseMatrix::matvec`.
-            let mut acc = -0.0f64;
-            a.visit_neighbors(start + off, &mut |c, w| acc += w * v[c]);
-            *slot = acc;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn access_spmm_and_matvec_match_sparse() {
+    fn access_spmm_matches_sparse() {
         let mut rng = Rng::seed_from_u64(10);
         let s = random_sparse(41, 41, 6, &mut rng);
         let d = Matrix::randn(41, 5, 1.0, &mut rng);
@@ -307,14 +290,6 @@ mod tests {
         assert_eq!(
             got.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             want.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
-        let v: Vec<f64> = (0..41).map(|_| rng.f64()).collect();
-        let want_v = s.matvec(&v);
-        let mut got_v = Vec::new();
-        matvec_access(&s, &v, &mut got_v);
-        assert_eq!(
-            got_v.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            want_v.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
         );
     }
 

@@ -38,7 +38,7 @@ pub mod stats;
 pub mod workspace;
 
 pub use aligned::AVec;
-pub use block::{matvec_access, spmm_access_into, EdgeSample, NeighborAccess, SymNormalized};
+pub use block::{spmm_access_into, EdgeSample, NeighborAccess, SymNormalized};
 pub use element::Element;
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use linalg::{solve, sym_eigen, SymEigen};

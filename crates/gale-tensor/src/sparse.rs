@@ -188,20 +188,6 @@ impl SparseMatrix {
         (r, self.indices[k])
     }
 
-    /// Sparse * vector product. Parallel over row chunks; each output
-    /// element is produced by exactly one chunk with a fixed accumulation
-    /// order, so results are thread-count independent.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "matvec: width mismatch");
-        let mut out = vec![0.0; self.rows];
-        crate::par::par_chunks_mut(&mut out, 1, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = self.row_iter(start + off).map(|(c, w)| w * v[c]).sum();
-            }
-        });
-        out
-    }
-
     /// Rebuilds `out` as this matrix's transpose, reusing its allocations.
     /// The counting sort is stable, so each transposed row lists its
     /// entries in ascending source row: for a block whose rows were pushed
@@ -362,12 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_sums_weighted_rows() {
-        let s = small();
-        assert_eq!(s.matvec(&[1.0, 1.0, 1.0]), vec![1.0, 5.0, 4.0]);
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let s = small();
         let (mut t, mut tt) = (SparseMatrix::zeros(0, 0), SparseMatrix::zeros(0, 0));
@@ -409,9 +389,10 @@ mod tests {
         assert!((d[(0, 1)] - 1.0 / (2.0f64 * 3.0).sqrt()).abs() < 1e-12);
         // Power iteration with this operator is bounded: applying S to the
         // all-ones vector never exceeds sqrt(d_max/d_min) in magnitude.
-        let ones = vec![1.0; 3];
-        let out = s.matvec(&ones);
-        assert!(out.iter().all(|v| v.abs() <= (3.0f64 / 2.0).sqrt() + 1e-12));
+        let mut out = Matrix::zeros(0, 0);
+        crate::spmm_access_into(&s, &Matrix::full(3, 1, 1.0), &mut out);
+        let bound = (3.0f64 / 2.0).sqrt() + 1e-12;
+        assert!(out.data().iter().all(|v| v.abs() <= bound));
     }
 
     #[test]
@@ -447,7 +428,9 @@ mod tests {
     #[test]
     fn identity_behaves() {
         let i = SparseMatrix::identity(4);
-        let v = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(i.matvec(&v), v);
+        let v = Matrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]);
+        let mut out = Matrix::zeros(0, 0);
+        crate::spmm_access_into(&i, &v, &mut out);
+        assert_eq!(out, v);
     }
 }

@@ -74,12 +74,6 @@ fn naive_spmm(s: &SparseMatrix, d: &Matrix) -> Matrix {
     out
 }
 
-fn naive_matvec(s: &SparseMatrix, v: &[f64]) -> Vec<f64> {
-    (0..s.rows())
-        .map(|r| s.row_iter(r).map(|(c, w)| w * v[c]).sum())
-        .collect()
-}
-
 /// Random CSR with roughly `density` fill and a deterministic sprinkling of
 /// fully-empty rows.
 fn random_csr(rows: usize, cols: usize, density: f64, seed: u64) -> SparseMatrix {
@@ -181,22 +175,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn parallel_matvec_matches_naive(
-        rows in 1usize..120,
-        cols in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let s = random_csr(rows, cols, 0.3, seed);
-        let mut rng = Rng::seed_from_u64(seed.wrapping_add(3));
-        let v: Vec<f64> = (0..cols).map(|_| rng.gauss()).collect();
-        let want = bits(&naive_matvec(&s, &v));
-        for t in THREAD_COUNTS {
-            let got = with_threads(t, || s.matvec(&v));
-            prop_assert_eq!(&bits(&got), &want, "matvec {}x{}, {} threads", rows, cols, t);
-        }
-    }
-
     // --- `_into` variants: same bits as the allocating form, even when the
     // --- destination arrives poisoned from a workspace recycle. -----------
 
@@ -264,7 +242,6 @@ fn empty_csr_and_all_empty_rows() {
     spmm_access_into(&s, &d, &mut out);
     assert_eq!(out.shape(), (5, 3));
     assert!(out.data().iter().all(|&x| x == 0.0));
-    assert!(s.matvec(&[1.0; 4]).iter().all(|&x| x == 0.0));
 }
 
 #[test]

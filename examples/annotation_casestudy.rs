@@ -8,7 +8,8 @@
 //! cargo run --release --example annotation_casestudy
 //! ```
 
-use gale::core::annotate::{annotate, AnnotateConfig};
+use gale::core::annotate::annotate;
+use gale::graph::PropagationConfig;
 use gale::prelude::*;
 
 fn main() {
@@ -91,7 +92,7 @@ fn main() {
             &s_norm,
             &labeled,
             &soft,
-            &AnnotateConfig::default(),
+            &PropagationConfig::default(),
         );
         print!("{}", anns[0].render(g));
     }

@@ -53,9 +53,9 @@ pub mod prelude {
         GedetConfig, RahaConfig,
     };
     pub use gale_core::{
-        annotate, auc_pr, g_augment, run_gale, AnnotateConfig, Annotation, AugmentConfig,
-        EnsembleOracle, Example, ExamplePool, GaleConfig, GaleOutcome, GroundTruthOracle, Label,
-        NoisyOracle, Oracle, Prf, QueryStrategy, Sgan, SganConfig,
+        annotate, auc_pr, g_augment, run_gale, Annotation, AugmentConfig, EnsembleOracle, Example,
+        ExamplePool, GaleConfig, GaleOutcome, GroundTruthOracle, Label, NoisyOracle, Oracle, Prf,
+        QueryStrategy, Sgan, SganConfig,
     };
     pub use gale_data::{
         featurize, prepare, DataSplit, DatasetId, FeaturizeConfig, PreparedDataset,

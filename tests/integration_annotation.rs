@@ -1,7 +1,8 @@
 //! Cross-crate integration: the annotation module against real generated
 //! data, detector library, and propagation — the Section VI contract.
 
-use gale::core::annotate::{annotate, AnnotateConfig};
+use gale::core::annotate::annotate;
+use gale::graph::PropagationConfig;
 use gale::prelude::*;
 
 fn setup(seed: u64) -> (PreparedDataset, DetectorLibrary) {
@@ -48,7 +49,7 @@ fn annotations_cover_the_four_types_for_detectable_errors() {
         &s_norm,
         &[],
         &vec![None; d.graph.node_count()],
-        &AnnotateConfig::default(),
+        &PropagationConfig::default(),
     );
     let mut with_corrections = 0;
     for a in &anns {
@@ -116,7 +117,7 @@ fn ensemble_oracle_agrees_with_detector_flags() {
         &s_norm,
         &[],
         &vec![None; d.graph.node_count()],
-        &AnnotateConfig::default(),
+        &PropagationConfig::default(),
     );
     let mut oracle = EnsembleOracle::new();
     for a in &anns {
@@ -156,7 +157,7 @@ fn most_influential_labeled_node_is_topologically_close() {
         &s_norm,
         &labeled,
         &vec![None; d.graph.node_count()],
-        &AnnotateConfig::default(),
+        &PropagationConfig::default(),
     );
     let (v, _, w) = anns[0].most_influential_labeled.expect("influence found");
     // The direct neighbor should win unless the random far node happens to

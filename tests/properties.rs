@@ -65,9 +65,11 @@ proptest! {
         let s = SparseMatrix::from_triplets(n, n, triplets);
         let mut rng = Rng::seed_from_u64(seed);
         let v: Vec<f64> = (0..n).map(|_| rng.gauss()).collect();
-        let fast = s.matvec(&v);
+        // A one-column SpMM is the sparse matrix-vector product.
+        let mut fast = Matrix::zeros(0, 0);
+        gale::tensor::spmm_access_into(&s, &Matrix::from_vec(n, 1, v.clone()), &mut fast);
         let slow = s.to_dense().matvec(&v);
-        for (a, b) in fast.iter().zip(&slow) {
+        for (a, b) in fast.data().iter().zip(&slow) {
             prop_assert!((a - b).abs() < 1e-9);
         }
     }
@@ -284,7 +286,7 @@ proptest! {
         a_seed in 0usize..12,
         b_seed in 0usize..12,
     ) {
-        use gale::graph::{ppr_single, PropagationConfig};
+        use gale::graph::{ppr_smooth_matrix, PropagationConfig};
         let triplets: Vec<(usize, usize, f64)> = edges
             .into_iter()
             .filter(|(a, b)| a % n != b % n)
@@ -293,9 +295,12 @@ proptest! {
         let s = SparseMatrix::from_triplets(n, n, triplets).sym_normalized_with_self_loops();
         let cfg = PropagationConfig::default();
         let (a, b) = (a_seed % n, b_seed % n);
-        let pa = ppr_single(&s, a, &cfg);
-        let pb = ppr_single(&s, b, &cfg);
-        prop_assert!((pa[b] - pb[a]).abs() < 1e-9, "P not symmetric");
-        prop_assert!(pa.iter().all(|&x| x >= -1e-12));
+        // Rows a and b from one batch of two one-hot columns.
+        let mut seeds = Matrix::zeros(n, 2);
+        seeds[(a, 0)] = 1.0;
+        seeds[(b, 1)] = 1.0;
+        let p = ppr_smooth_matrix(&s, &seeds, &cfg);
+        prop_assert!((p[(b, 0)] - p[(a, 1)]).abs() < 1e-9, "P not symmetric");
+        prop_assert!(p.data().iter().all(|&x| x >= -1e-12));
     }
 }
