@@ -283,10 +283,11 @@ fn spawn_server(
         &shards.to_string(),
         "--precision",
         precision,
-        // The default 2ms batching linger is tuned for open-loop
-        // traffic; under a closed loop it would dominate every leg's
-        // latency and hide the wire overhead the bench exists to
-        // measure.
+        // A fixed 200 us linger paces the closed loop. Without one, eight
+        // clients with no think time keep the machine's cores busy, and
+        // the legs' ratios follow CPU contention and the emergent batch
+        // size (the forward mean divides `wire_overhead_ratio`) rather
+        // than the wire path. BENCH_serve.json is taken with it.
         "--max-wait-us",
         "200",
         "--trace",

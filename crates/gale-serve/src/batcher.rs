@@ -7,11 +7,16 @@
 //! [`ShardPool::submit`] dispatches to the shard with the least queue
 //! depth, breaking ties round-robin; when every queue is full the
 //! submission fails immediately and the caller sheds load with `503`. Each
-//! shard pops the first waiting job, lingers up to `max_wait_us` coalescing
-//! more jobs until `max_batch` rows are in hand, and runs **one** forward
-//! pass over the combined batch through [`SganInfer::probs3_into`]. Batch
-//! and output matrices come from per-shard [`Workspace`] pools, so
-//! steady-state serving does not allocate.
+//! shard pops the first waiting job, takes every job already queued behind
+//! it until `max_batch` rows are in hand, and runs **one** forward pass
+//! over the combined batch through [`SganInfer::probs3_into`]. By default
+//! a shard never waits for more work: a job that reaches an idle shard is
+//! scored at once, and under load the jobs that queued during one forward
+//! ride the next one together, so batches grow with the load rather than
+//! with a timer. A non-zero `max_wait_us` makes every batch linger that
+//! long after its first pop for more jobs. Batch and output matrices come
+//! from per-shard [`Workspace`] pools, so steady-state serving does not
+//! allocate.
 //!
 //! The whole pool runs at one [`Precision`] chosen at spawn time. The
 //! batch forward is written once, generic over the element type: features
@@ -49,11 +54,13 @@ use std::time::{Duration, Instant};
 /// Micro-batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Row budget per forward pass; the collector stops coalescing once the
-    /// batch holds at least this many rows.
+    /// Row budget per forward pass; a shard stops taking queued jobs into
+    /// a batch once it holds at least this many rows.
     pub max_batch: usize,
-    /// How long the collector lingers for more work after the first job of
-    /// a batch arrives, in microseconds.
+    /// How long a shard lingers for more jobs after popping a batch's
+    /// first, in microseconds. Jobs already queued join the batch either
+    /// way; the default of zero never waits, so a lone job is scored at
+    /// once.
     pub max_wait_us: u64,
     /// Bounded queue capacity in *jobs*, per shard; submissions beyond it
     /// are shed.
@@ -64,7 +71,7 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 64,
-            max_wait_us: 2_000,
+            max_wait_us: 0,
             queue_capacity: 128,
         }
     }
@@ -156,7 +163,8 @@ pub struct ScoreReply {
     /// This job's time in the shard queue before being popped,
     /// microseconds.
     pub queue_us: u32,
-    /// Popped until the batched forward started (linger + buffer fill),
+    /// Popped until the batched forward started (the rest of the batch
+    /// taken off the queue, any configured linger, buffer fill),
     /// microseconds.
     pub assembly_us: u32,
     /// The batched forward pass, microseconds (shared by every job in the
@@ -553,24 +561,21 @@ impl<E: Element> ShardLoop<E> {
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             };
-            self.popped();
-            let mut total_rows = first.rows;
-            jobs.push((first, Instant::now()));
-            // Linger, coalescing until the row budget or the deadline.
-            let deadline = Instant::now() + Duration::from_micros(self.cfg.max_wait_us);
+            // Take every job already queued behind the first, up to the
+            // row budget, waiting for more only until `max_wait_us` after
+            // the first pop. An empty queue past that point, or a
+            // disconnect, scores what is in hand.
+            let mut total_rows = self.take(first, &mut jobs);
+            let deadline = jobs[0].1 + Duration::from_micros(self.cfg.max_wait_us);
             while total_rows < self.cfg.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match self.rx.recv_timeout(deadline - now) {
-                    Ok(job) => {
-                        self.popped();
-                        total_rows += job.rows;
-                        jobs.push((job, Instant::now()));
-                    }
-                    Err(_) => break, // timeout or disconnect: score what we have
-                }
+                let wait = deadline.saturating_duration_since(Instant::now());
+                let next = if wait.is_zero() {
+                    self.rx.try_recv().ok()
+                } else {
+                    self.rx.recv_timeout(wait).ok()
+                };
+                let Some(job) = next else { break };
+                total_rows += self.take(job, &mut jobs);
             }
 
             // One batched forward through the pooled buffers: features
@@ -637,11 +642,15 @@ impl<E: Element> ShardLoop<E> {
         }
     }
 
-    /// Books one job leaving the queue.
-    fn popped(&self) {
+    /// Books one job leaving the queue into the batch in hand and returns
+    /// its row count.
+    fn take(&self, job: ScoreJob, jobs: &mut Vec<(ScoreJob, Instant)>) -> usize {
         self.depth.fetch_sub(1, Ordering::Relaxed);
         metrics::queue_depth().add(-1.0);
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+        let rows = job.rows;
+        jobs.push((job, Instant::now()));
+        rows
     }
 }
 
@@ -717,6 +726,112 @@ mod tests {
         for r in replies {
             assert!(r.recv().is_ok());
         }
+        drop(pool);
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_lone_job_is_scored_at_once() {
+        // Twenty jobs, each answered before the next is submitted: nothing
+        // ever waits behind one, so each rides a batch of its own and the
+        // shard does not wait for company. The median pop-to-forward time
+        // stays far under a millisecond; a preempted job or two on a busy
+        // machine does not move it.
+        let dim = 3;
+        let (pool, handles) =
+            ShardPool::spawn(tiny_model(dim), 1, Precision::F64, &BatchConfig::default());
+        let mut assembly_us: Vec<u32> = (0..20)
+            .map(|_| {
+                let scored = pool.submit(vec![0.5; dim], 1).unwrap().recv().unwrap();
+                assert_eq!(scored.batch_rows, 1);
+                scored.assembly_us
+            })
+            .collect();
+        assembly_us.sort_unstable();
+        assert!(assembly_us[10] < 1_000, "assembly µs: {assembly_us:?}");
+        drop(pool);
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_configured_linger_waits_for_a_later_job() {
+        // A shard told to linger holds a batch's first job until the row
+        // budget fills or the linger runs out: a job submitted after the
+        // first was popped still rides the same batch.
+        let dim = 3;
+        let cfg = BatchConfig {
+            max_batch: 2,
+            max_wait_us: 10_000_000,
+            ..BatchConfig::default()
+        };
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 1, Precision::F64, &cfg);
+        let first = pool.submit(vec![0.5; dim], 1).unwrap();
+        while pool.shard_snapshots()[0].in_flight == 0 {
+            std::thread::yield_now();
+        }
+        let second = pool.submit(vec![0.0; dim], 1).unwrap();
+        assert_eq!(first.recv().unwrap().batch_rows, 2);
+        assert_eq!(second.recv().unwrap().batch_rows, 2);
+        drop(pool);
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_busy_shard_ride_one_batch() {
+        // One shard parked in a 100,000-row forward: the light jobs
+        // submitted meanwhile wait in its queue, and its next pop takes
+        // all of them into one batch.
+        let dim = 2;
+        let k = 5;
+        let (pool, handles) =
+            ShardPool::spawn(tiny_model(dim), 1, Precision::F64, &BatchConfig::default());
+        let heavy_rows = 100_000usize;
+        let heavy = vec![0.5f64; heavy_rows * dim];
+        let mut checked = false;
+        for _ in 0..5 {
+            let before = pool.shard_snapshots()[0].batches;
+            let heavy_reply = pool.submit(heavy.clone(), heavy_rows).unwrap();
+            // Submit only once the heavy job is in the shard's hands and
+            // nothing else is queued, so the light jobs form a batch of
+            // their own.
+            let t0 = Instant::now();
+            loop {
+                let s = pool.shard_snapshots()[0];
+                if s.in_flight == 1 && s.depth == 0 {
+                    break;
+                }
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "heavy job never popped"
+                );
+                std::thread::yield_now();
+            }
+            let light: Vec<_> = (0..k)
+                .map(|_| pool.submit(vec![0.0; dim], 1).unwrap())
+                .collect();
+            let queued_behind = pool.shard_snapshots()[0].batches == before;
+            // The heavy job fills the row budget on its own, so no light
+            // job can join its batch.
+            assert_eq!(heavy_reply.recv().unwrap().batch_rows as usize, heavy_rows);
+            let rows: Vec<u32> = light.iter().map(|r| r.recv().unwrap().batch_rows).collect();
+            // The round counts only if the heavy forward was still running
+            // once every light job was queued.
+            if queued_behind {
+                assert_eq!(rows, vec![k as u32; k], "queued jobs split across batches");
+                checked = true;
+                break;
+            }
+        }
+        assert!(
+            checked,
+            "the heavy forward never outlasted five submissions"
+        );
         drop(pool);
         for h in handles {
             h.join().unwrap();

@@ -10,7 +10,9 @@
 //!   [--queue-capacity N]` — loads the checkpoint and serves `/score`,
 //!   `/healthz`, `/metrics`, `/admin/reload`, and the `/debug/{trace,
 //!   slow,queues}` introspection endpoints until `POST /admin/shutdown`
-//!   drains it. `--trace off` switches request tracing off;
+//!   drains it. A shard batches the jobs already queued behind a batch's
+//!   first and, unless `--max-wait-us` asks it to linger, never waits for
+//!   more. `--trace off` switches request tracing off;
 //!   `--trace-sample`/`--trace-slow-us` tune the sampling policy.
 //! - `gale-serve reload --addr HOST:PORT --ckpt PATH` — asks a running
 //!   server to hot-swap to a new checkpoint and reports the new model
@@ -59,6 +61,11 @@ USAGE:
                    [--trace on|off] [--trace-sample N] [--trace-slow-us U]
                    [--stream DIR]
   gale-serve reload --addr HOST:PORT --ckpt PATH
+
+Batching follows the load: a shard takes the jobs already queued behind
+a batch's first into the same forward, up to --max-batch rows (default
+64), and scores a lone job at once. --max-wait-us U makes every batch
+linger U microseconds after its first pop for more jobs (default 0).
 
 `stream-demo` trains a small graph model over a synthetic community graph
 and writes a stream bundle; `serve --stream DIR` boots that bundle so

@@ -35,9 +35,10 @@
 //! tracing-off server is gated in CI at a few percent of p99.
 //!
 //! The front end is a hand-rolled non-blocking event loop (one thread,
-//! keep-alive + pipelined connections). Requests are coalesced per shard
-//! by the [`batcher`] into single forward passes; bounded queues shed
-//! excess load with `503` + `Retry-After`.
+//! keep-alive + pipelined connections). The [`batcher`] scores a job that
+//! reaches an idle shard at once and coalesces jobs that queued behind
+//! one into a single forward pass; bounded queues shed excess load with
+//! `503` + `Retry-After`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -104,8 +104,8 @@ pub fn stage_queue_us() -> &'static Histogram {
     histogram("serve.stage_queue_us", gale_obs::metrics::buckets::TIME_US)
 }
 
-/// Popped until the batched forward started (linger + buffer fill),
-/// microseconds.
+/// Popped until the batched forward started (the rest of the batch taken
+/// off the queue, any configured linger, buffer fill), microseconds.
 pub fn stage_assembly_us() -> &'static Histogram {
     histogram(
         "serve.stage_assembly_us",

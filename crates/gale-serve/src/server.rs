@@ -279,14 +279,18 @@ enum Outcome {
 fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Outcome {
     let ka = request.keep_alive;
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/score") => match &ctx.stream {
-            // Node-mode scoring goes to the streaming engine; feature
-            // bodies stay on the shard-pool hot path.
-            Some(stream) if StreamState::is_node_request(&request.body) => {
-                Outcome::Ready(stream.score_nodes(&request.body, ka), None)
+        ("POST", "/score") => {
+            // One parse routes the body: a top-level `nodes` key is
+            // node-mode scoring on the streaming engine; feature bodies
+            // stay on the shard-pool hot path.
+            let doc = parse_json(&request.body);
+            match (&ctx.stream, &doc) {
+                (Some(stream), Ok(doc)) if doc.get("nodes").is_some() => {
+                    Outcome::Ready(stream.score_nodes(doc, ka), None)
+                }
+                _ => score_request(doc, ka, ctx, timing),
             }
-            _ => score_request(request, ctx, timing),
-        },
+        }
         ("POST", "/mutate") => match &ctx.stream {
             Some(stream) => Outcome::Ready(stream.mutate(&request.body, ka), None),
             None => Outcome::Ready(
@@ -449,12 +453,16 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
     }
 }
 
-fn score_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Outcome {
-    let ka = request.keep_alive;
+fn score_request(
+    doc: Result<Value, String>,
+    ka: bool,
+    ctx: &Ctx,
+    timing: Option<ReqTiming>,
+) -> Outcome {
     let request_id = ring::next_request_id();
     // Spans and events emitted anywhere under this request carry its id.
     let _scope = gale_obs::span::request_scope(request_id);
-    let parsed = parse_features(&request.body, ctx.pool.input_dim());
+    let parsed = doc.and_then(|doc| parse_features(&doc, ctx.pool.input_dim()));
     let mut trace = timing.map(|t| {
         Box::new(TraceState {
             started: t.started,
@@ -1031,12 +1039,16 @@ fn tick_conn(conn: &mut Conn, ctx: &Ctx, draining: bool, scratch: &mut [u8]) -> 
 // /score body handling
 // ---------------------------------------------------------------------------
 
-/// Parses a `/score` body: `{"features": [[...], ...]}` (a batch) or
-/// `{"features": [...]}` (one row). Every row must hold exactly
-/// `input_dim` finite numbers.
-fn parse_features(body: &[u8], input_dim: usize) -> Result<(Vec<f64>, usize), String> {
+/// Parses a request body as one JSON document.
+fn parse_json(body: &[u8]) -> Result<Value, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = gale_json::from_str(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
+    gale_json::from_str(text).map_err(|e| format!("body is not valid JSON: {e}"))
+}
+
+/// Reads a feature-mode `/score` document: `{"features": [[...], ...]}` (a
+/// batch) or `{"features": [...]}` (one row). Every row must hold exactly
+/// `input_dim` finite numbers.
+fn parse_features(doc: &Value, input_dim: usize) -> Result<(Vec<f64>, usize), String> {
     let features = doc
         .get("features")
         .and_then(Value::as_array)
@@ -1126,12 +1138,16 @@ fn score_body(
 mod tests {
     use super::*;
 
+    fn features(body: &[u8], dim: usize) -> Result<(Vec<f64>, usize), String> {
+        parse_json(body).and_then(|doc| parse_features(&doc, dim))
+    }
+
     #[test]
     fn parse_accepts_batch_and_single_row() {
-        let (flat, rows) = parse_features(br#"{"features": [[1, 2.5], [3, 4]]}"#, 2).unwrap();
+        let (flat, rows) = features(br#"{"features": [[1, 2.5], [3, 4]]}"#, 2).unwrap();
         assert_eq!(rows, 2);
         assert_eq!(flat, vec![1.0, 2.5, 3.0, 4.0]);
-        let (flat, rows) = parse_features(br#"{"features": [7, 8]}"#, 2).unwrap();
+        let (flat, rows) = features(br#"{"features": [7, 8]}"#, 2).unwrap();
         assert_eq!(rows, 1);
         assert_eq!(flat, vec![7.0, 8.0]);
     }
@@ -1147,7 +1163,7 @@ mod tests {
             (br#"{"features": [[1, null]]}"#, 2),
             (br#"{"features": [[1, 2], [3]]}"#, 2),
         ] {
-            assert!(parse_features(body, dim).is_err(), "accepted {body:?}");
+            assert!(features(body, dim).is_err(), "accepted {body:?}");
         }
     }
 

@@ -28,12 +28,6 @@ impl StreamState {
         }
     }
 
-    /// Whether a request body is a node-mode score request
-    /// (`{"nodes": [...]}`) rather than a feature payload.
-    pub fn is_node_request(body: &[u8]) -> bool {
-        body.windows(7).any(|w| w == b"\"nodes\"")
-    }
-
     /// `POST /mutate` — applies a mutation batch, returns the per-mutation
     /// outcomes and the new graph version. Verdicts stay stale until the
     /// next score request.
@@ -93,11 +87,12 @@ impl StreamState {
         }
     }
 
-    /// Node-mode `POST /score` — lazily refreshes dirty nodes, then
-    /// answers with the same verdict vocabulary as the feature-body path,
-    /// plus the `graph_version` each verdict was computed at.
-    pub fn score_nodes(&self, body: &[u8], ka: bool) -> Vec<u8> {
-        let nodes = match parse_nodes(body) {
+    /// Node-mode `POST /score` — a parsed body with a top-level `nodes`
+    /// key. Lazily refreshes dirty nodes, then answers with the same
+    /// verdict vocabulary as the feature-body path, plus the
+    /// `graph_version` each verdict was computed at.
+    pub fn score_nodes(&self, doc: &Value, ka: bool) -> Vec<u8> {
+        let nodes = match parse_nodes(doc) {
             Ok(nodes) => nodes,
             Err(msg) => {
                 return http::render_json(400, "Bad Request", &[], &json!({"error": msg}), ka)
@@ -154,10 +149,8 @@ impl StreamState {
     }
 }
 
-/// Parses `{"nodes": [0, 4, 17]}`.
-fn parse_nodes(body: &[u8]) -> Result<Vec<usize>, String> {
-    let text = std::str::from_utf8(body).map_err(|e| e.to_string())?;
-    let doc = gale_json::from_str(text).map_err(|e| format!("bad json: {e}"))?;
+/// Reads `{"nodes": [0, 4, 17]}`.
+fn parse_nodes(doc: &Value) -> Result<Vec<usize>, String> {
     let list = doc
         .get("nodes")
         .and_then(Value::as_array)
@@ -178,19 +171,16 @@ fn parse_nodes(body: &[u8]) -> Result<Vec<usize>, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn node_request_sniffing() {
-        assert!(StreamState::is_node_request(br#"{"nodes": [1, 2]}"#));
-        assert!(!StreamState::is_node_request(
-            br#"{"features": [[1.0, 2.0]]}"#
-        ));
+    fn nodes(body: &str) -> Result<Vec<usize>, String> {
+        parse_nodes(&gale_json::from_str(body).unwrap())
     }
 
     #[test]
     fn parse_nodes_accepts_and_rejects() {
-        assert_eq!(parse_nodes(br#"{"nodes": [0, 3]}"#).unwrap(), vec![0, 3]);
-        assert!(parse_nodes(br#"{"nodes": []}"#).is_err());
-        assert!(parse_nodes(br#"{"nodes": [-1]}"#).is_err());
-        assert!(parse_nodes(br#"{"features": [1]}"#).is_err());
+        assert_eq!(nodes(r#"{"nodes": [0, 3]}"#).unwrap(), vec![0, 3]);
+        assert!(nodes(r#"{"nodes": []}"#).is_err());
+        assert!(nodes(r#"{"nodes": [-1]}"#).is_err());
+        assert!(nodes(r#"{"nodes": 3}"#).is_err());
+        assert!(nodes(r#"{"features": [1]}"#).is_err());
     }
 }

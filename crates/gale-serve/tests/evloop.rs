@@ -8,8 +8,11 @@ use gale_json::Value;
 use gale_serve::{serve, BatchConfig, ServeConfig};
 use gale_tensor::{Matrix, Rng};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+mod common;
 
 const DIM: usize = 4;
 
@@ -162,53 +165,88 @@ fn idle_connections_are_reaped_after_the_keep_alive_timeout() {
     handle.shutdown();
 }
 
+/// One client thread: a `rows`-row score request over its own
+/// connection, answered with `(status, rows scored)`.
+fn client(addr: SocketAddr, rows: usize) -> JoinHandle<(u16, usize)> {
+    std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&score_request(rows, true)).unwrap();
+        let mut buf = Vec::new();
+        let (status, doc) = read_one_response(&mut stream, &mut buf);
+        (status, doc.get("probs").unwrap().as_array().unwrap().len())
+    })
+}
+
 #[test]
 fn multi_shard_shutdown_answers_every_accepted_request() {
-    // Four shards with slow batch formation and a deliberately deep
-    // queue: 24 clients get their requests accepted, then the server is
-    // told to drain while most jobs still sit in shard queues. Every
+    // Four shards, each parked in a heavy forward, and a deliberately
+    // deep queue: 24 clients get their requests accepted, then the server
+    // is told to drain while the jobs still sit in shard queues. Every
     // single one must come back 200 — no shard may race the listener
     // close and strand its queue.
     let handle = serve(
-        tiny_model(33),
+        common::wide_model(DIM, 33),
         &ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: 4,
             batch: BatchConfig {
                 max_batch: 2,
-                max_wait_us: 20_000,
                 queue_capacity: 64,
+                ..BatchConfig::default()
             },
             ..Default::default()
         },
     )
     .unwrap();
     let addr = handle.addr();
-
-    let clients: Vec<_> = (0..24)
-        .map(|i| {
-            std::thread::spawn(move || -> (u16, usize) {
-                let rows = i % 4 + 1;
-                let mut stream = TcpStream::connect(addr).unwrap();
-                stream.write_all(&score_request(rows, true)).unwrap();
-                let mut buf = Vec::new();
-                let (status, doc) = read_one_response(&mut stream, &mut buf);
-                (status, doc.get("probs").unwrap().as_array().unwrap().len())
-            })
-        })
-        .collect();
-    // Let the requests land in the queues, then drain via the admin
-    // endpoint like an operator would.
-    std::thread::sleep(Duration::from_millis(150));
     let mut admin = TcpStream::connect(addr).unwrap();
-    admin
-        .write_all(b"POST /admin/shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n")
-        .unwrap();
     let mut buf = Vec::new();
+    let mut debug_queues = || {
+        admin
+            .write_all(b"GET /debug/queues HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (status, doc) = read_one_response(&mut admin, &mut buf);
+        assert_eq!(status, 200);
+        doc
+    };
+
+    // Least-depth dispatch with a rotating tie-break sends the four heavy
+    // requests to four different shards. Debug builds run the forward
+    // about 30x slower: fewer rows there keep the drain well inside the
+    // server's 10 s drain deadline.
+    let heavy_rows = if cfg!(debug_assertions) { 256 } else { 2048 };
+    let heavies: Vec<_> = (0..4).map(|_| client(addr, heavy_rows)).collect();
+    common::wait_for_queues("every shard is busy", &mut debug_queues, |q| {
+        q.iter().all(|&(_, in_flight)| in_flight >= 1)
+    });
+    let clients: Vec<_> = (0..24).map(|i| client(addr, i % 4 + 1)).collect();
+    common::wait_for_queues("every light job is queued", debug_queues, |q| {
+        q.iter().map(|&(depth, _)| depth).sum::<i64>() == 24
+    });
+    // Snapshot the queues and drain via the admin endpoint like an
+    // operator would, in one write: the drain must start with jobs still
+    // queued.
+    admin
+        .write_all(
+            b"GET /debug/queues HTTP/1.1\r\nHost: t\r\n\r\n\
+              POST /admin/shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+        )
+        .unwrap();
+    let (status, queues) = read_one_response(&mut admin, &mut buf);
+    assert_eq!(status, 200);
+    assert!(
+        common::queue_pairs(&queues)
+            .iter()
+            .any(|&(depth, _)| depth > 0),
+        "nothing was queued when the drain began: {queues}"
+    );
     let (status, doc) = read_one_response(&mut admin, &mut buf);
     assert_eq!(status, 200);
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("draining"));
     handle.wait();
+    for heavy in heavies {
+        assert_eq!(heavy.join().unwrap(), (200, heavy_rows));
+    }
     for (i, client) in clients.into_iter().enumerate() {
         let (status, rows) = client.join().unwrap();
         assert_eq!(status, 200, "client {i} dropped during drain");

@@ -11,6 +11,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
+mod common;
+
 fn tiny_model(dim: usize, seed: u64) -> Sgan {
     let mut rng = Rng::seed_from_u64(seed);
     Sgan::new(
@@ -55,6 +57,12 @@ fn exchange(addr: SocketAddr, raw: &[u8]) -> Response {
     stream.write_all(raw).unwrap();
     let mut bytes = Vec::new();
     stream.read_to_end(&mut bytes).unwrap();
+    parse_response(&bytes)
+}
+
+/// Splits raw response bytes into status, head and everything after the
+/// head.
+fn parse_response(bytes: &[u8]) -> Response {
     let split = bytes
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -319,30 +327,55 @@ fn shutdown_drains_in_flight_requests() {
         addr: "127.0.0.1:0".to_string(),
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_us: 20_000,
             queue_capacity: 64,
+            ..BatchConfig::default()
         },
         ..Default::default()
     };
-    let handle = serve(tiny_model(dim, 44), &cfg).unwrap();
+    // A wide model, so a heavy request keeps the shard busy while the
+    // light requests below queue up behind it.
+    let handle = serve(common::wide_model(dim, 44), &cfg).unwrap();
     let addr = handle.addr();
-
+    let debug_queues = || get(addr, "/debug/queues").json();
     let mut rng = Rng::seed_from_u64(45);
+
+    // Debug builds run the forward about 30x slower: fewer rows there
+    // keep the drain well inside the server's 10 s drain deadline.
+    let heavy_rows = if cfg!(debug_assertions) { 512 } else { 4096 };
+    let heavy = score_request_body(&Matrix::randn(heavy_rows, dim, 1.0, &mut rng));
+    let busy = std::thread::spawn(move || post(addr, "/score", &heavy));
+    common::wait_for_queues("the heavy job is in flight", debug_queues, |q| q[0].1 >= 1);
     let clients: Vec<_> = (0..8)
         .map(|_| {
             let body = score_request_body(&Matrix::randn(1, dim, 1.0, &mut rng));
             std::thread::spawn(move || post(addr, "/score", &body))
         })
         .collect();
-    // Give the clients a moment to get their jobs accepted, then ask the
-    // server itself to shut down.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let ack = post(addr, "/admin/shutdown", "");
+    common::wait_for_queues("every light job is queued", debug_queues, |q| q[0].0 == 8);
+    // Snapshot the queues and ask the server itself to shut down in one
+    // write: the drain must start with jobs still queued.
+    let both = exchange(
+        addr,
+        b"GET /debug/queues HTTP/1.1\r\nHost: t\r\n\r\n\
+          POST /admin/shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\
+          Connection: close\r\n\r\n",
+    );
+    let queues_len: usize = both.header("Content-Length").unwrap().parse().unwrap();
+    let queues =
+        gale_json::from_str(std::str::from_utf8(&both.body[..queues_len]).unwrap()).unwrap();
+    assert!(
+        common::queue_pairs(&queues)
+            .iter()
+            .any(|&(depth, _)| depth > 0),
+        "nothing was queued when the drain began: {queues}"
+    );
+    let ack = parse_response(&both.body[queues_len..]);
     assert_eq!(ack.status, 200);
     assert_eq!(ack.json().get("status").unwrap().as_str(), Some("draining"));
     // wait() returns only after the accept loop joined every connection
     // handler and the scorer drained the queue.
     handle.wait();
+    assert_eq!(busy.join().unwrap().status, 200);
     for client in clients {
         let resp = client.join().unwrap();
         assert_eq!(resp.status, 200, "in-flight request dropped during drain");

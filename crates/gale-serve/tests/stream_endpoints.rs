@@ -135,17 +135,19 @@ fn mutate_then_rescore_round_trip() {
         "mutations around nodes 0/3/9 must change their scores"
     );
 
-    // Feature-body scoring still rides the shard pool on the same path.
-    let (status, doc) = exchange(
-        addr,
-        &request(
-            "POST",
-            "/score",
-            r#"{"features": [[0.5, -0.5, 0.25, 0.0, 1.0, -1.0, 0.125]]}"#,
-        ),
-    );
-    assert_eq!(status, 200, "feature body rejected: {doc:?}");
-    assert!(doc.get("model_version").is_some());
+    // Feature-body scoring still rides the shard pool on the same path,
+    // also when a string value happens to read "nodes": only a top-level
+    // `nodes` key selects node mode.
+    for body in [
+        r#"{"features": [[0.5, -0.5, 0.25, 0.0, 1.0, -1.0, 0.125]]}"#,
+        r#"{"features": [[0.5, -0.5, 0.25, 0.0, 1.0, -1.0, 0.125]], "source": "nodes"}"#,
+    ] {
+        let (status, doc) = exchange(addr, &request("POST", "/score", body));
+        assert_eq!(status, 200, "feature body {body} rejected: {doc:?}");
+        assert!(doc.get("model_version").is_some());
+        let verdicts = doc.get("verdicts").and_then(Value::as_array).unwrap();
+        assert_eq!(verdicts.len(), 1);
+    }
 
     // Introspection shows the applied mutations.
     let (status, doc) = exchange(addr, &request("GET", "/debug/stream", ""));
