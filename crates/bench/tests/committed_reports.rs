@@ -2,7 +2,7 @@
 //! a smoke or older file is refused as a baseline by the gate.
 
 use gale_bench::paths::repo_root;
-use gale_bench::report::{file_name, read_baseline, Rule};
+use gale_bench::report::{file_name, read_baseline};
 
 #[test]
 fn committed_reports_are_full_v2_runs() {
@@ -17,28 +17,6 @@ fn committed_reports_are_full_v2_runs() {
         }
     }
     benches.sort();
-    let want = ["kernels", "precision", "scale", "select", "serve", "stream"];
+    let want = ["kernels", "scale", "select", "serve", "stream"];
     assert_eq!(benches, want);
-}
-
-/// Both halves of `BENCH_precision.json` are in the committed file: a
-/// re-take that skipped `gale-loadgen bench-precision` would leave the
-/// served tolerance without a baseline.
-#[test]
-fn committed_precision_report_carries_both_tolerance_halves() {
-    let path = repo_root().join(file_name("precision"));
-    let report = read_baseline(&path).unwrap_or_else(|e| panic!("{e}"));
-    let rule_of = |name: &str| {
-        report
-            .ratios
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.rule)
-    };
-    for half in ["tolerance", "serve"] {
-        let flips = rule_of(&format!("{half}/verdict_flips"));
-        let divergence = rule_of(&format!("{half}/max_abs_divergence"));
-        let want = (Some(Rule::Flips), Some(Rule::Divergence));
-        assert_eq!((flips, divergence), want, "{half}");
-    }
 }

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::LayerState;
 use crate::layer::{Layer, Params};
-use gale_tensor::{Element, Matrix};
+use gale_tensor::Matrix;
 
 /// The supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,28 +60,6 @@ impl Activation {
             }
             Activation::Tanh => x.tanh(),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Identity => x,
-        }
-    }
-
-    /// [`Activation::apply`] over a generic kernel element. For `f64` this
-    /// is operation-for-operation identical to `apply` (same comparisons,
-    /// same constants), so the f64 inference path stays bitwise equal to
-    /// training-mode evaluation; for `f32` it is the single-precision
-    /// analogue with the slope rounded once at compile of the constant.
-    #[inline]
-    pub fn apply_e<E: Element>(self, x: E) -> E {
-        match self {
-            Activation::Relu => x.max_e(E::ZERO),
-            Activation::LeakyRelu => {
-                if x > E::ZERO {
-                    x
-                } else {
-                    E::from_f64(LEAKY_SLOPE) * x
-                }
-            }
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => E::ONE / (E::ONE + (-x).exp()),
             Activation::Identity => x,
         }
     }

@@ -53,10 +53,6 @@ pub struct WideEvent {
     pub shard: u32,
     /// Model generation that scored the request (0 when unscored).
     pub model_version: u64,
-    /// Mantissa-carrying width of the shard's arithmetic: 64 for the
-    /// default double-precision replicas, 32 for lowered `f32` inference
-    /// replicas (0 when the request never reached a shard).
-    pub precision_bits: u32,
     /// Rows in this request.
     pub rows: u32,
     /// Total rows in the coalesced batch this request rode in.
@@ -89,7 +85,6 @@ impl WideEvent {
             "request_id": self.request_id,
             "shard": self.shard as u64,
             "model_version": self.model_version,
-            "precision_bits": self.precision_bits as u64,
             "rows": self.rows as u64,
             "batch_rows": self.batch_rows as u64,
             "status": self.status as u64,
@@ -459,7 +454,6 @@ mod tests {
             request_id: 9,
             shard: 2,
             model_version: 3,
-            precision_bits: 32,
             rows: 4,
             batch_rows: 16,
             status: 200,
@@ -477,7 +471,6 @@ mod tests {
             ("request_id", 9),
             ("shard", 2),
             ("model_version", 3),
-            ("precision_bits", 32),
             ("rows", 4),
             ("batch_rows", 16),
             ("status", 200),

@@ -17,7 +17,6 @@ fn derived(id: u64) -> WideEvent {
         request_id: id,
         shard: field(1),
         model_version: mix ^ id,
-        precision_bits: field(11),
         rows: field(2),
         batch_rows: field(3),
         status: (mix % 400) as u16 + 100,

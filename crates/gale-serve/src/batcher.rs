@@ -2,7 +2,7 @@
 //! scorer threads that own the model replicas.
 //!
 //! A [`ShardPool`] holds `N` scorer shards. Every shard owns a
-//! forward-only [`SganInfer`] replica lowered from one decoded model, so
+//! forward-only [`SganInfer`] replica copied from one decoded model, so
 //! all shards score bitwise-identically, plus a *bounded* job queue.
 //! [`ShardPool::submit`] dispatches to the shard with the least queue
 //! depth, breaking ties round-robin; when every queue is full the
@@ -18,19 +18,14 @@
 //! from per-shard [`Workspace`] pools, so steady-state serving does not
 //! allocate.
 //!
-//! The whole pool runs at one [`Precision`] chosen at spawn time. The
-//! batch forward is written once, generic over the element type: features
-//! are narrowed on batch assembly and probabilities widened on reply, so
-//! the wire format never changes. `F64` replicas score bit for bit like
-//! [`Sgan::probs3_into`] (tested across batch shapes and thread counts);
-//! `F32` replicas trade that parity for bandwidth, with the divergence
-//! bounded by the committed tolerance corpus (`BENCH_precision.json`).
-//! Replies stamp their [`ScoreReply::precision`] so clients can tell.
+//! Every replica scores bit for bit like [`Sgan::probs3_into`] (tested
+//! across batch shapes and thread counts), so which shard answers, and
+//! which jobs shared its batch, never shows in a reply.
 //!
 //! Hot reload rides a second, unbounded control channel per shard: a
 //! [`ShardPool::reload`] decodes and validates the new checkpoint *once*
 //! (all-or-nothing — a checkpoint that fails to decode swaps nothing),
-//! lowers it into one replica per shard, and sends each shard its swap.
+//! copies it into one replica per shard, and sends each shard its swap.
 //! Shards apply swaps only **between** batches, so every row of any single
 //! batch is scored by exactly one model version, and no request is ever
 //! dropped: jobs queued across the swap simply score on whichever version
@@ -43,7 +38,7 @@
 use crate::metrics;
 use gale_core::{Sgan, SganInfer};
 use gale_nn::checkpoint::CkptError;
-use gale_tensor::{Element, Workspace};
+use gale_tensor::Workspace;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -74,66 +69,6 @@ impl Default for BatchConfig {
             max_wait_us: 0,
             queue_capacity: 128,
         }
-    }
-}
-
-/// Arithmetic width the scorer shards run their forward passes at.
-///
-/// `F64` is the training precision: bitwise-identical to calling the
-/// checkpointed model in process. `F32` serves a single-precision
-/// lowering — roughly twice the effective memory bandwidth on this repo's
-/// GEMM and distance kernels, deterministic per-precision (fixed 16-lane
-/// reduction chains, thread-count invariant) but *not* bit-equal to f64;
-/// its divergence is bounded by the committed tolerance baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Double precision — the default, bit-exact with training.
-    #[default]
-    F64,
-    /// Single precision — lowered inference replicas.
-    F32,
-}
-
-impl Precision {
-    /// Parses `"f64"` / `"f32"` (the `--precision` flag vocabulary).
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s {
-            "f64" => Some(Precision::F64),
-            "f32" => Some(Precision::F32),
-            _ => None,
-        }
-    }
-
-    /// The flag/JSON spelling: `"f64"` or `"f32"`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
-
-    /// Mantissa-carrying width in bits (64 or 32); what `/metrics` and
-    /// wide events report.
-    pub fn bits(self) -> u32 {
-        match self {
-            Precision::F64 => 64,
-            Precision::F32 => 32,
-        }
-    }
-
-    /// The precision a shard over element type `E` serves at.
-    fn of<E: Element>() -> Precision {
-        if E::BITS == 32 {
-            Precision::F32
-        } else {
-            Precision::F64
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -170,8 +105,6 @@ pub struct ScoreReply {
     /// The batched forward pass, microseconds (shared by every job in the
     /// batch).
     pub forward_us: u32,
-    /// Arithmetic width of the pool that scored these rows.
-    pub precision: Precision,
 }
 
 /// Why a submission was rejected.
@@ -221,19 +154,14 @@ impl From<CkptError> for ReloadError {
 }
 
 /// Control messages delivered outside the job queue (never shed).
-enum Ctrl<E: Element> {
+enum Ctrl {
     /// Replace the shard's replica between batches.
     Swap {
-        model: SganInfer<E>,
+        model: SganInfer,
         version: u64,
         ack: Sender<()>,
     },
 }
-
-/// Lowers a decoded model into one shard's replica and queues the swap;
-/// `false` once the shard has exited. Erases the shard's element type, so
-/// the pool itself stays precision-agnostic.
-type SwapFn = Box<dyn Fn(&Sgan, u64, Sender<()>) -> bool + Send + Sync>;
 
 /// Live per-shard counters, shared between the scorer thread (writer) and
 /// `/debug/queues` (reader). All relaxed: the endpoint reports a consistent
@@ -268,17 +196,16 @@ pub struct ShardSnapshot {
 /// One shard's submission handles.
 struct Shard {
     tx: SyncSender<ScoreJob>,
-    swap: SwapFn,
+    ctrl: Sender<Ctrl>,
     depth: Arc<AtomicI64>,
     stats: Arc<ShardStats>,
 }
 
 impl Shard {
-    /// Spawns shard `id`'s scorer thread around a lowering of `model` to
-    /// element `E`.
-    fn spawn<E: Element>(id: usize, model: &Sgan, cfg: &BatchConfig) -> (Shard, JoinHandle<()>) {
+    /// Spawns shard `id`'s scorer thread around a replica of `model`.
+    fn spawn(id: usize, model: &Sgan, cfg: &BatchConfig) -> (Shard, JoinHandle<()>) {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-        let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl<E>>();
+        let (ctrl, ctrl_rx) = mpsc::channel();
         let depth = Arc::new(AtomicI64::new(0));
         let stats = Arc::new(ShardStats::default());
         let scorer = ShardLoop {
@@ -289,24 +216,14 @@ impl Shard {
             stats: stats.clone(),
             cfg: cfg.clone(),
         };
-        let replica = model.to_infer::<E>();
+        let replica = model.to_infer();
         let handle = std::thread::Builder::new()
             .name(format!("gale-shard-{id}"))
             .spawn(move || scorer.run(replica))
             .expect("spawning a shard thread");
-        let swap: SwapFn = Box::new(move |model, version, ack| {
-            let model = model.to_infer::<E>();
-            ctrl_tx
-                .send(Ctrl::Swap {
-                    model,
-                    version,
-                    ack,
-                })
-                .is_ok()
-        });
         let shard = Shard {
             tx,
-            swap,
+            ctrl,
             depth,
             stats,
         };
@@ -321,29 +238,24 @@ pub struct ShardPool {
     rr: AtomicUsize,
     version: AtomicU64,
     input_dim: usize,
-    precision: Precision,
     /// Serializes reloads so versions are assigned in order.
     reload_lock: Mutex<()>,
 }
 
 impl ShardPool {
-    /// Spawns `shards` scorer threads, each serving its own lowering of
-    /// `model` at `precision`, and returns the pool plus the thread
-    /// handles (join them after dropping the pool to wait for the drain).
+    /// Spawns `shards` scorer threads, each serving its own replica of
+    /// `model`, and returns the pool plus the thread handles (join them
+    /// after dropping the pool to wait for the drain).
     pub fn spawn(
         model: Sgan,
         shards: usize,
-        precision: Precision,
         cfg: &BatchConfig,
     ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
         metrics::register_all();
         let mut handles = Vec::with_capacity(shards.max(1));
         let mut slots = Vec::with_capacity(shards.max(1));
         for i in 0..shards.max(1) {
-            let (shard, handle) = match precision {
-                Precision::F64 => Shard::spawn::<f64>(i, &model, cfg),
-                Precision::F32 => Shard::spawn::<f32>(i, &model, cfg),
-            };
+            let (shard, handle) = Shard::spawn(i, &model, cfg);
             slots.push(shard);
             handles.push(handle);
         }
@@ -354,7 +266,6 @@ impl ShardPool {
                 rr: AtomicUsize::new(0),
                 version: AtomicU64::new(INITIAL_VERSION),
                 input_dim: model.input_dim(),
-                precision,
                 reload_lock: Mutex::new(()),
             }),
             handles,
@@ -369,11 +280,6 @@ impl ShardPool {
     /// Number of scorer shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The pool's serving precision (fixed at spawn).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Current model generation (1 at boot, +1 per successful reload).
@@ -475,7 +381,7 @@ impl ShardPool {
             .reload_lock
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Decode once and lower that one model for every shard, so all
+        // Decode once and copy that one model for every shard, so all
         // shards keep scoring bit-identically after the swap.
         let model = Sgan::load(path.as_ref())?;
         let found = model.input_dim();
@@ -488,8 +394,13 @@ impl ShardPool {
         let new_version = self.version.load(Ordering::SeqCst) + 1;
         let mut acks = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            if !(shard.swap)(&model, new_version, ack_tx) {
+            let (ack, ack_rx) = mpsc::channel();
+            let swap = Ctrl::Swap {
+                model: model.to_infer(),
+                version: new_version,
+                ack,
+            };
+            if shard.ctrl.send(swap).is_err() {
                 return Err(ReloadError::PoolDown);
             }
             acks.push(ack_rx);
@@ -518,26 +429,23 @@ fn us32(d: Duration) -> u32 {
 }
 
 /// One shard's scoring loop and the channels it serves.
-struct ShardLoop<E: Element> {
+struct ShardLoop {
     id: u32,
     rx: Receiver<ScoreJob>,
-    ctrl: Receiver<Ctrl<E>>,
+    ctrl: Receiver<Ctrl>,
     depth: Arc<AtomicI64>,
     stats: Arc<ShardStats>,
     cfg: BatchConfig,
 }
 
-impl<E: Element> ShardLoop<E> {
+impl ShardLoop {
     /// Scores batches through `model` until the pool (every job sender)
     /// is dropped, then drains the queue — each remaining job still gets
     /// its reply — and exits.
-    fn run(self, mut model: SganInfer<E>) {
+    fn run(self, mut model: SganInfer) {
         let dim = model.input_dim();
-        let mut ws: Workspace<E> = Workspace::new();
+        let mut ws = Workspace::new();
         let mut version = INITIAL_VERSION;
-        // Widened probabilities of the current batch, reused across
-        // batches so the widen step does not allocate.
-        let mut scored: Vec<f64> = Vec::new();
         let mut jobs: Vec<(ScoreJob, Instant)> = Vec::new();
         let (mut reported_hits, mut reported_misses) = (0u64, 0u64);
         loop {
@@ -578,27 +486,19 @@ impl<E: Element> ShardLoop<E> {
                 total_rows += self.take(job, &mut jobs);
             }
 
-            // One batched forward through the pooled buffers: features
-            // are narrowed to `E` during batch assembly and probabilities
-            // widened right after the forward, so everything downstream
-            // (scatter, replies, `/score` rendering) stays f64.
+            // One batched forward through the pooled buffers.
             let mut batch = ws.take(total_rows, dim);
             let mut offset = 0usize;
             for (job, _) in &jobs {
-                let dst = &mut batch.data_mut()[offset..offset + job.features.len()];
-                for (d, &s) in dst.iter_mut().zip(&job.features) {
-                    *d = E::from_f64(s);
-                }
-                offset += job.features.len();
+                let len = job.features.len();
+                batch.data_mut()[offset..offset + len].copy_from_slice(&job.features);
+                offset += len;
             }
             let mut probs = ws.take(total_rows, 3);
             let forward_started = Instant::now();
             model.probs3_into(&batch, &mut probs);
             let forward_us = us32(forward_started.elapsed());
-            scored.clear();
-            scored.extend(probs.data().iter().map(|&v| v.to_f64()));
             ws.give(batch);
-            ws.give(probs);
 
             metrics::batches().add(1);
             metrics::rows().add(total_rows as u64);
@@ -618,7 +518,7 @@ impl<E: Element> ShardLoop<E> {
             // Scatter the rows back to their requesters.
             let mut row0 = 0usize;
             for (job, popped) in jobs.drain(..) {
-                let slice = scored[row0 * 3..(row0 + job.rows) * 3].to_vec();
+                let slice = probs.data()[row0 * 3..(row0 + job.rows) * 3].to_vec();
                 row0 += job.rows;
                 metrics::latency_us().record(job.enqueued.elapsed().as_secs_f64() * 1e6);
                 let queue_us = us32(popped.duration_since(job.enqueued));
@@ -636,9 +536,9 @@ impl<E: Element> ShardLoop<E> {
                     queue_us,
                     assembly_us,
                     forward_us,
-                    precision: Precision::of::<E>(),
                 });
             }
+            ws.give(probs);
         }
     }
 
@@ -693,7 +593,7 @@ mod tests {
             max_wait_us: 0,
             max_batch: 1,
         };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, Precision::F64, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &cfg);
         let heavy_rows = 100_000usize;
         let heavy = vec![0.5f64; heavy_rows * dim];
         let mut accepted = 0;
@@ -740,8 +640,7 @@ mod tests {
         // stays far under a millisecond; a preempted job or two on a busy
         // machine does not move it.
         let dim = 3;
-        let (pool, handles) =
-            ShardPool::spawn(tiny_model(dim), 1, Precision::F64, &BatchConfig::default());
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 1, &BatchConfig::default());
         let mut assembly_us: Vec<u32> = (0..20)
             .map(|_| {
                 let scored = pool.submit(vec![0.5; dim], 1).unwrap().recv().unwrap();
@@ -768,7 +667,7 @@ mod tests {
             max_wait_us: 10_000_000,
             ..BatchConfig::default()
         };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 1, Precision::F64, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 1, &cfg);
         let first = pool.submit(vec![0.5; dim], 1).unwrap();
         while pool.shard_snapshots()[0].in_flight == 0 {
             std::thread::yield_now();
@@ -789,8 +688,7 @@ mod tests {
         // all of them into one batch.
         let dim = 2;
         let k = 5;
-        let (pool, handles) =
-            ShardPool::spawn(tiny_model(dim), 1, Precision::F64, &BatchConfig::default());
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 1, &BatchConfig::default());
         let heavy_rows = 100_000usize;
         let heavy = vec![0.5f64; heavy_rows * dim];
         let mut checked = false;
@@ -842,7 +740,7 @@ mod tests {
     fn scored_rows_match_in_process_model_bitwise_across_shards() {
         let dim = 5;
         let cfg = BatchConfig::default();
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 3, Precision::F64, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 3, &cfg);
 
         let mut rng = Rng::seed_from_u64(32);
         let x = Matrix::randn(7, dim, 1.0, &mut rng);
@@ -875,7 +773,7 @@ mod tests {
             max_wait_us: 500,
             queue_capacity: 64,
         };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 4, Precision::F64, &cfg);
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 4, &cfg);
         let mut rng = Rng::seed_from_u64(33);
         let replies: Vec<_> = (0..40)
             .map(|_| {
@@ -902,60 +800,9 @@ mod tests {
     }
 
     #[test]
-    fn f32_pool_reload_serves_a_lowering_of_the_new_checkpoint() {
-        // Every shard of an f32 pool must score the *new* checkpoint after
-        // a reload, at the bumped version, agreeing with the f64 forward
-        // on every verdict and within single-precision tolerance.
-        let dim = 4;
-        let (pool, handles) =
-            ShardPool::spawn(tiny_model(dim), 2, Precision::F32, &BatchConfig::default());
-        assert_eq!(pool.precision(), Precision::F32);
-        let mut rng = Rng::seed_from_u64(57);
-        let mut next = Sgan::new(
-            dim,
-            &SganConfig {
-                d_hidden: vec![6],
-                g_hidden: vec![6],
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        let path = scratch_path("reload-f32.ckpt");
-        next.save(&path).unwrap();
-        let v = pool.reload(&path).unwrap();
-        assert_eq!(v, INITIAL_VERSION + 1);
-
-        let x = Matrix::randn(5, dim, 1.0, &mut rng);
-        let mut expect = Matrix::zeros(0, 0);
-        next.probs3_into(&x, &mut expect);
-        for _ in 0..8 {
-            let got = pool.submit(x.data().to_vec(), 5).unwrap().recv().unwrap();
-            assert_eq!(got.version, v);
-            assert_eq!(got.precision, Precision::F32);
-            for r in 0..5 {
-                assert_eq!(
-                    expect[(r, 0)] > expect[(r, 1)],
-                    got.probs[r * 3] > got.probs[r * 3 + 1],
-                    "verdict flip on row {r} after reload"
-                );
-                for c in 0..3 {
-                    let diff = (expect[(r, c)] - got.probs[r * 3 + c]).abs();
-                    assert!(diff < 1e-4, "row {r} class {c} diverged by {diff:e}");
-                }
-            }
-        }
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn reload_swaps_every_shard_and_bumps_the_version() {
         let dim = 4;
-        let (pool, handles) =
-            ShardPool::spawn(tiny_model(dim), 2, Precision::F64, &BatchConfig::default());
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &BatchConfig::default());
         let mut rng = Rng::seed_from_u64(55);
         let mut next = Sgan::new(
             dim,
@@ -994,8 +841,7 @@ mod tests {
     #[test]
     fn failed_reload_leaves_the_old_model_serving() {
         let dim = 3;
-        let (pool, handles) =
-            ShardPool::spawn(tiny_model(dim), 2, Precision::F64, &BatchConfig::default());
+        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &BatchConfig::default());
         let mut reference = tiny_model(dim);
         let x = Matrix::randn(4, dim, 1.0, &mut Rng::seed_from_u64(7));
         let mut expect = Matrix::zeros(0, 0);

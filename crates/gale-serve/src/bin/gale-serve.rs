@@ -5,22 +5,26 @@
 //! - `gale-serve train-demo --out model.ckpt [--dim N] [--seed S]` — trains
 //!   a small SGAN on synthetic two-cluster data and writes a checkpoint, so
 //!   the serving path can be exercised without a full pipeline run.
+//! - `gale-serve stream-demo --out DIR [--nodes N] [--dim D] [--seed S]` —
+//!   trains a small graph model over a synthetic community graph and
+//!   writes a stream bundle for `serve --stream DIR`.
 //! - `gale-serve serve --ckpt model.ckpt [--addr HOST:PORT] [--shards N]
-//!   [--precision f64|f32] [--max-batch N] [--max-wait-us U]
-//!   [--queue-capacity N]` — loads the checkpoint and serves `/score`,
-//!   `/healthz`, `/metrics`, `/admin/reload`, and the `/debug/{trace,
-//!   slow,queues}` introspection endpoints until `POST /admin/shutdown`
-//!   drains it. A shard batches the jobs already queued behind a batch's
-//!   first and, unless `--max-wait-us` asks it to linger, never waits for
-//!   more. `--trace off` switches request tracing off;
-//!   `--trace-sample`/`--trace-slow-us` tune the sampling policy.
+//!   [--max-batch N] [--max-wait-us U] [--queue-capacity N]` — loads the
+//!   checkpoint and serves `/score`, `/healthz`, `/metrics`,
+//!   `/admin/reload`, and the `/debug/{trace,slow,queues}` introspection
+//!   endpoints until `POST /admin/shutdown` drains it. A shard batches
+//!   the jobs already queued behind a batch's first and, unless
+//!   `--max-wait-us` asks it to linger, never waits for more.
+//!   `--trace off` switches request tracing off;
+//!   `--trace-sample`/`--trace-slow-us` tune the sampling policy;
+//!   `--stream DIR` also serves a stream bundle's graph.
 //! - `gale-serve reload --addr HOST:PORT --ckpt PATH` — asks a running
 //!   server to hot-swap to a new checkpoint and reports the new model
 //!   version.
 
 use gale_core::{ColumnStandardizer, Sgan, SganConfig};
 use gale_json::json;
-use gale_serve::{serve_with_stream, BatchConfig, Precision, ServeConfig};
+use gale_serve::{serve_with_stream, BatchConfig, ServeConfig};
 use gale_stream::{load_bundle, save_bundle, StreamConfig};
 use gale_tensor::{Matrix, Rng, SparseMatrix, SymNormalized};
 use std::io::{Read, Write};
@@ -55,8 +59,7 @@ USAGE:
   gale-serve train-demo --out PATH [--dim N] [--seed S]
   gale-serve stream-demo --out DIR [--nodes N] [--dim D] [--seed S]
   gale-serve serve --ckpt PATH [--addr HOST:PORT] [--shards N]
-                   [--precision f64|f32] [--max-batch N]
-                   [--max-wait-us U] [--queue-capacity N]
+                   [--max-batch N] [--max-wait-us U] [--queue-capacity N]
                    [--retry-after-secs S] [--keep-alive-secs S]
                    [--trace on|off] [--trace-sample N] [--trace-slow-us U]
                    [--stream DIR]
@@ -263,7 +266,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--ckpt",
             "--addr",
             "--shards",
-            "--precision",
             "--max-batch",
             "--max-wait-us",
             "--queue-capacity",
@@ -276,11 +278,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let ckpt = find(&flags, "--ckpt").ok_or("serve requires --ckpt PATH")?;
-    let precision = match find(&flags, "--precision") {
-        None => Precision::F64,
-        Some(raw) => Precision::parse(raw)
-            .ok_or_else(|| format!("flag `--precision` wants f64|f32, got `{raw}`"))?,
-    };
     let trace = match find(&flags, "--trace").unwrap_or("on") {
         "on" => true,
         "off" => false,
@@ -302,7 +299,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         },
         retry_after_secs: parse_num(&flags, "--retry-after-secs", 1u32)?,
         shards: parse_num(&flags, "--shards", 1usize)?.max(1),
-        precision,
         keep_alive_secs: parse_num(&flags, "--keep-alive-secs", 60u64)?,
         trace,
         trace_sample: parse_num(&flags, "--trace-sample", defaults.trace_sample)?,

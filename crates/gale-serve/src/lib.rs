@@ -2,16 +2,16 @@
 //! inference server for checkpointed GALE SGAN discriminators.
 //!
 //! The server loads a [`gale_core::Sgan`] from a `gale-checkpoint` file,
-//! lowers it into a forward-only [`gale_core::SganInfer`] replica per
-//! scorer shard (at `f64`, bit-exact with the source checkpoint), and
-//! exposes plain HTTP/1.1 endpoints:
+//! copies it into a forward-only [`gale_core::SganInfer`] replica per
+//! scorer shard (bit-exact with the source checkpoint), and exposes plain
+//! HTTP/1.1 endpoints:
 //!
 //! - `POST /score` — a JSON batch of feature rows, answered with per-class
 //!   probabilities, renormalized error scores, error/correct verdicts, and
 //!   the model generation that scored the batch. Scores are
 //!   bitwise-identical to calling the discriminator in process.
-//! - `GET /healthz` — liveness plus input dimension, shard count, serving
-//!   precision, and the live model version.
+//! - `GET /healthz` — liveness plus input dimension, shard count, and the
+//!   live model version.
 //! - `GET /metrics` — the whole `gale-obs` metric registry in Prometheus
 //!   text format (request/shed/reload counts, queue depth, connection
 //!   count, batch-size and latency histograms).
@@ -50,8 +50,7 @@ pub mod server;
 pub mod stream;
 
 pub use batcher::{
-    BatchConfig, Precision, ReloadError, ScoreReply, ShardPool, ShardSnapshot, SubmitError,
-    INITIAL_VERSION,
+    BatchConfig, ReloadError, ScoreReply, ShardPool, ShardSnapshot, SubmitError, INITIAL_VERSION,
 };
 pub use server::{serve, serve_with_stream, ServeConfig, ServerHandle};
 pub use stream::StreamState;

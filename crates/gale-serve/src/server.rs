@@ -16,7 +16,7 @@
 //! shards drain and exit, so no accepted request goes unanswered no matter
 //! how many shards are racing the listener close.
 
-use crate::batcher::{BatchConfig, Precision, ReloadError, ScoreReply, ShardPool, SubmitError};
+use crate::batcher::{BatchConfig, ReloadError, ScoreReply, ShardPool, SubmitError};
 use crate::http::{self, HttpError, Request};
 use crate::metrics;
 use crate::stream::StreamState;
@@ -45,10 +45,6 @@ pub struct ServeConfig {
     pub retry_after_secs: u32,
     /// Scorer shards, each owning a model replica.
     pub shards: usize,
-    /// Serving precision of every shard: `F64` (the default) is bit-exact
-    /// with the checkpointed model, `F32` serves a single-precision
-    /// lowering.
-    pub precision: Precision,
     /// Idle keep-alive connections are closed after this many seconds.
     pub keep_alive_secs: u64,
     /// Whether per-request tracing (wide events into the `/debug/trace`
@@ -71,7 +67,6 @@ impl Default for ServeConfig {
             batch: BatchConfig::default(),
             retry_after_secs: 1,
             shards: 1,
-            precision: Precision::F64,
             keep_alive_secs: 60,
             trace: true,
             trace_sample: policy.sample_every,
@@ -159,7 +154,7 @@ pub fn serve_with_stream(
         },
     );
     let shards = cfg.shards.max(1);
-    let (pool, shard_threads) = ShardPool::spawn(model, shards, cfg.precision, &cfg.batch);
+    let (pool, shard_threads) = ShardPool::spawn(model, shards, &cfg.batch);
     let ctx = Arc::new(Ctx {
         pool,
         shutdown: shutdown.clone(),
@@ -179,8 +174,7 @@ pub fn serve_with_stream(
     threads.push(front);
     threads.extend(shard_threads);
     gale_obs::info!(
-        "gale-serve listening on http://{addr} ({shards} {} shard{})",
-        cfg.precision,
+        "gale-serve listening on http://{addr} ({shards} shard{})",
         if shards == 1 { "" } else { "s" },
     );
     Ok(ServerHandle {
@@ -240,7 +234,6 @@ fn fill_scored(trace: &mut Option<Box<TraceState>>, scored: &ScoreReply) {
         state.ev.status = 200;
         state.ev.shard = scored.shard;
         state.ev.model_version = scored.version;
-        state.ev.precision_bits = scored.precision.bits();
         state.ev.batch_rows = scored.batch_rows;
         state.ev.queue_us = scored.queue_us;
         state.ev.assembly_us = scored.assembly_us;
@@ -398,7 +391,6 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
                     "input_dim": ctx.pool.input_dim(),
                     "model_version": Value::Int(ctx.pool.version() as i64),
                     "shards": ctx.pool.shard_count(),
-                    "precision": ctx.pool.precision().as_str(),
                 }),
                 ka,
             ),
@@ -936,13 +928,7 @@ fn tick_conn(conn: &mut Conn, ctx: &Ctx, draining: bool, scratch: &mut [u8]) -> 
                             200,
                             "OK",
                             &[],
-                            &score_body(
-                                &scored.probs,
-                                *rows,
-                                scored.version,
-                                *request_id,
-                                scored.precision,
-                            ),
+                            &score_body(&scored.probs, *rows, scored.version, *request_id),
                             *keep_alive,
                         ),
                         trace.take(),
@@ -1092,13 +1078,7 @@ fn parse_features(doc: &Value, input_dim: usize) -> Result<(Vec<f64>, usize), St
 /// the request's trace records. Feeds the per-version score-distribution
 /// and verdict-mix series as a side effect, so `/metrics` shows a reload
 /// as a clean handover between generations.
-fn score_body(
-    probs: &[f64],
-    rows: usize,
-    version: u64,
-    request_id: u64,
-    precision: Precision,
-) -> Value {
+fn score_body(probs: &[f64], rows: usize, version: u64, request_id: u64) -> Value {
     let series = metrics::version_series(version);
     let mut prob_rows = Vec::with_capacity(rows);
     let mut error_scores = Vec::with_capacity(rows);
@@ -1129,7 +1109,6 @@ fn score_body(
         "error_scores": Value::Array(error_scores),
         "verdicts": Value::Array(verdicts),
         "model_version": Value::Int(version as i64),
-        "precision": precision.as_str(),
         "request_id": request_id,
     })
 }
@@ -1170,7 +1149,7 @@ mod tests {
     #[test]
     fn score_body_reports_verdicts_and_renormalized_scores() {
         let probs = [0.6, 0.2, 0.2, 0.1, 0.7, 0.2];
-        let body = score_body(&probs, 2, 3, 77, Precision::F32);
+        let body = score_body(&probs, 2, 3, 77);
         let verdicts = body.get("verdicts").unwrap().as_array().unwrap();
         assert_eq!(verdicts[0].as_str(), Some("error"));
         assert_eq!(verdicts[1].as_str(), Some("correct"));
@@ -1178,7 +1157,6 @@ mod tests {
         assert!((scores[0].as_f64().unwrap() - 0.75).abs() < 1e-12);
         assert!((scores[1].as_f64().unwrap() - 0.125).abs() < 1e-12);
         assert_eq!(body.get("model_version").unwrap().as_u64(), Some(3));
-        assert_eq!(body.get("precision").unwrap().as_str(), Some("f32"));
         assert_eq!(body.get("request_id").unwrap().as_u64(), Some(77));
         // The per-version series saw both rows.
         let series = metrics::version_series(3);

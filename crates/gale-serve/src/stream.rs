@@ -6,13 +6,15 @@
 //! mark k-hop dirty sets; verdicts refresh lazily on the next node-mode
 //! score request, so a mutation burst costs one incremental refresh, not
 //! one per mutation. Feature-body `/score` requests never touch the
-//! mutex — they keep the shard-pool hot path.
+//! mutex — they keep the shard-pool hot path. A panic inside the engine
+//! poisons the mutex; from then on the three stream routes answer `503`
+//! and feature-body `/score` keeps serving.
 
 use crate::http;
 use crate::metrics;
 use gale_json::{json, Value};
 use gale_stream::{Mutation, StreamEngine};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The engine plus serving glue, shared with the event loop.
@@ -26,6 +28,15 @@ impl StreamState {
         StreamState {
             engine: Mutex::new(engine),
         }
+    }
+
+    /// The engine, or the `503` reply once a panic has poisoned its lock:
+    /// the engine may have stopped mid-update, so it serves nothing more.
+    fn lock(&self, ka: bool) -> Result<MutexGuard<'_, StreamEngine>, Vec<u8>> {
+        self.engine.lock().map_err(|_| {
+            let body = json!({"error": "stream engine failed"});
+            http::render_json(503, "Service Unavailable", &[], &body, ka)
+        })
     }
 
     /// `POST /mutate` — applies a mutation batch, returns the per-mutation
@@ -42,7 +53,10 @@ impl StreamState {
                 return http::render_json(400, "Bad Request", &[], &json!({"error": msg}), ka)
             }
         };
-        let mut engine = self.engine.lock().expect("stream engine lock");
+        let mut engine = match self.lock(ka) {
+            Ok(engine) => engine,
+            Err(reply) => return reply,
+        };
         match engine.apply(&muts) {
             Ok(report) => {
                 metrics::stream_mutations().add(report.outcomes.len() as u64);
@@ -98,7 +112,10 @@ impl StreamState {
                 return http::render_json(400, "Bad Request", &[], &json!({"error": msg}), ka)
             }
         };
-        let mut engine = self.engine.lock().expect("stream engine lock");
+        let mut engine = match self.lock(ka) {
+            Ok(engine) => engine,
+            Err(reply) => return reply,
+        };
         let refresh_ns_before = engine.refresh_ns;
         let refreshes_before = engine.refreshes;
         match engine.score_nodes(&nodes) {
@@ -144,8 +161,10 @@ impl StreamState {
 
     /// `GET /debug/stream` — engine introspection document.
     pub fn debug(&self, ka: bool) -> Vec<u8> {
-        let engine = self.engine.lock().expect("stream engine lock");
-        http::render_json(200, "OK", &[], &engine.debug_json(), ka)
+        match self.lock(ka) {
+            Ok(engine) => http::render_json(200, "OK", &[], &engine.debug_json(), ka),
+            Err(reply) => reply,
+        }
     }
 }
 
@@ -170,6 +189,10 @@ fn parse_nodes(doc: &Value) -> Result<Vec<usize>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gale_core::{Sgan, SganConfig};
+    use gale_nn::{Activation, Gae, Gcn};
+    use gale_stream::{BaseGraph, DeltaGraph, StreamConfig};
+    use gale_tensor::{Matrix, Rng, SparseMatrix};
 
     fn nodes(body: &str) -> Result<Vec<usize>, String> {
         parse_nodes(&gale_json::from_str(body).unwrap())
@@ -182,5 +205,54 @@ mod tests {
         assert!(nodes(r#"{"nodes": [-1]}"#).is_err());
         assert!(nodes(r#"{"nodes": 3}"#).is_err());
         assert!(nodes(r#"{"features": [1]}"#).is_err());
+    }
+
+    /// A four-node ring with a two-feature model.
+    fn tiny_engine() -> StreamEngine {
+        let mut rng = Rng::seed_from_u64(3);
+        let ring = (0..4).flat_map(|i| [(i, (i + 1) % 4, 1.0), ((i + 1) % 4, i, 1.0)]);
+        let a = SparseMatrix::from_triplets(4, 4, ring);
+        let x = Matrix::rand_uniform(4, 2, -1.0, 1.0, &mut rng);
+        let gae = Gae::from_parts(Gcn::new(2, 3, 2, Activation::Identity, &mut rng), 0.0);
+        let cfg = SganConfig {
+            d_hidden: vec![4],
+            g_hidden: vec![4],
+            ..Default::default()
+        };
+        let sgan = Sgan::new(4, &cfg, &mut rng);
+        let graph = DeltaGraph::new(BaseGraph::Mem(a));
+        StreamEngine::new(graph, x, gae, sgan, None, StreamConfig::default()).unwrap()
+    }
+
+    fn status(reply: &[u8]) -> &str {
+        std::str::from_utf8(&reply[9..12]).unwrap()
+    }
+
+    #[test]
+    fn a_poisoned_engine_answers_503_on_every_stream_route() {
+        let state = StreamState::new(tiny_engine());
+        let doc = gale_json::from_str(r#"{"nodes": [0, 1]}"#).unwrap();
+        let mutate = br#"{"mutations": [{"op": "add_edge", "u": 0, "v": 2}]}"#;
+        assert_eq!(status(&state.score_nodes(&doc, false)), "200");
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = state.engine.lock().unwrap();
+                panic!("engine panic while holding the lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(state.engine.is_poisoned());
+        for reply in [
+            state.mutate(mutate, false),
+            state.score_nodes(&doc, false),
+            state.debug(false),
+        ] {
+            assert_eq!(status(&reply), "503");
+            let text = String::from_utf8(reply).unwrap();
+            assert!(
+                text.ends_with(r#"{"error":"stream engine failed"}"#),
+                "{text}"
+            );
+        }
     }
 }

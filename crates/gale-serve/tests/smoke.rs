@@ -5,7 +5,7 @@
 
 use gale_core::{Sgan, SganConfig};
 use gale_json::Value;
-use gale_serve::{serve, BatchConfig, Precision, ServeConfig};
+use gale_serve::{serve, BatchConfig, ServeConfig};
 use gale_tensor::{Matrix, Rng};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -135,7 +135,6 @@ fn served_scores_match_in_process_bitwise() {
         health_doc.get("input_dim").unwrap().as_u64(),
         Some(dim as u64)
     );
-    assert_eq!(health_doc.get("precision").unwrap().as_str(), Some("f64"));
 
     // Batched and single-row scoring, checked bit-for-bit against the
     // in-process forward pass (JSON round-trips f64 exactly).
@@ -392,55 +391,4 @@ fn shutdown_drains_in_flight_requests() {
     }
     // The server is gone: new connections must fail.
     assert!(TcpStream::connect(addr).is_err());
-}
-
-#[test]
-fn f32_pool_agrees_with_f64_on_verdicts_end_to_end() {
-    // A two-shard single-precision server. A deterministic corpus is
-    // scored repeatedly so both shards answer; every reply must agree with
-    // the f64 in-process forward on every verdict, track its probabilities
-    // within single-precision tolerance, and say it was scored at f32.
-    let dim = 6;
-    let mut reference = tiny_model(dim, 41);
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        precision: Precision::F32,
-        ..Default::default()
-    };
-    let handle = serve(tiny_model(dim, 41), &cfg).unwrap();
-    let addr = handle.addr();
-    let health = get(addr, "/healthz").json();
-    assert_eq!(health.get("precision").unwrap().as_str(), Some("f32"));
-    assert_eq!(health.get("shards").unwrap().as_u64(), Some(2));
-
-    // The fixed tolerance corpus: seeded, so every run (and the precision
-    // bench) scores the same rows.
-    let mut rng = Rng::seed_from_u64(4242);
-    let x = Matrix::randn(8, dim, 1.0, &mut rng);
-    let mut expect = Matrix::zeros(0, 0);
-    reference.probs3_into(&x, &mut expect);
-    let body = score_request_body(&x);
-    for _ in 0..12 {
-        let resp = post(addr, "/score", &body);
-        assert_eq!(resp.status, 200);
-        let doc = resp.json();
-        assert_eq!(doc.get("precision").unwrap().as_str(), Some("f32"));
-        let verdicts = doc.get("verdicts").unwrap().as_array().unwrap();
-        let probs = doc.get("probs").unwrap().as_array().unwrap();
-        assert_eq!(verdicts.len(), 8);
-        for (r, (v, row)) in verdicts.iter().zip(probs).enumerate() {
-            let want = if expect[(r, 0)] > expect[(r, 1)] {
-                "error"
-            } else {
-                "correct"
-            };
-            assert_eq!(v.as_str(), Some(want), "verdict flip on row {r}");
-            for (c, p) in row.as_array().unwrap().iter().enumerate() {
-                let diff = (p.as_f64().unwrap() - expect[(r, c)]).abs();
-                assert!(diff < 1e-4, "row {r} class {c} diverged by {diff:e}");
-            }
-        }
-    }
-    handle.shutdown();
 }

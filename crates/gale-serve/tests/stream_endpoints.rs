@@ -198,6 +198,47 @@ fn invalid_mutations_are_rejected_not_applied() {
 }
 
 #[test]
+fn non_finite_attrs_are_refused_with_nothing_applied() {
+    let n = 12;
+    let handle = serve_with_stream(
+        shard_model(8),
+        &ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        Some(engine(n, 8)),
+    )
+    .unwrap();
+    let addr = handle.addr();
+
+    // `1e400` parses to an infinity. Each batch is refused whole, so the
+    // valid edge ahead of the bad row does not land either.
+    for body in [
+        r#"{"mutations": [{"op": "add_edge", "u": 0, "v": 5},
+                          {"op": "update_attrs", "node": 3, "attrs": [1e400, 0, 0, 0]}]}"#,
+        r#"{"mutations": [{"op": "add_node", "attrs": [0, -1e400, 0, 0]}]}"#,
+    ] {
+        let (status, doc) = exchange(addr, &request("POST", "/mutate", body));
+        assert_eq!(status, 400, "accepted {body}: {doc:?}");
+    }
+    let (_, doc) = exchange(addr, &request("GET", "/debug/stream", ""));
+    assert_eq!(doc.get("graph_version").and_then(Value::as_f64), Some(0.0));
+
+    // Every node still scores to a number.
+    let nodes: Vec<String> = (0..n).map(|v| v.to_string()).collect();
+    let body = format!(r#"{{"nodes": [{}]}}"#, nodes.join(", "));
+    let (status, doc) = exchange(addr, &request("POST", "/score", &body));
+    assert_eq!(status, 200);
+    let scores = doc.get("error_scores").and_then(Value::as_array).unwrap();
+    assert_eq!(scores.len(), n);
+    assert!(
+        scores.iter().all(|s| s.as_f64().is_some()),
+        "null score after a refused batch: {doc:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn streamless_server_404s_stream_paths() {
     let handle = serve(
         shard_model(7),

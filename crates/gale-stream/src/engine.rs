@@ -87,9 +87,9 @@ pub struct StreamEngine {
     graph: DeltaGraph,
     x: Matrix,
     gae: Gae,
-    /// The discriminator lowered to its forward-only f64 replica, which
-    /// scores bit for bit like the trainable model.
-    scorer: SganInfer<f64>,
+    /// The discriminator's forward-only replica, which scores bit for bit
+    /// like the trainable model.
+    scorer: SganInfer,
     standardizer: ColumnStandardizer,
     /// Current embeddings, one row per node (dirty rows are stale).
     z: Matrix,
@@ -154,7 +154,7 @@ impl StreamEngine {
                 inputs.cols()
             ));
         }
-        let mut scorer = sgan.to_infer::<f64>();
+        let mut scorer = sgan.to_infer();
         let mut probs = Matrix::zeros(0, 0);
         scorer.probs3_into(&inputs, &mut probs);
 
@@ -246,8 +246,9 @@ impl StreamEngine {
 
     /// Checks every mutation of a batch against the graph as it will stand
     /// when that mutation applies: node ids must exist (counting the
-    /// batch's own `add_node`s), feature rows must match the feature width,
-    /// and edges may not be self-loops.
+    /// batch's own `add_node`s), feature rows must match the feature width
+    /// and be finite (one infinite attribute would turn every verdict in
+    /// its k-hop neighbourhood into NaN), and edges may not be self-loops.
     fn validate(&self, muts: &[Mutation]) -> Result<(), String> {
         let width = self.x.cols();
         let mut n = self.graph.node_count();
@@ -258,16 +259,21 @@ impl StreamEngine {
                 Ok(())
             }
         };
+        let row = |what: &str, attrs: &[f64]| -> Result<(), String> {
+            if attrs.len() != width {
+                Err(format!(
+                    "{what} width {} != feature width {width}",
+                    attrs.len()
+                ))
+            } else if attrs.iter().any(|a| !a.is_finite()) {
+                Err(format!("{what} holds a non-finite value"))
+            } else {
+                Ok(())
+            }
+        };
         for (i, m) in muts.iter().enumerate() {
             let checked = match m {
-                Mutation::AddNode { attrs } if attrs.len() != width => Err(format!(
-                    "add_node attrs width {} != feature width {width}",
-                    attrs.len()
-                )),
-                Mutation::AddNode { .. } => {
-                    n += 1;
-                    Ok(())
-                }
+                Mutation::AddNode { attrs } => row("add_node attrs", attrs).map(|()| n += 1),
                 Mutation::RemoveNode { node } => check(*node, n),
                 Mutation::AddEdge { u, v, .. } if u == v => {
                     Err("add_edge: self-loops are implicit".into())
@@ -276,14 +282,7 @@ impl StreamEngine {
                     check(*u, n).and(check(*v, n))
                 }
                 Mutation::UpdateAttrs { node, attrs } => {
-                    check(*node, n).and(if attrs.len() == width {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "update_attrs width {} != feature width {width}",
-                            attrs.len()
-                        ))
-                    })
+                    check(*node, n).and(row("update_attrs", attrs))
                 }
             };
             checked.map_err(|msg| format!("mutation {i}: {msg}"))?;

@@ -176,6 +176,37 @@ fn graph_version_stamps_refreshed_verdicts() {
 }
 
 #[test]
+fn non_finite_attrs_reject_the_whole_batch() {
+    // `1e400` parses to +inf on the wire. One infinite attribute would
+    // poison every verdict in its k-hop neighbourhood, so the batch is
+    // refused before anything in it applies.
+    let (a, x) = random_graph(10, 7);
+    let mut engine = engine_over(a, x, 7);
+    let features = engine.features().clone();
+    for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let mut attrs = vec![0.5; DX];
+        attrs[2] = bad;
+        let edge = Mutation::AddEdge {
+            u: 0,
+            v: 5,
+            weight: 1.0,
+        };
+        let update = Mutation::UpdateAttrs {
+            node: 3,
+            attrs: attrs.clone(),
+        };
+        for batch in [vec![edge, update], vec![Mutation::AddNode { attrs }]] {
+            let err = engine.apply(&batch).unwrap_err();
+            assert!(err.contains("non-finite"), "{err}");
+        }
+    }
+    assert_eq!(engine.graph_version(), 0);
+    assert_eq!(engine.node_count(), 10);
+    assert_eq!(engine.features(), &features);
+    assert!(engine.all_scores().iter().all(|s| s.score.is_finite()));
+}
+
+#[test]
 fn bundle_roundtrip_preserves_verdict_bits() {
     let n = 12;
     let (a, x) = random_graph(n, 99);

@@ -1,58 +1,64 @@
-//! 64-byte-aligned element storage for [`crate::Matrix`] buffers.
+//! 64-byte-aligned `f64` storage for [`crate::Matrix`] buffers.
 //!
 //! `Vec<f64>` only guarantees 8-byte alignment, so on this repo's AVX-512
 //! hosts every 512-bit row load in the blocked distance/GEMM kernels can
 //! straddle a cache-line boundary and issue as two line accesses. [`AVec`]
-//! backs the same element-slice view with a `Vec` of cache-line-sized
-//! lanes (`#[repr(align(64))]`, see [`crate::element`]), so row-major
-//! slabs always start on a line boundary and full-width vector loads stay
-//! single-line. The lane type is chosen per element: eight `f64`s or
-//! sixteen `f32`s per 64-byte line.
+//! backs the same slice view with a `Vec` of cache-line-sized lanes of
+//! eight `f64`s (`#[repr(align(64))]`), so row-major slabs always start on
+//! a line boundary and full-width vector loads stay single-line.
 //!
-//! Alignment is a pure load-efficiency property: the element values, their
-//! order, and every arithmetic result are unchanged, so swapping `Vec<E>`
-//! for `AVec<E>` is bitwise invisible to all numeric outputs.
+//! Alignment is a pure load-efficiency property: the values, their order,
+//! and every arithmetic result are unchanged, so swapping `Vec<f64>` for
+//! [`AVec`] is bitwise invisible to all numeric outputs.
 
-use crate::element::Element;
 use std::ops::Deref;
 
-/// A growable element buffer whose data pointer is always 64-byte aligned.
+/// Elements per lane.
+const LANE: usize = 8;
+
+/// One 64-byte cache line of eight `f64`s: the [`AVec`] allocation granule.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct LaneF64([f64; LANE]);
+
+const _: () = assert!(std::mem::size_of::<LaneF64>() == 64);
+const _: () = assert!(std::mem::align_of::<LaneF64>() == 64);
+
+/// A growable `f64` buffer whose data pointer is always 64-byte aligned.
 ///
-/// Dereferences to `[E]`, so slice callers are untouched; only the
-/// allocation strategy differs from `Vec<E>`. Lane slots past `len` hold
+/// Dereferences to `[f64]`, so slice callers are untouched; only the
+/// allocation strategy differs from `Vec<f64>`. Lane slots past `len` hold
 /// unspecified values and are never exposed through the deref view.
-pub struct AVec<E: Element = f64> {
-    lanes: Vec<E::Lane>,
+#[derive(Clone, Default)]
+pub struct AVec {
+    lanes: Vec<LaneF64>,
     len: usize,
 }
 
-impl<E: Element> AVec<E> {
+impl AVec {
     /// An empty buffer.
     pub fn new() -> Self {
-        AVec {
-            lanes: Vec::new(),
-            len: 0,
-        }
+        AVec::default()
     }
 
     /// An empty buffer with room for `n` elements before reallocating.
     pub fn with_capacity(n: usize) -> Self {
         AVec {
-            lanes: Vec::with_capacity(n.div_ceil(E::LANE)),
+            lanes: Vec::with_capacity(n.div_ceil(LANE)),
             len: 0,
         }
     }
 
     /// A length-`n` buffer with every element set to `value`.
-    pub fn from_elem(n: usize, value: E) -> Self {
+    pub fn from_elem(n: usize, value: f64) -> Self {
         AVec {
-            lanes: vec![E::lane_splat(value); n.div_ceil(E::LANE)],
+            lanes: vec![LaneF64([value; LANE]); n.div_ceil(LANE)],
             len: n,
         }
     }
 
     /// Copies a slice into a fresh aligned buffer.
-    pub fn from_slice(s: &[E]) -> Self {
+    pub fn from_slice(s: &[f64]) -> Self {
         let mut v = AVec::with_capacity(s.len());
         v.extend_from_slice(s);
         v
@@ -64,10 +70,10 @@ impl<E: Element> AVec<E> {
     }
 
     /// Resizes to `n` elements; new elements are set to `value`.
-    pub fn resize(&mut self, n: usize, value: E) {
-        let need = n.div_ceil(E::LANE);
+    pub fn resize(&mut self, n: usize, value: f64) {
+        let need = n.div_ceil(LANE);
         if self.lanes.len() < need {
-            self.lanes.resize(need, E::lane_splat(E::ZERO));
+            self.lanes.resize(need, LaneF64([0.0; LANE]));
         }
         let old = self.len;
         self.len = n;
@@ -77,10 +83,10 @@ impl<E: Element> AVec<E> {
     }
 
     /// Appends one element.
-    pub fn push(&mut self, value: E) {
-        let need = (self.len + 1).div_ceil(E::LANE);
+    pub fn push(&mut self, value: f64) {
+        let need = (self.len + 1).div_ceil(LANE);
         if self.lanes.len() < need {
-            self.lanes.push(E::lane_splat(E::ZERO));
+            self.lanes.push(LaneF64([0.0; LANE]));
         }
         self.len += 1;
         let i = self.len - 1;
@@ -88,30 +94,15 @@ impl<E: Element> AVec<E> {
     }
 
     /// Appends every element of `s`.
-    pub fn extend_from_slice(&mut self, s: &[E]) {
+    pub fn extend_from_slice(&mut self, s: &[f64]) {
         let old = self.len;
         let n = old + s.len();
-        let need = n.div_ceil(E::LANE);
+        let need = n.div_ceil(LANE);
         if self.lanes.len() < need {
-            self.lanes.resize(need, E::lane_splat(E::ZERO));
+            self.lanes.resize(need, LaneF64([0.0; LANE]));
         }
         self.len = n;
         self[old..n].copy_from_slice(s);
-    }
-}
-
-impl<E: Element> Default for AVec<E> {
-    fn default() -> Self {
-        AVec::new()
-    }
-}
-
-impl<E: Element> Clone for AVec<E> {
-    fn clone(&self) -> Self {
-        AVec {
-            lanes: self.lanes.clone(),
-            len: self.len,
-        }
     }
 }
 
@@ -120,51 +111,47 @@ impl<E: Element> Clone for AVec<E> {
 #[allow(unsafe_code)]
 mod views {
     use super::AVec;
-    use crate::element::{Element, LaneF32, LaneF64};
     use std::ops::{Deref, DerefMut};
 
-    impl<E: Element> Deref for AVec<E> {
-        type Target = [E];
+    impl Deref for AVec {
+        type Target = [f64];
         #[inline]
-        fn deref(&self) -> &[E] {
-            // SAFETY: both lane types are `repr(C)` arrays of `E::LANE`
-            // elements with no padding (compile-time asserted below), so
-            // `lanes` is a contiguous run of `E::LANE * lanes.len()`
-            // initialized elements and `len <= E::LANE * lanes.len()` by
-            // construction in every mutator.
-            unsafe { std::slice::from_raw_parts(self.lanes.as_ptr().cast::<E>(), self.len) }
+        fn deref(&self) -> &[f64] {
+            // SAFETY: a lane is a `repr(C)` array of `LANE` `f64`s with no
+            // padding (compile-time asserted above), so `lanes` is a
+            // contiguous run of `LANE * lanes.len()` initialized elements
+            // and `len <= LANE * lanes.len()` by construction in every
+            // mutator.
+            unsafe { std::slice::from_raw_parts(self.lanes.as_ptr().cast::<f64>(), self.len) }
         }
     }
 
-    impl<E: Element> DerefMut for AVec<E> {
+    impl DerefMut for AVec {
         #[inline]
-        fn deref_mut(&mut self) -> &mut [E] {
+        fn deref_mut(&mut self) -> &mut [f64] {
             // SAFETY: as above; `&mut self` gives exclusive access.
-            unsafe { std::slice::from_raw_parts_mut(self.lanes.as_mut_ptr().cast::<E>(), self.len) }
+            unsafe {
+                std::slice::from_raw_parts_mut(self.lanes.as_mut_ptr().cast::<f64>(), self.len)
+            }
         }
     }
-
-    const _: () = assert!(std::mem::size_of::<LaneF64>() == 64);
-    const _: () = assert!(std::mem::align_of::<LaneF64>() == 64);
-    const _: () = assert!(std::mem::size_of::<LaneF32>() == 64);
-    const _: () = assert!(std::mem::align_of::<LaneF32>() == 64);
 }
 
-impl<E: Element> std::fmt::Debug for AVec<E> {
+impl std::fmt::Debug for AVec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(self.deref(), f)
     }
 }
 
 // Compare only the live prefix; lane slots past `len` are unspecified.
-impl<E: Element> PartialEq for AVec<E> {
+impl PartialEq for AVec {
     fn eq(&self, other: &Self) -> bool {
         self.deref() == other.deref()
     }
 }
 
-impl<E: Element> FromIterator<E> for AVec<E> {
-    fn from_iter<T: IntoIterator<Item = E>>(iter: T) -> Self {
+impl FromIterator<f64> for AVec {
+    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let iter = iter.into_iter();
         let mut v = AVec::with_capacity(iter.size_hint().0);
         for x in iter {
@@ -185,16 +172,6 @@ mod tests {
             assert_eq!(v.as_ptr() as usize % 64, 0, "n={n}");
             assert_eq!(v.len(), n);
             assert!(v.iter().all(|&x| x == 1.5));
-        }
-    }
-
-    #[test]
-    fn f32_buffer_is_aligned_with_sixteen_lane_granule() {
-        for n in [1usize, 15, 16, 17, 1000] {
-            let v: AVec<f32> = AVec::from_elem(n, 2.5f32);
-            assert_eq!(v.as_ptr() as usize % 64, 0, "n={n}");
-            assert_eq!(v.len(), n);
-            assert!(v.iter().all(|&x| x == 2.5f32));
         }
     }
 
@@ -234,22 +211,5 @@ mod tests {
         assert_ne!(a, b);
         b.resize(11, 0.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn f32_push_extend_and_resize_cross_lane_boundaries() {
-        let mut v: AVec<f32> = AVec::new();
-        for i in 0..30 {
-            v.push(i as f32);
-        }
-        v.extend_from_slice(&[100.0f32, 101.0]);
-        assert_eq!(v.len(), 32);
-        assert_eq!(v[15], 15.0);
-        assert_eq!(v[16], 16.0);
-        assert_eq!(v[31], 101.0);
-        v.resize(2, 0.0);
-        v.resize(40, 9.0);
-        assert_eq!(v[0], 0.0);
-        assert!(v[2..].iter().all(|&x| x == 9.0));
     }
 }

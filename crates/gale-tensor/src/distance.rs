@@ -22,8 +22,6 @@
 //!   scale (`1 + |x|² + |y|²`), enforced by property tests. Negative
 //!   round-off is clamped to zero before any `sqrt`.
 
-use crate::element::Element;
-
 /// Euclidean (L2) distance between two equal-length vectors.
 #[inline]
 pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -155,8 +153,8 @@ pub fn pairwise_euclidean_into(points: &crate::Matrix, out: &mut crate::Matrix) 
 /// all evaluate the identical per-lane mul/add sequence, so norms computed
 /// anywhere in the system are bitwise interchangeable.
 #[inline]
-pub fn row_norm_sq<E: Element>(row: &[E]) -> E {
-    E::dot_chain(row, row)
+pub fn row_norm_sq(row: &[f64]) -> f64 {
+    dot_unrolled(row, row)
 }
 
 /// Dot product over the same fixed eight-lane chain as [`row_norm_sq`], so
@@ -172,7 +170,7 @@ pub(crate) fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     dot_scalar8(a, b)
 }
 
-/// The SIMD backend the f64 distance kernels dispatch to on this CPU:
+/// The SIMD backend the distance kernels dispatch to on this CPU:
 /// `avx512`, `avx` or `scalar` (always `scalar` off x86-64).
 pub fn simd_tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
@@ -240,19 +238,12 @@ fn dot4_scalar8(rows: [&[f64]; 4], t: &[f64]) -> [f64; 4] {
     [red(&acc[0]), red(&acc[1]), red(&acc[2]), red(&acc[3])]
 }
 
-/// Full-sweep body for the f64 element: `out[i] = gram_sq(norms[i], tsq,
-/// dot(slab row i, t))` over a contiguous row-major slab. One SIMD
+/// Fan-out sweep `out[i] = gram_sq(norms[i], tsq, dot(slab row i, t))`
+/// over a contiguous row-major slab (`out.len()` rows of `cols`). One SIMD
 /// dispatch covers the whole sweep; the portable fallback interleaves four
-/// eight-lane dot chains per step exactly as the pre-generic kernel did.
-/// This is the body behind [`Element::sq_sweep`] for `f64`.
-pub(crate) fn sq_sweep_f64(
-    slab: &[f64],
-    cols: usize,
-    norms: &[f64],
-    t: &[f64],
-    tsq: f64,
-    out: &mut [f64],
-) {
+/// eight-lane dot chains per step. Per-row arithmetic matches
+/// [`dot_unrolled`] bit for bit at any block position.
+fn sq_sweep(slab: &[f64], cols: usize, norms: &[f64], t: &[f64], tsq: f64, out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if lanes8::sq_sweep(slab, cols, norms, t, tsq, out) {
         return;
@@ -283,10 +274,10 @@ pub(crate) fn sq_sweep_f64(
     }
 }
 
-/// Gathered-sweep body for the f64 element (the [`Element::sq_sweep_indexed`]
-/// impl): `out[i]` pairs row `indices[i]` of the full `points` slab with
-/// `t`; `norms` covers all rows.
-pub(crate) fn sq_sweep_indexed_f64(
+/// As [`sq_sweep`] over a gathered candidate subset: `out[i]` pairs row
+/// `indices[i]` of the full `points` slab with `t`; `norms` covers all
+/// rows.
+fn sq_sweep_indexed(
     points: &[f64],
     cols: usize,
     norms: &[f64],
@@ -322,97 +313,6 @@ pub(crate) fn sq_sweep_indexed_f64(
             norms[v],
             tsq,
             dot_unrolled(&points[v * cols..(v + 1) * cols], t),
-        );
-    }
-}
-
-/// f32 dot product over a fixed **sixteen**-lane chain (one 64-byte cache
-/// line of f32s per step): `acc[l] += a[16j+l] * b[16j+l]`, remainder
-/// folded into lane 0, reduced by the fixed four-level pairwise tree of
-/// [`reduce16`]. The f32 analogue of [`dot_unrolled`]; every backend in
-/// [`lanes16`] evaluates the identical arithmetic, so f32 results are
-/// bitwise reproducible across Scalar/AVX/AVX-512 just like f64.
-#[inline]
-pub(crate) fn dot_unrolled_f32(a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(d) = lanes16::dot(a, b) {
-        return d;
-    }
-    dot_scalar16(a, b)
-}
-
-/// Portable reference body of the sixteen-lane f32 dot chain.
-#[inline]
-fn dot_scalar16(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 16];
-    let mut ac = a.chunks_exact(16);
-    let mut bc = b.chunks_exact(16);
-    for (ca, cb) in (&mut ac).zip(&mut bc) {
-        for l in 0..16 {
-            acc[l] += ca[l] * cb[l];
-        }
-    }
-    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        acc[0] += x * y;
-    }
-    reduce16(&acc)
-}
-
-/// Fixed pairwise reduction tree over sixteen f32 lanes; shared by the
-/// portable chain and every SIMD backend (which store their register
-/// lanes and reduce through this same expression).
-#[inline]
-fn reduce16(a: &[f32; 16]) -> f32 {
-    let q0 = (a[0] + a[1]) + (a[2] + a[3]);
-    let q1 = (a[4] + a[5]) + (a[6] + a[7]);
-    let q2 = (a[8] + a[9]) + (a[10] + a[11]);
-    let q3 = (a[12] + a[13]) + (a[14] + a[15]);
-    (q0 + q1) + (q2 + q3)
-}
-
-/// f32 full-sweep body (the [`Element::sq_sweep`] impl for `f32`).
-pub(crate) fn sq_sweep_f32(
-    slab: &[f32],
-    cols: usize,
-    norms: &[f32],
-    t: &[f32],
-    tsq: f32,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if lanes16::sq_sweep(slab, cols, norms, t, tsq, out) {
-        return;
-    }
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = gram_sq(
-            norms[i],
-            tsq,
-            dot_scalar16(&slab[i * cols..(i + 1) * cols], t),
-        );
-    }
-}
-
-/// f32 gathered-sweep body (the [`Element::sq_sweep_indexed`] impl for
-/// `f32`).
-pub(crate) fn sq_sweep_indexed_f32(
-    points: &[f32],
-    cols: usize,
-    norms: &[f32],
-    indices: &[usize],
-    t: &[f32],
-    tsq: f32,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if lanes16::sq_sweep_indexed(points, cols, norms, indices, t, tsq, out) {
-        return;
-    }
-    for (i, slot) in out.iter_mut().enumerate() {
-        let v = indices[i];
-        *slot = gram_sq(
-            norms[v],
-            tsq,
-            dot_scalar16(&points[v * cols..(v + 1) * cols], t),
         );
     }
 }
@@ -885,391 +785,15 @@ mod lanes8 {
     }
 }
 
-/// Explicit SIMD backends for the sixteen-lane f32 dot chains: the f32
-/// counterpart of [`lanes8`], with twice the elements per 64-byte line.
-///
-/// Every backend evaluates exactly the arithmetic of [`dot_scalar16`]:
-/// lane `l` accumulates `a[16j+l] * b[16j+l]` with separate mul and add
-/// (never FMA), the remainder folds into lane 0, and the final reduce
-/// stores the register lanes and applies the fixed [`reduce16`] pairwise
-/// tree. f32 results are therefore bitwise identical across Scalar, AVX,
-/// and AVX-512 backends, mirroring the f64 determinism contract at the
-/// lower precision.
-// Same scoped allowance as `lanes8`: feature-gated intrinsics whose loads
-// stay inside slice bounds and which only run after `isa()` has proven
-// the feature exists.
-#[allow(unsafe_code)]
-#[cfg(target_arch = "x86_64")]
-mod lanes16 {
-    use super::reduce16;
-    use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Isa {
-        Avx512,
-        Avx,
-        Scalar,
-    }
-
-    /// Widest usable backend, detected once per process.
-    fn isa() -> Isa {
-        static ISA: OnceLock<Isa> = OnceLock::new();
-        *ISA.get_or_init(|| {
-            if is_x86_feature_detected!("avx512f") {
-                Isa::Avx512
-            } else if is_x86_feature_detected!("avx") {
-                Isa::Avx
-            } else {
-                Isa::Scalar
-            }
-        })
-    }
-
-    /// Safe dispatcher: `Some(dot)` from the widest SIMD backend, `None`
-    /// when the CPU offers neither AVX-512 nor AVX.
-    #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> Option<f32> {
-        match isa() {
-            Isa::Avx512 => Some(unsafe { dot_avx512(a, b) }),
-            Isa::Avx => Some(unsafe { dot_avx(a, b) }),
-            Isa::Scalar => None,
-        }
-    }
-
-    /// Whole-sweep dispatcher, mirroring [`super::lanes8::sq_sweep`] for
-    /// f32. Returns `false` (leaving `out` untouched) when no SIMD
-    /// backend exists.
-    pub fn sq_sweep(
-        points: &[f32],
-        cols: usize,
-        norms: &[f32],
-        t: &[f32],
-        tsq: f32,
-        out: &mut [f32],
-    ) -> bool {
-        assert_eq!(out.len(), norms.len(), "sq_sweep: norms/out mismatch");
-        assert_eq!(points.len(), out.len() * cols, "sq_sweep: slab shape");
-        match isa() {
-            Isa::Avx512 => unsafe { sweep_avx512(points, cols, norms, t, tsq, out) },
-            Isa::Avx => unsafe { sweep_avx(points, cols, norms, t, tsq, out) },
-            Isa::Scalar => return false,
-        }
-        true
-    }
-
-    /// Gathered-sweep dispatcher, mirroring
-    /// [`super::lanes8::sq_sweep_indexed`] for f32.
-    pub fn sq_sweep_indexed(
-        points: &[f32],
-        cols: usize,
-        norms: &[f32],
-        indices: &[usize],
-        t: &[f32],
-        tsq: f32,
-        out: &mut [f32],
-    ) -> bool {
-        assert_eq!(out.len(), indices.len(), "sq_sweep_indexed: out length");
-        match isa() {
-            Isa::Avx512 => unsafe {
-                sweep_indexed_avx512(points, cols, norms, indices, t, tsq, out)
-            },
-            Isa::Avx => unsafe { sweep_indexed_avx(points, cols, norms, indices, t, tsq, out) },
-            Isa::Scalar => return false,
-        }
-        true
-    }
-
-    /// Register-lane spill + fixed-tree reduce, shared by both ISA widths
-    /// so the reduction order can't drift between them.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx512f` support.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn reduce_512(acc: __m512) -> f32 {
-        let mut lanes = [0.0f32; 16];
-        _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
-        reduce16(&lanes)
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx512f` support (see [`isa`]).
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let main = n - n % 16;
-        let mut acc = _mm512_setzero_ps();
-        let mut j = 0;
-        while j < main {
-            let va = _mm512_loadu_ps(a.as_ptr().add(j));
-            let vb = _mm512_loadu_ps(b.as_ptr().add(j));
-            acc = _mm512_add_ps(acc, _mm512_mul_ps(va, vb));
-            j += 16;
-        }
-        if main == n {
-            return reduce_512(acc);
-        }
-        let mut lanes = [0.0f32; 16];
-        _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
-        for jj in main..n {
-            lanes[0] += a[jj] * b[jj];
-        }
-        reduce16(&lanes)
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx` support (see [`isa`]).
-    #[target_feature(enable = "avx")]
-    unsafe fn dot_avx(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let main = n - n % 16;
-        // Lanes 0..8 live in `lo`, lanes 8..16 in `hi` — the same per-lane
-        // chains as one 512-bit register split in half.
-        let mut lo = _mm256_setzero_ps();
-        let mut hi = _mm256_setzero_ps();
-        let mut j = 0;
-        while j < main {
-            let al = _mm256_loadu_ps(a.as_ptr().add(j));
-            let bl = _mm256_loadu_ps(b.as_ptr().add(j));
-            lo = _mm256_add_ps(lo, _mm256_mul_ps(al, bl));
-            let ah = _mm256_loadu_ps(a.as_ptr().add(j + 8));
-            let bh = _mm256_loadu_ps(b.as_ptr().add(j + 8));
-            hi = _mm256_add_ps(hi, _mm256_mul_ps(ah, bh));
-            j += 16;
-        }
-        let mut lanes = [0.0f32; 16];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), lo);
-        _mm256_storeu_ps(lanes.as_mut_ptr().add(8), hi);
-        for jj in main..n {
-            lanes[0] += a[jj] * b[jj];
-        }
-        reduce16(&lanes)
-    }
-
-    /// Eight-row interleaved f32 sweep: eight independent accumulator
-    /// chains stream one load of each sixteen-element `t` block, matching
-    /// the structure (and per-row bits) of [`dot_avx512`].
-    ///
-    /// # Safety
-    /// Caller must have verified `avx512f` support (see [`isa`]).
-    #[target_feature(enable = "avx512f")]
-    unsafe fn sweep_avx512(
-        points: &[f32],
-        cols: usize,
-        norms: &[f32],
-        t: &[f32],
-        tsq: f32,
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let main = cols - cols % 16;
-        let mut i = 0;
-        while i + 8 <= n {
-            let block = &points[i * cols..(i + 8) * cols];
-            let mut acc = [_mm512_setzero_ps(); 8];
-            let mut j = 0;
-            while j < main {
-                let vt = _mm512_loadu_ps(t.as_ptr().add(j));
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let vr = _mm512_loadu_ps(block.as_ptr().add(r * cols + j));
-                    *a = _mm512_add_ps(*a, _mm512_mul_ps(vr, vt));
-                }
-                j += 16;
-            }
-            for (r, a) in acc.iter().enumerate() {
-                let dot = if main == cols {
-                    reduce_512(*a)
-                } else {
-                    let mut lanes = [0.0f32; 16];
-                    _mm512_storeu_ps(lanes.as_mut_ptr(), *a);
-                    for jj in main..cols {
-                        lanes[0] += block[r * cols + jj] * t[jj];
-                    }
-                    reduce16(&lanes)
-                };
-                out[i + r] = super::gram_sq(norms[i + r], tsq, dot);
-            }
-            i += 8;
-        }
-        while i < n {
-            let row = &points[i * cols..(i + 1) * cols];
-            out[i] = super::gram_sq(norms[i], tsq, dot_avx512(row, t));
-            i += 1;
-        }
-    }
-
-    /// Four-row interleaved f32 sweep for the AVX width (lo/hi ymm pair
-    /// per row, eight accumulators plus two `t` registers live).
-    ///
-    /// # Safety
-    /// Caller must have verified `avx` support (see [`isa`]).
-    #[target_feature(enable = "avx")]
-    unsafe fn sweep_avx(
-        points: &[f32],
-        cols: usize,
-        norms: &[f32],
-        t: &[f32],
-        tsq: f32,
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let main = cols - cols % 16;
-        let mut i = 0;
-        while i + 4 <= n {
-            let block = &points[i * cols..(i + 4) * cols];
-            let mut lo = [_mm256_setzero_ps(); 4];
-            let mut hi = [_mm256_setzero_ps(); 4];
-            let mut j = 0;
-            while j < main {
-                let tl = _mm256_loadu_ps(t.as_ptr().add(j));
-                let th = _mm256_loadu_ps(t.as_ptr().add(j + 8));
-                for r in 0..4 {
-                    let rl = _mm256_loadu_ps(block.as_ptr().add(r * cols + j));
-                    lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(rl, tl));
-                    let rh = _mm256_loadu_ps(block.as_ptr().add(r * cols + j + 8));
-                    hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(rh, th));
-                }
-                j += 16;
-            }
-            for r in 0..4 {
-                let mut lanes = [0.0f32; 16];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), lo[r]);
-                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), hi[r]);
-                for jj in main..cols {
-                    lanes[0] += block[r * cols + jj] * t[jj];
-                }
-                out[i + r] = super::gram_sq(norms[i + r], tsq, reduce16(&lanes));
-            }
-            i += 4;
-        }
-        while i < n {
-            let row = &points[i * cols..(i + 1) * cols];
-            out[i] = super::gram_sq(norms[i], tsq, dot_avx(row, t));
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx512f` support (see [`isa`]).
-    #[target_feature(enable = "avx512f")]
-    unsafe fn sweep_indexed_avx512(
-        points: &[f32],
-        cols: usize,
-        norms: &[f32],
-        indices: &[usize],
-        t: &[f32],
-        tsq: f32,
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let main = cols - cols % 16;
-        let mut i = 0;
-        while i + 8 <= n {
-            let ix = &indices[i..i + 8];
-            let mut rows = [&points[..0]; 8];
-            for (r, slot) in rows.iter_mut().enumerate() {
-                let v = ix[r];
-                *slot = &points[v * cols..(v + 1) * cols];
-            }
-            let mut acc = [_mm512_setzero_ps(); 8];
-            let mut j = 0;
-            while j < main {
-                let vt = _mm512_loadu_ps(t.as_ptr().add(j));
-                for (a, row) in acc.iter_mut().zip(rows) {
-                    let vr = _mm512_loadu_ps(row.as_ptr().add(j));
-                    *a = _mm512_add_ps(*a, _mm512_mul_ps(vr, vt));
-                }
-                j += 16;
-            }
-            for (r, a) in acc.iter().enumerate() {
-                let dot = if main == cols {
-                    reduce_512(*a)
-                } else {
-                    let mut lanes = [0.0f32; 16];
-                    _mm512_storeu_ps(lanes.as_mut_ptr(), *a);
-                    for jj in main..cols {
-                        lanes[0] += rows[r][jj] * t[jj];
-                    }
-                    reduce16(&lanes)
-                };
-                out[i + r] = super::gram_sq(norms[ix[r]], tsq, dot);
-            }
-            i += 8;
-        }
-        while i < n {
-            let v = indices[i];
-            let row = &points[v * cols..(v + 1) * cols];
-            out[i] = super::gram_sq(norms[v], tsq, dot_avx512(row, t));
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx` support (see [`isa`]).
-    #[target_feature(enable = "avx")]
-    unsafe fn sweep_indexed_avx(
-        points: &[f32],
-        cols: usize,
-        norms: &[f32],
-        indices: &[usize],
-        t: &[f32],
-        tsq: f32,
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let main = cols - cols % 16;
-        let mut i = 0;
-        while i + 4 <= n {
-            let ix = &indices[i..i + 4];
-            let rows = [
-                &points[ix[0] * cols..(ix[0] + 1) * cols],
-                &points[ix[1] * cols..(ix[1] + 1) * cols],
-                &points[ix[2] * cols..(ix[2] + 1) * cols],
-                &points[ix[3] * cols..(ix[3] + 1) * cols],
-            ];
-            let mut lo = [_mm256_setzero_ps(); 4];
-            let mut hi = [_mm256_setzero_ps(); 4];
-            let mut j = 0;
-            while j < main {
-                let tl = _mm256_loadu_ps(t.as_ptr().add(j));
-                let th = _mm256_loadu_ps(t.as_ptr().add(j + 8));
-                for r in 0..4 {
-                    let rl = _mm256_loadu_ps(rows[r].as_ptr().add(j));
-                    lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(rl, tl));
-                    let rh = _mm256_loadu_ps(rows[r].as_ptr().add(j + 8));
-                    hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(rh, th));
-                }
-                j += 16;
-            }
-            for r in 0..4 {
-                let mut lanes = [0.0f32; 16];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), lo[r]);
-                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), hi[r]);
-                for jj in main..cols {
-                    lanes[0] += rows[r][jj] * t[jj];
-                }
-                out[i + r] = super::gram_sq(norms[ix[r]], tsq, reduce16(&lanes));
-            }
-            i += 4;
-        }
-        while i < n {
-            let v = indices[i];
-            let row = &points[v * cols..(v + 1) * cols];
-            out[i] = super::gram_sq(norms[v], tsq, dot_avx(row, t));
-            i += 1;
-        }
-    }
-}
-
 /// Assembles a squared distance from the Gram identity, clamping the
 /// round-off that can drive `|x|² + |y|² − 2·x·y` a hair below zero. The
 /// expression order is fixed so every caller produces identical bits for
-/// identical `(na, nb, dot)` at either precision.
+/// identical `(na, nb, dot)`.
 #[inline]
-pub(crate) fn gram_sq<E: Element>(na: E, nb: E, dot: E) -> E {
-    let v = na + nb - E::from_f64(2.0) * dot;
-    if v < E::ZERO {
-        E::ZERO
+pub(crate) fn gram_sq(na: f64, nb: f64, dot: f64) -> f64 {
+    let v = na + nb - 2.0 * dot;
+    if v < 0.0 {
+        0.0
     } else {
         v
     }
@@ -1277,10 +801,10 @@ pub(crate) fn gram_sq<E: Element>(na: E, nb: E, dot: E) -> E {
 
 /// Writes `|xᵢ|²` for every row `i` of `points` into `out` (resized in
 /// place). Parallel over row chunks; one writer per slot.
-pub fn row_norms_sq_into<E: Element>(points: &crate::Matrix<E>, out: &mut Vec<E>) {
+pub fn row_norms_sq_into(points: &crate::Matrix, out: &mut Vec<f64>) {
     let n = points.rows();
     out.clear();
-    out.resize(n, E::ZERO);
+    out.resize(n, 0.0);
     gale_obs::counter_add!("kernel.rownorms.calls", 1);
     crate::par::par_chunks_mut(out, 1, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
@@ -1290,7 +814,7 @@ pub fn row_norms_sq_into<E: Element>(points: &crate::Matrix<E>, out: &mut Vec<E>
 }
 
 /// [`row_norms_sq_into`] returning a fresh vector.
-pub fn row_norms_sq<E: Element>(points: &crate::Matrix<E>) -> Vec<E> {
+pub fn row_norms_sq(points: &crate::Matrix) -> Vec<f64> {
     let mut out = Vec::new();
     row_norms_sq_into(points, &mut out);
     out
@@ -1304,12 +828,12 @@ pub fn row_norms_sq<E: Element>(points: &crate::Matrix<E>) -> Vec<E> {
 /// The Gram product `x·yᵀ` goes through the register-tiled GEMM directly
 /// into `out`, then a second parallel pass rewrites each element as
 /// `xn[i] + yn[j] − 2·g[i][j]` clamped at zero.
-pub fn pairwise_sq_with_norms_into<E: Element>(
-    x: &crate::Matrix<E>,
-    y: &crate::Matrix<E>,
-    xn: &[E],
-    yn: &[E],
-    out: &mut crate::Matrix<E>,
+pub fn pairwise_sq_with_norms_into(
+    x: &crate::Matrix,
+    y: &crate::Matrix,
+    xn: &[f64],
+    yn: &[f64],
+    out: &mut crate::Matrix,
 ) {
     assert_eq!(x.cols(), y.cols(), "pairwise_sq: dim mismatch");
     assert_eq!(xn.len(), x.rows(), "pairwise_sq: xn length");
@@ -1334,11 +858,11 @@ pub fn pairwise_sq_with_norms_into<E: Element>(
 
 /// [`pairwise_sq_with_norms_into`] computing the norms itself, with the
 /// two norm buffers drawn from (and returned to) a [`crate::Workspace`].
-pub fn pairwise_sq_into<E: Element>(
-    x: &crate::Matrix<E>,
-    y: &crate::Matrix<E>,
-    ws: &mut crate::Workspace<E>,
-    out: &mut crate::Matrix<E>,
+pub fn pairwise_sq_into(
+    x: &crate::Matrix,
+    y: &crate::Matrix,
+    ws: &mut crate::Workspace,
+    out: &mut crate::Matrix,
 ) {
     let mut xn = ws.take_vec(x.rows());
     let mut yn = ws.take_vec(y.rows());
@@ -1353,12 +877,12 @@ pub fn pairwise_sq_into<E: Element>(
 /// `out[i] = d(pointsᵢ, target)`, with `norms[i] = |pointsᵢ|²` and
 /// `target_sq = |target|²` precomputed. `out.len()` must equal
 /// `points.rows()`. One four-lane dot per row; parallel over chunks.
-pub fn dists_to_row_into<E: Element>(
-    points: &crate::Matrix<E>,
-    norms: &[E],
-    target: &[E],
-    target_sq: E,
-    out: &mut [E],
+pub fn dists_to_row_into(
+    points: &crate::Matrix,
+    norms: &[f64],
+    target: &[f64],
+    target_sq: f64,
+    out: &mut [f64],
 ) {
     assert_eq!(out.len(), points.rows(), "dists_to_row: out length");
     assert_eq!(norms.len(), points.rows(), "dists_to_row: norms length");
@@ -1369,8 +893,8 @@ pub fn dists_to_row_into<E: Element>(
     );
     crate::par::par_chunks_mut(out, 1, |start, chunk| {
         // Two passes per chunk: Gram-trick squared distances first (the
-        // element type's interleaved dot chains), then a dependence-free
-        // sqrt sweep the vectorizer can pack.
+        // interleaved dot chains), then a dependence-free sqrt sweep the
+        // vectorizer can pack.
         fill_sq_to_row(points, norms, target, target_sq, start, chunk);
         for slot in chunk.iter_mut() {
             *slot = slot.sqrt();
@@ -1380,32 +904,31 @@ pub fn dists_to_row_into<E: Element>(
 
 /// Core of the contiguous fan-out: writes Gram-trick **squared** distances
 /// for rows `start..start + chunk.len()` of `points` against `target`,
-/// through the element type's whole-sweep kernel
-/// ([`Element::sq_sweep`]).
+/// through the whole-sweep kernel [`sq_sweep`].
 #[inline]
-fn fill_sq_to_row<E: Element>(
-    points: &crate::Matrix<E>,
-    norms: &[E],
-    target: &[E],
-    target_sq: E,
+fn fill_sq_to_row(
+    points: &crate::Matrix,
+    norms: &[f64],
+    target: &[f64],
+    target_sq: f64,
     start: usize,
-    chunk: &mut [E],
+    chunk: &mut [f64],
 ) {
     let cols = points.cols();
     let slab = &points.data()[start * cols..(start + chunk.len()) * cols];
     let sub_norms = &norms[start..start + chunk.len()];
-    E::sq_sweep(slab, cols, sub_norms, target, target_sq, chunk);
+    sq_sweep(slab, cols, sub_norms, target, target_sq, chunk);
 }
 
 /// As [`dists_to_row_into`] but **squared** (no sqrt pass): the shape the
 /// k-means++ seeding and other nearest-centroid scans consume. Same
 /// determinism contract.
-pub fn sq_dists_to_row_into<E: Element>(
-    points: &crate::Matrix<E>,
-    norms: &[E],
-    target: &[E],
-    target_sq: E,
-    out: &mut [E],
+pub fn sq_dists_to_row_into(
+    points: &crate::Matrix,
+    norms: &[f64],
+    target: &[f64],
+    target_sq: f64,
+    out: &mut [f64],
 ) {
     assert_eq!(out.len(), points.rows(), "sq_dists_to_row: out length");
     assert_eq!(norms.len(), points.rows(), "sq_dists_to_row: norms length");
@@ -1424,12 +947,12 @@ pub fn sq_dists_to_row_into<E: Element>(
 /// `points.row(target)`. `norms` covers *all* rows of `points`. This is
 /// the QSelect fan-out shape: one kernel call per greedy round instead of
 /// `n` scalar distance calls.
-pub fn indexed_dists_to_row_into<E: Element>(
-    points: &crate::Matrix<E>,
-    norms: &[E],
+pub fn indexed_dists_to_row_into(
+    points: &crate::Matrix,
+    norms: &[f64],
     indices: &[usize],
     target: usize,
-    out: &mut [E],
+    out: &mut [f64],
 ) {
     assert_eq!(out.len(), indices.len(), "indexed_dists: out length");
     assert_eq!(norms.len(), points.rows(), "indexed_dists: norms length");
@@ -1447,39 +970,22 @@ pub fn indexed_dists_to_row_into<E: Element>(
     let trow = points.row(target);
     let tsq = norms[target];
     crate::par::par_chunks_mut(out, 1, |start, chunk| {
-        fill_sq_indexed(points, norms, indices, trow, tsq, start, chunk);
+        let sub_idx = &indices[start..start + chunk.len()];
+        sq_sweep_indexed(
+            points.data(),
+            points.cols(),
+            norms,
+            sub_idx,
+            trow,
+            tsq,
+            chunk,
+        );
         // Dependence-free sqrt sweep, vectorizable separately from the
         // gathered dot pass.
         for slot in chunk.iter_mut() {
             *slot = slot.sqrt();
         }
     });
-}
-
-/// Gathered counterpart of [`fill_sq_to_row`]: squared distances for the
-/// candidate subset `indices[start..start + chunk.len()]` against the
-/// (already materialized) target row, through
-/// [`Element::sq_sweep_indexed`].
-#[inline]
-fn fill_sq_indexed<E: Element>(
-    points: &crate::Matrix<E>,
-    norms: &[E],
-    indices: &[usize],
-    trow: &[E],
-    tsq: E,
-    start: usize,
-    chunk: &mut [E],
-) {
-    let sub_idx = &indices[start..start + chunk.len()];
-    E::sq_sweep_indexed(
-        points.data(),
-        points.cols(),
-        norms,
-        sub_idx,
-        trow,
-        tsq,
-        chunk,
-    );
 }
 
 /// For every row `i` of `points`, the minimum Euclidean distance to any of
@@ -1708,81 +1214,5 @@ mod tests {
         assert!(row_norms_sq(&x).is_empty());
         let mut empty: [f64; 0] = [];
         indexed_dists_to_row_into(&y, &row_norms_sq(&y), &[], 0, &mut empty);
-    }
-
-    #[test]
-    fn f32_simd_backends_match_scalar_chain_bitwise() {
-        // The f32 dispatch (AVX-512 / AVX / scalar) must reproduce the
-        // portable sixteen-lane chain bit for bit, including ragged
-        // remainders that fold into lane 0.
-        let mut rng = crate::Rng::seed_from_u64(11);
-        for d in [1usize, 5, 15, 16, 17, 31, 32, 48, 53] {
-            let a: Vec<f32> = (0..d).map(|_| (rng.gauss() * 3.0) as f32).collect();
-            let b: Vec<f32> = (0..d).map(|_| (rng.gauss() * 3.0) as f32).collect();
-            assert_eq!(
-                dot_unrolled_f32(&a, &b).to_bits(),
-                dot_scalar16(&a, &b).to_bits(),
-                "dim {d}"
-            );
-            assert_eq!(
-                row_norm_sq(&a[..]).to_bits(),
-                dot_scalar16(&a, &a).to_bits(),
-                "norm dim {d}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_sweep_kernels_match_portable_chain_bitwise() {
-        // As the f64 sweep test: full-sweep f32 backends (8-row AVX-512
-        // blocks, 4-row AVX blocks, single-row tails) must reproduce the
-        // portable sixteen-lane per-row chain bit for bit at every block
-        // position, contiguous and gathered alike.
-        let mut rng = crate::Rng::seed_from_u64(21);
-        for d in [5usize, 16, 21, 32] {
-            let x = crate::Matrix::randn(23, d, 2.0, &mut rng).to_f32();
-            let norms = row_norms_sq(&x);
-            let mut got = vec![0.0f32; 23];
-            dists_to_row_into(&x, &norms, x.row(9), norms[9], &mut got);
-            for (i, &g) in got.iter().enumerate() {
-                let want = gram_sq(norms[i], norms[9], dot_scalar16(x.row(i), x.row(9))).sqrt();
-                assert_eq!(g.to_bits(), want.to_bits(), "row {i} dim {d}");
-            }
-            let idx: Vec<usize> = (0..23).rev().chain([9, 9, 0]).collect();
-            let mut sub = vec![0.0f32; idx.len()];
-            indexed_dists_to_row_into(&x, &norms, &idx, 9, &mut sub);
-            for (o, &v) in sub.iter().zip(&idx) {
-                let want = gram_sq(norms[v], norms[9], dot_scalar16(x.row(v), x.row(9))).sqrt();
-                assert_eq!(o.to_bits(), want.to_bits(), "cand {v} dim {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_blocked_pairwise_tracks_f64_within_tolerance() {
-        // The f32 path is a different (lower-precision) deterministic
-        // function than f64; it must stay within single-precision rounding
-        // of the f64 reference on well-conditioned inputs.
-        let mut rng = crate::Rng::seed_from_u64(4);
-        let x = crate::Matrix::randn(23, 11, 1.0, &mut rng);
-        let y = crate::Matrix::randn(9, 11, 1.0, &mut rng);
-        let mut ws64 = crate::Workspace::new();
-        let mut out64 = crate::Matrix::zeros(0, 0);
-        pairwise_sq_into(&x, &y, &mut ws64, &mut out64);
-        let (x32, y32) = (x.to_f32(), y.to_f32());
-        let mut ws32: crate::Workspace<f32> = crate::Workspace::new();
-        let mut out32: crate::Matrix<f32> = crate::Matrix::zeros(0, 0);
-        pairwise_sq_into(&x32, &y32, &mut ws32, &mut out32);
-        for i in 0..x.rows() {
-            for j in 0..y.rows() {
-                let scale = 1.0 + out64[(i, j)].abs();
-                assert!(
-                    (out32[(i, j)] as f64 - out64[(i, j)]).abs() <= 1e-4 * scale,
-                    "({i},{j}): {} vs {}",
-                    out32[(i, j)],
-                    out64[(i, j)]
-                );
-            }
-        }
     }
 }

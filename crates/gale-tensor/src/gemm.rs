@@ -15,8 +15,6 @@
 //! [`crate::par::par_chunks_mut`] can hand disjoint row ranges to the
 //! worker pool; row results never depend on which chunk computed them.
 
-use crate::element::Element;
-
 /// Output rows per register tile.
 pub(crate) const MR: usize = 4;
 /// Output columns per register tile.
@@ -25,14 +23,14 @@ pub(crate) const NR: usize = 8;
 /// `block = A[row0..row0+rows, :] * B` for row-major `A` (`lda = k_dim`)
 /// and `B` (`k_dim x n`). `block` holds `rows * n` elements and is fully
 /// overwritten.
-pub(crate) fn gemm_nn_block<E: Element>(
-    a: &[E],
+pub(crate) fn gemm_nn_block(
+    a: &[f64],
     lda: usize,
     k_dim: usize,
-    b: &[E],
+    b: &[f64],
     n: usize,
     row0: usize,
-    block: &mut [E],
+    block: &mut [f64],
 ) {
     if n == 0 {
         return;
@@ -45,7 +43,7 @@ pub(crate) fn gemm_nn_block<E: Element>(
         while jb < n {
             let jl = NR.min(n - jb);
             if il == MR && jl == NR {
-                let mut acc = [[E::ZERO; NR]; MR];
+                let mut acc = [[0.0f64; NR]; MR];
                 for k in 0..k_dim {
                     let brow = &b[k * n + jb..k * n + jb + NR];
                     for ii in 0..MR {
@@ -63,7 +61,7 @@ pub(crate) fn gemm_nn_block<E: Element>(
                 for ii in 0..il {
                     let arow = &a[(row0 + ib + ii) * lda..(row0 + ib + ii) * lda + k_dim];
                     for jj in 0..jl {
-                        let mut s = E::ZERO;
+                        let mut s = 0.0;
                         for (k, &aik) in arow.iter().enumerate() {
                             s += aik * b[k * n + jb + jj];
                         }
@@ -83,14 +81,14 @@ pub(crate) fn gemm_nn_block<E: Element>(
 /// (the `C += Aᵀ B` form used for gradient accumulation); otherwise the
 /// block is fully overwritten.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tn_block<E: Element>(
-    a: &[E],
+pub(crate) fn gemm_tn_block(
+    a: &[f64],
     lda: usize,
     k_dim: usize,
-    b: &[E],
+    b: &[f64],
     n: usize,
     row0: usize,
-    block: &mut [E],
+    block: &mut [f64],
     acc0: bool,
 ) {
     if n == 0 {
@@ -104,7 +102,7 @@ pub(crate) fn gemm_tn_block<E: Element>(
         while jb < n {
             let jl = NR.min(n - jb);
             if il == MR && jl == NR {
-                let mut acc = [[E::ZERO; NR]; MR];
+                let mut acc = [[0.0f64; NR]; MR];
                 if acc0 {
                     for ii in 0..MR {
                         acc[ii]
@@ -132,7 +130,7 @@ pub(crate) fn gemm_tn_block<E: Element>(
                         let mut s = if acc0 {
                             block[(ib + ii) * n + jb + jj]
                         } else {
-                            E::ZERO
+                            0.0
                         };
                         for k in 0..k_dim {
                             s += a[k * lda + i] * b[k * n + jb + jj];
@@ -150,14 +148,14 @@ pub(crate) fn gemm_tn_block<E: Element>(
 /// `block = (A Bᵀ)[row0..row0+rows, :]` for row-major `A` (`lda = k_dim`)
 /// and `B` (`n x k_dim`); output column `j` reads `B`'s row `j`. `block`
 /// holds `rows * n` elements and is fully overwritten.
-pub(crate) fn gemm_nt_block<E: Element>(
-    a: &[E],
+pub(crate) fn gemm_nt_block(
+    a: &[f64],
     lda: usize,
     k_dim: usize,
-    b: &[E],
+    b: &[f64],
     n: usize,
     row0: usize,
-    block: &mut [E],
+    block: &mut [f64],
 ) {
     if n == 0 {
         return;
@@ -170,9 +168,9 @@ pub(crate) fn gemm_nt_block<E: Element>(
         while jb < n {
             let jl = NR.min(n - jb);
             if il == MR && jl == NR {
-                let mut acc = [[E::ZERO; NR]; MR];
+                let mut acc = [[0.0f64; NR]; MR];
                 for k in 0..k_dim {
-                    let mut bvals = [E::ZERO; NR];
+                    let mut bvals = [0.0f64; NR];
                     for jj in 0..NR {
                         bvals[jj] = b[(jb + jj) * k_dim + k];
                     }
@@ -191,7 +189,7 @@ pub(crate) fn gemm_nt_block<E: Element>(
                     let arow = &a[(row0 + ib + ii) * lda..(row0 + ib + ii) * lda + k_dim];
                     for jj in 0..jl {
                         let brow = &b[(jb + jj) * k_dim..(jb + jj) * k_dim + k_dim];
-                        let mut s = E::ZERO;
+                        let mut s = 0.0;
                         for k in 0..k_dim {
                             s += arow[k] * brow[k];
                         }
@@ -206,13 +204,13 @@ pub(crate) fn gemm_nt_block<E: Element>(
 }
 
 /// Records the standard GEMM telemetry for an `m x k * k x n` product of
-/// `E` elements (the byte counter scales with the element width).
+/// `f64` elements.
 #[inline]
-pub(crate) fn record_gemm_counters<E: Element>(m: usize, k: usize, n: usize) {
+pub(crate) fn record_gemm_counters(m: usize, k: usize, n: usize) {
     gale_obs::counter_add!("kernel.gemm.calls", 1);
     gale_obs::counter_add!("kernel.gemm.flops", (2 * m * n * k) as u64);
     gale_obs::counter_add!(
         "kernel.gemm.bytes",
-        (std::mem::size_of::<E>() * (m * k + k * n + m * n)) as u64
+        (std::mem::size_of::<f64>() * (m * k + k * n + m * n)) as u64
     );
 }

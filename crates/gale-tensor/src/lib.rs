@@ -24,7 +24,6 @@
 pub mod aligned;
 pub mod block;
 pub mod distance;
-pub mod element;
 mod gemm;
 pub mod heap;
 pub mod kmeans;
@@ -39,7 +38,6 @@ pub mod workspace;
 
 pub use aligned::AVec;
 pub use block::{spmm_access_into, EdgeSample, NeighborAccess, SymNormalized};
-pub use element::Element;
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use linalg::{solve, sym_eigen, SymEigen};
 pub use matrix::Matrix;

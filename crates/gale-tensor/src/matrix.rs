@@ -1,4 +1,4 @@
-//! Dense row-major matrices over a precision-generic element type.
+//! Dense row-major `f64` matrices.
 //!
 //! This is the numeric workhorse underneath GALE's neural layers, PCA, and
 //! clustering. It deliberately stays small and predictable: row-major
@@ -8,23 +8,22 @@
 //! reallocating each step.
 
 use crate::aligned::AVec;
-use crate::element::Element;
 use crate::gemm;
 use crate::rng::Rng;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// A dense row-major matrix of `E` values (`f64` unless written otherwise).
+/// A dense row-major matrix of `f64` values.
 #[derive(Clone, PartialEq)]
-pub struct Matrix<E: Element = f64> {
+pub struct Matrix {
     rows: usize,
     cols: usize,
     // 64-byte-aligned so full-width SIMD row loads in the distance/GEMM
     // kernels never straddle a cache line (see `crate::aligned`).
-    data: AVec<E>,
+    data: AVec,
 }
 
-impl<E: Element> fmt::Debug for Matrix<E> {
+impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         let show = self.rows.min(6);
@@ -49,27 +48,25 @@ impl<E: Element> fmt::Debug for Matrix<E> {
     }
 }
 
-impl<E: Element> Matrix<E> {
+impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: AVec::from_elem(rows * cols, E::ZERO),
+            data: AVec::from_elem(rows * cols, 0.0),
         }
     }
 
     /// Creates a `rows x cols` matrix with every entry set to `value`.
-    pub fn full(rows: usize, cols: usize, value: E) -> Self {
+    pub fn full(rows: usize, cols: usize, value: f64) -> Self {
         Matrix {
             rows,
             cols,
             data: AVec::from_elem(rows * cols, value),
         }
     }
-}
 
-impl Matrix {
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -78,13 +75,11 @@ impl Matrix {
         }
         m
     }
-}
 
-impl<E: Element> Matrix<E> {
     /// Builds a matrix from a row-major data vector.
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<E>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -99,9 +94,7 @@ impl<E: Element> Matrix<E> {
             data: AVec::from_slice(&data),
         }
     }
-}
 
-impl Matrix {
     /// Builds a matrix from a slice of equal-length rows.
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         if rows.is_empty() {
@@ -142,9 +135,7 @@ impl Matrix {
         let data = (0..rows * cols).map(|_| rng.range_f64(lo, hi)).collect();
         Matrix { rows, cols, data }
     }
-}
 
-impl<E: Element> Matrix<E> {
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -165,13 +156,13 @@ impl<E: Element> Matrix<E> {
 
     /// Borrow of the underlying row-major buffer.
     #[inline]
-    pub fn data(&self) -> &[E] {
+    pub fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable borrow of the underlying row-major buffer.
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [E] {
+    pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -183,33 +174,33 @@ impl<E: Element> Matrix<E> {
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, E::ZERO);
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Sets every entry to `value` without reallocating.
-    pub fn fill(&mut self, value: E) {
+    pub fn fill(&mut self, value: f64) {
         self.data.fill(value);
     }
 
     /// Makes `self` an exact copy of `src`, reusing the existing allocation
     /// when possible (the allocation-free replacement for `clone` in
     /// steady-state training loops).
-    pub fn copy_from(&mut self, src: &Matrix<E>) {
+    pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;
-        self.data.resize(src.data.len(), E::ZERO);
+        self.data.resize(src.data.len(), 0.0);
         self.data.copy_from_slice(&src.data);
     }
 
     /// Consumes the matrix, returning its backing buffer (for pooling).
-    pub fn into_buffer(self) -> AVec<E> {
+    pub fn into_buffer(self) -> AVec {
         self.data
     }
 
     /// Builds a `rows x cols` matrix on top of a recycled buffer, resizing
     /// it as needed. Contents are unspecified, as with [`Matrix::resize`].
-    pub fn from_buffer(rows: usize, cols: usize, mut buf: AVec<E>) -> Self {
-        buf.resize(rows * cols, E::ZERO);
+    pub fn from_buffer(rows: usize, cols: usize, mut buf: AVec) -> Self {
+        buf.resize(rows * cols, 0.0);
         Matrix {
             rows,
             cols,
@@ -219,38 +210,34 @@ impl<E: Element> Matrix<E> {
 
     /// Borrow of row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[E] {
+    pub fn row(&self, r: usize) -> &[f64] {
         debug_assert!(r < self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable borrow of row `r` as a slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [E] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
-}
 
-impl Matrix {
     /// Copies column `c` into a new vector.
     pub fn col(&self, c: usize) -> Vec<f64> {
         assert!(c < self.cols);
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
-}
 
-impl<E: Element> Matrix<E> {
     /// Copies the rows whose indices appear in `idx` (in order) into a new
     /// matrix. Indices may repeat.
-    pub fn select_rows(&self, idx: &[usize]) -> Matrix<E> {
+    pub fn select_rows(&self, idx: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.select_rows_into(idx, &mut out);
         out
     }
 
     /// [`Matrix::select_rows`] writing into a reusable output buffer.
-    pub fn select_rows_into(&self, idx: &[usize], out: &mut Matrix<E>) {
+    pub fn select_rows_into(&self, idx: &[usize], out: &mut Matrix) {
         out.resize(idx.len(), self.cols);
         for (i, &r) in idx.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(r));
@@ -258,13 +245,11 @@ impl<E: Element> Matrix<E> {
     }
 
     /// Overwrites row `r` with the given slice.
-    pub fn set_row(&mut self, r: usize, values: &[E]) {
+    pub fn set_row(&mut self, r: usize, values: &[f64]) {
         assert_eq!(values.len(), self.cols, "set_row: width mismatch");
         self.row_mut(r).copy_from_slice(values);
     }
-}
 
-impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -275,9 +260,7 @@ impl Matrix {
         }
         out
     }
-}
 
-impl<E: Element> Matrix<E> {
     /// Matrix product `self * other`.
     ///
     /// Panics on an inner-dimension mismatch. Runs the register-tiled
@@ -285,7 +268,7 @@ impl<E: Element> Matrix<E> {
     /// accumulates its `k` products in ascending order, so results are
     /// bitwise identical to the sequential three-loop reference on any
     /// thread count.
-    pub fn matmul(&self, other: &Matrix<E>) -> Matrix<E> {
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(other, &mut out);
         out
@@ -293,7 +276,7 @@ impl<E: Element> Matrix<E> {
 
     /// [`Matrix::matmul`] writing into a reusable output buffer (resized in
     /// place; previous contents are discarded).
-    pub fn matmul_into(&self, other: &Matrix<E>, out: &mut Matrix<E>) {
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} * {}x{}",
@@ -301,7 +284,7 @@ impl<E: Element> Matrix<E> {
         );
         out.resize(self.rows, other.cols);
         let n = other.cols;
-        gemm::record_gemm_counters::<E>(self.rows, self.cols, n);
+        gemm::record_gemm_counters(self.rows, self.cols, n);
         // Output rows are independent, so row blocks parallelize with
         // bitwise-identical results on any schedule.
         crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
@@ -319,14 +302,14 @@ impl<E: Element> Matrix<E> {
     }
 
     /// `self^T * other` without materializing the transpose.
-    pub fn matmul_tn(&self, other: &Matrix<E>) -> Matrix<E> {
+    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_tn_into(other, &mut out);
         out
     }
 
     /// [`Matrix::matmul_tn`] writing into a reusable output buffer.
-    pub fn matmul_tn_into(&self, other: &Matrix<E>, out: &mut Matrix<E>) {
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: {}x{} ^T * {}x{}",
@@ -341,7 +324,7 @@ impl<E: Element> Matrix<E> {
     /// element extends its own ascending-`k` chain starting from the
     /// existing value, which is bitwise identical to `axpy(1.0, Xᵀ G)`
     /// whenever `out` starts at zero.
-    pub fn matmul_tn_acc(&self, other: &Matrix<E>, out: &mut Matrix<E>) {
+    pub fn matmul_tn_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn_acc: {}x{} ^T * {}x{}",
@@ -355,9 +338,9 @@ impl<E: Element> Matrix<E> {
         self.matmul_tn_block_dispatch(other, out, true);
     }
 
-    fn matmul_tn_block_dispatch(&self, other: &Matrix<E>, out: &mut Matrix<E>, acc0: bool) {
+    fn matmul_tn_block_dispatch(&self, other: &Matrix, out: &mut Matrix, acc0: bool) {
         let n = other.cols;
-        gemm::record_gemm_counters::<E>(self.cols, self.rows, n);
+        gemm::record_gemm_counters(self.cols, self.rows, n);
         // i-outer over output rows (= columns of self) keeps rows
         // independent; each element still accumulates in ascending k.
         crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
@@ -376,14 +359,14 @@ impl<E: Element> Matrix<E> {
     }
 
     /// `self * other^T` without materializing the transpose.
-    pub fn matmul_nt(&self, other: &Matrix<E>) -> Matrix<E> {
+    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_nt_into(other, &mut out);
         out
     }
 
     /// [`Matrix::matmul_nt`] writing into a reusable output buffer.
-    pub fn matmul_nt_into(&self, other: &Matrix<E>, out: &mut Matrix<E>) {
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt: {}x{} * {}x{} ^T",
@@ -391,7 +374,7 @@ impl<E: Element> Matrix<E> {
         );
         out.resize(self.rows, other.rows);
         let n = other.rows;
-        gemm::record_gemm_counters::<E>(self.rows, self.cols, n);
+        gemm::record_gemm_counters(self.rows, self.cols, n);
         crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
             let row0 = start / n.max(1);
             gemm::gemm_nt_block(
@@ -405,9 +388,7 @@ impl<E: Element> Matrix<E> {
             );
         });
     }
-}
 
-impl Matrix {
     /// Matrix-vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec: width mismatch");
@@ -467,12 +448,10 @@ impl Matrix {
     pub fn scaled(&self, alpha: f64) -> Matrix {
         self.map(|x| x * alpha)
     }
-}
 
-impl<E: Element> Matrix<E> {
     /// Adds `row` (a 1 x cols slice) to every row; the broadcast form used
     /// for bias terms.
-    pub fn add_row_broadcast(&mut self, row: &[E]) {
+    pub fn add_row_broadcast(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.cols, "add_row_broadcast: width mismatch");
         for r in 0..self.rows {
             for (a, &b) in self.row_mut(r).iter_mut().zip(row) {
@@ -480,9 +459,7 @@ impl<E: Element> Matrix<E> {
             }
         }
     }
-}
 
-impl Matrix {
     /// Sum over rows, producing a length-`cols` vector (used for bias grads).
     pub fn sum_rows(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.cols];
@@ -610,14 +587,10 @@ impl Matrix {
             }
         }
     }
-}
 
-impl<E: Element> Matrix<E> {
     /// `true` when every corresponding entry differs by at most `tol`.
-    ///
-    /// This is the element-wise tolerance test GALE's memoization layer uses
-    /// to decide whether cached distances may be reused (Section VII).
-    pub fn approx_eq(&self, other: &Matrix<E>, tol: E) -> bool {
+    /// Tests use it to compare results whose arithmetic was reassociated.
+    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape()
             && self
                 .data
@@ -632,53 +605,18 @@ impl<E: Element> Matrix<E> {
     }
 }
 
-/// One-way checkpoint-lowering and diagnostic-widening conversions between
-/// the f64 training representation and the f32 inference replica.
-impl Matrix<f64> {
-    /// Lowers every entry to `f32` (round-to-nearest). This is the only
-    /// supported direction for building inference replicas; training and
-    /// checkpoints never read the result back.
-    pub fn to_f32(&self) -> Matrix<f32> {
-        let mut data = AVec::with_capacity(self.data.len());
-        for &v in self.data.iter() {
-            data.push(v as f32);
-        }
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Matrix<f32> {
-    /// Widens every entry back to `f64` (exact); used when comparing an
-    /// inference replica's outputs against the f64 reference.
-    pub fn to_f64(&self) -> Matrix<f64> {
-        let mut data = AVec::with_capacity(self.data.len());
-        for &v in self.data.iter() {
-            data.push(v as f64);
-        }
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl<E: Element> std::ops::Index<(usize, usize)> for Matrix<E> {
-    type Output = E;
+impl std::ops::Index<(usize, usize)> for Matrix {
+    type Output = f64;
     #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &E {
+    fn index(&self, (r, c): (usize, usize)) -> &f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &self.data[r * self.cols + c]
     }
 }
 
-impl<E: Element> std::ops::IndexMut<(usize, usize)> for Matrix<E> {
+impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut E {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
     }

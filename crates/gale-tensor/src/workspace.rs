@@ -12,46 +12,29 @@
 //!   so callers can treat it like `Matrix::zeros`.
 //! * `give(m)` retires a matrix; its buffer becomes available to any later
 //!   `take` regardless of shape (buffers are resized on reuse).
-//! * `take_vec`/`give_vec` run a separate plain `Vec<E>` pool for norm
+//! * `take_vec`/`give_vec` run a separate plain `Vec<f64>` pool for norm
 //!   scratch; those vectors only see scalar loads, so alignment is moot.
 //! * The pool is plain mutable state — it is *not* thread-safe and is meant
 //!   to live inside a single training loop, not be shared across threads.
 //! * Reuse never changes numerics: a recycled buffer is zeroed before use,
 //!   so results are bitwise identical to fresh allocation.
 //!
-//! The pool is generic over [`Element`]: `Workspace` (= `Workspace<f64>`)
-//! serves training and the default serving path, `Workspace<f32>` serves
-//! the reduced-precision inference replicas. Each precision pools its own
-//! buffers; there is no cross-precision reuse.
-//!
 //! Telemetry: `workspace.hits` / `workspace.misses` count how often `take`
 //! was served from the pool vs the allocator.
 
 use crate::aligned::AVec;
-use crate::element::Element;
 use crate::matrix::Matrix;
 
-/// A pool of reusable element buffers for dense intermediates.
-#[derive(Debug)]
-pub struct Workspace<E: Element = f64> {
-    free: Vec<AVec<E>>,
-    free_vecs: Vec<Vec<E>>,
+/// A pool of reusable `f64` buffers for dense intermediates.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    free: Vec<AVec>,
+    free_vecs: Vec<Vec<f64>>,
     hits: u64,
     misses: u64,
 }
 
-impl<E: Element> Default for Workspace<E> {
-    fn default() -> Self {
-        Workspace {
-            free: Vec::new(),
-            free_vecs: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl<E: Element> Workspace<E> {
+impl Workspace {
     /// An empty pool.
     pub fn new() -> Self {
         Workspace::default()
@@ -59,13 +42,13 @@ impl<E: Element> Workspace<E> {
 
     /// A zeroed `rows x cols` matrix, backed by a recycled buffer when one
     /// is available.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix<E> {
+    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
         match self.free.pop() {
             Some(mut buf) => {
                 self.hits += 1;
                 gale_obs::counter_add!("workspace.hits", 1);
                 buf.clear();
-                buf.resize(rows * cols, E::ZERO);
+                buf.resize(rows * cols, 0.0);
                 Matrix::from_buffer(rows, cols, buf)
             }
             None => {
@@ -78,32 +61,32 @@ impl<E: Element> Workspace<E> {
 
     /// Retires a matrix, keeping its buffer for future [`Workspace::take`]
     /// calls.
-    pub fn give(&mut self, m: Matrix<E>) {
+    pub fn give(&mut self, m: Matrix) {
         self.free.push(m.into_buffer());
     }
 
     /// A zeroed `len`-element vector, backed by a recycled buffer when one
     /// is available. Used by the blocked distance kernels for norm scratch.
-    pub fn take_vec(&mut self, len: usize) -> Vec<E> {
+    pub fn take_vec(&mut self, len: usize) -> Vec<f64> {
         match self.free_vecs.pop() {
             Some(mut buf) => {
                 self.hits += 1;
                 gale_obs::counter_add!("workspace.hits", 1);
                 buf.clear();
-                buf.resize(len, E::ZERO);
+                buf.resize(len, 0.0);
                 buf
             }
             None => {
                 self.misses += 1;
                 gale_obs::counter_add!("workspace.misses", 1);
-                vec![E::ZERO; len]
+                vec![0.0; len]
             }
         }
     }
 
-    /// Retires a vector taken with [`Workspace::take_vec`] (any `Vec<E>`
+    /// Retires a vector taken with [`Workspace::take_vec`] (any `Vec<f64>`
     /// works; the pool is shape-agnostic).
-    pub fn give_vec(&mut self, v: Vec<E>) {
+    pub fn give_vec(&mut self, v: Vec<f64>) {
         self.free_vecs.push(v);
     }
 
@@ -163,52 +146,5 @@ mod tests {
         let mut m = Matrix::zeros(9, 9);
         m[(0, 0)] = f64::NAN;
         m
-    }
-
-    // The same NaN-poison discipline for the f32 pool: a stale (poisoned)
-    // buffer must come back fully zeroed from both `take` and `take_vec`,
-    // so a lowering-path bug can't hide behind the f64 tests.
-    #[test]
-    fn f32_take_is_zeroed_after_nan_poisoned_reuse() {
-        let mut ws: Workspace<f32> = Workspace::new();
-        let mut m = ws.take(3, 5);
-        for v in m.data_mut() {
-            *v = f32::NAN;
-        }
-        ws.give(m);
-        let m2 = ws.take(4, 4);
-        assert_eq!(m2.shape(), (4, 4));
-        assert!(m2.data().iter().all(|&x| x.to_bits() == 0));
-        assert_eq!(ws.stats(), (1, 1));
-    }
-
-    #[test]
-    fn f32_take_vec_is_zeroed_after_nan_poisoned_reuse() {
-        let mut ws: Workspace<f32> = Workspace::new();
-        let mut v = ws.take_vec(7);
-        for x in v.iter_mut() {
-            *x = f32::NAN;
-        }
-        ws.give_vec(v);
-        let v2 = ws.take_vec(9);
-        assert!(v2.iter().all(|&x| x.to_bits() == 0));
-        assert_eq!(ws.stats(), (1, 1));
-    }
-
-    #[test]
-    fn f32_reuse_matches_fresh_allocation_bitwise() {
-        let mut rng = crate::Rng::seed_from_u64(9);
-        let a = Matrix::randn(5, 4, 1.0, &mut rng).to_f32();
-        let b = Matrix::randn(4, 6, 1.0, &mut rng).to_f32();
-        let fresh = a.matmul(&b);
-        let mut ws: Workspace<f32> = Workspace::new();
-        let mut poison = Matrix::<f32>::zeros(9, 9);
-        poison[(0, 0)] = f32::NAN;
-        ws.give(poison);
-        let mut pooled = ws.take(0, 0);
-        a.matmul_into(&b, &mut pooled);
-        for (x, y) in fresh.data().iter().zip(pooled.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 }

@@ -306,3 +306,81 @@ fn workspace_recycling_never_changes_results() {
         "workspace never recycled: {hits} hits, {misses} misses"
     );
 }
+
+// --- Pinned output bits. ---------------------------------------------------
+
+/// FNV-1a over the bit patterns of every value, in order.
+fn fnv1a(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Entries in `[-0.5, 0.5)` drawn with `Rng::f64` alone, so no libm call
+/// reaches a pinned value.
+fn uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = Rng::seed_from_u64(seed);
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| rng.f64() - 0.5).collect(),
+    )
+}
+
+/// The tests above compare each kernel with a reference; these pin the
+/// bits themselves, so any change to the dense kernels' arithmetic shows
+/// up here. The shapes cross the 4x8 GEMM tile edges (13 rows, 21
+/// columns) and the eight-lane dot chain's remainder (21 columns); `sqrt`
+/// is correctly rounded, so the pins hold on any IEEE-754 host. A
+/// deliberate change to the arithmetic must update the constants (and say
+/// so).
+#[test]
+fn gemm_output_bits_are_pinned() {
+    let a = uniform(13, 11, 1);
+    let b = uniform(11, 21, 2);
+    let at = uniform(11, 13, 3);
+    let bt = uniform(21, 11, 4);
+    let mut out = Matrix::zeros(0, 0);
+    a.matmul_into(&b, &mut out);
+    assert_eq!(out.shape(), (13, 21));
+    assert_eq!(fnv1a(out.data()), 0xb28f_7573_f119_5179, "matmul_into");
+    at.matmul_tn_into(&b, &mut out);
+    assert_eq!(out.shape(), (13, 21));
+    assert_eq!(fnv1a(out.data()), 0x5743_9cda_ce64_70c2, "matmul_tn_into");
+    a.matmul_nt_into(&bt, &mut out);
+    assert_eq!(out.shape(), (13, 21));
+    assert_eq!(fnv1a(out.data()), 0xdd95_2b34_bdd9_e2e7, "matmul_nt_into");
+}
+
+#[test]
+fn distance_output_bits_are_pinned() {
+    use gale_tensor::distance::{
+        dists_to_row_into, indexed_dists_to_row_into, pairwise_sq_into, row_norms_sq,
+    };
+    // 23 rows: two eight-row sweep blocks plus a seven-row tail.
+    let x = uniform(23, 21, 5);
+    let y = uniform(9, 21, 6);
+    let norms = row_norms_sq(&x);
+    assert_eq!(fnv1a(&norms), 0x4d10_35a1_6104_53c0, "row_norms_sq");
+    let mut ws = Workspace::new();
+    let mut out = Matrix::zeros(0, 0);
+    pairwise_sq_into(&x, &y, &mut ws, &mut out);
+    assert_eq!(out.shape(), (23, 9));
+    assert_eq!(fnv1a(out.data()), 0x3e07_1590_56a5_4cbd, "pairwise_sq_into");
+    let mut row = vec![0.0; 23];
+    dists_to_row_into(&x, &norms, x.row(9), norms[9], &mut row);
+    assert_eq!(fnv1a(&row), 0xbb58_8f38_cfb4_362c, "dists_to_row_into");
+    let idx: Vec<usize> = (0..23).rev().step_by(2).chain([9, 9, 0, 22]).collect();
+    let mut sub = vec![0.0; idx.len()];
+    indexed_dists_to_row_into(&x, &norms, &idx, 9, &mut sub);
+    assert_eq!(
+        fnv1a(&sub),
+        0xdd06_47e6_2803_82aa,
+        "indexed_dists_to_row_into"
+    );
+}
