@@ -148,7 +148,14 @@ pub struct GaleOutcome {
     pub typicality_reuses: u64,
     /// Annotations of the final iteration's queries (for inspection).
     pub last_annotations: Vec<Annotation>,
-    /// Total wall-clock.
+    /// Wall-clock spent building `X_R`, `X_S` and the loop's inputs before
+    /// the cold start (GAugment and the library Ψ in memory).
+    pub represent_time: Duration,
+    /// Wall-clock spent scoring every node with the final model and
+    /// calibrating its predictions.
+    pub score_time: Duration,
+    /// Total wall-clock. Representation, the iterations' select, annotate
+    /// and train times, and scoring are disjoint parts of it.
     pub total_time: Duration,
 }
 
@@ -223,9 +230,11 @@ impl GaleOutcome {
         rep.total("queries_issued", self.queries_issued);
         rep.total("memo_hit_rate", self.memo_hit_rate);
         rep.total("typicality_reuses", self.typicality_reuses);
+        rep.total("total_represent_ms", ms(self.represent_time));
         rep.total("total_select_ms", ms(self.total_select_time()));
         rep.total("total_annotate_ms", ms(self.total_annotate_time()));
         rep.total("total_train_ms", ms(self.total_train_time()));
+        rep.total("total_score_ms", ms(self.score_time));
         rep.total("total_ms", ms(self.total_time));
         // Process peak RSS (0 where procfs is unavailable); sampled at
         // report time, which upper-bounds the run since VmHWM only rises.
@@ -284,12 +293,16 @@ pub fn run_gale(
     oracle: &mut dyn Oracle,
     cfg: &GaleConfig,
 ) -> GaleOutcome {
-    let (outcome, _) = gale_loop(cfg, initial_examples, usize::MAX, |rng| {
-        // Library Ψ and its report over G (static: the graph does not change).
-        let lib = DetectorLibrary::standard(constraints.to_vec());
-        let report = lib.run(g);
+    let outcome = gale_loop(cfg, initial_examples, usize::MAX, |rng| {
         // GAugment: featurize and build X_R / X_S (Fig. 3 line 4).
         let aug = g_augment(g, constraints, &cfg.augment, rng);
+        // Library Ψ and its report over G (static: the graph does not
+        // change). The detector signals already ran it on G.
+        let (lib, report) = aug.pipeline.into_detectors().unwrap_or_else(|| {
+            let lib = DetectorLibrary::standard(constraints.to_vec());
+            let report = lib.run(g);
+            (lib, report)
+        });
         let stages = InMemory {
             g,
             split,
@@ -392,14 +405,13 @@ impl Stages for InMemory<'_> {
 
 /// The GALE loop (Fig. 3) for either configuration: `represent` builds
 /// `X_R`, `X_S` and the configuration's [`Stages`] from the loop's RNG;
-/// `eval_chunk` caps the rows of one evaluation forward. Returns the
-/// outcome and the time spent representing.
+/// `eval_chunk` caps the rows of one evaluation forward.
 pub(crate) fn gale_loop<S: Stages>(
     cfg: &GaleConfig,
     initial_examples: &[Example],
     eval_chunk: usize,
     represent: impl FnOnce(&mut Rng) -> (Matrix, Matrix, S),
-) -> (GaleOutcome, Duration) {
+) -> GaleOutcome {
     let run_span = gale_obs::span!(
         "gale.run",
         iterations = cfg.iterations,
@@ -530,7 +542,7 @@ pub(crate) fn gale_loop<S: Stages>(
     sgan.eval_into(&x_r, eval_chunk, &mut probs, &mut h);
     let error_scores: Vec<f64> = (0..probs.rows()).map(|v| probs[(v, 0)]).collect();
     let predictions = calibrated_predictions(&error_scores, stages.val_examples());
-    let _ = score_span.finish();
+    let score_time = score_span.finish();
 
     let outcome = GaleOutcome {
         predictions,
@@ -541,6 +553,8 @@ pub(crate) fn gale_loop<S: Stages>(
         memo_hit_rate: memo.hit_rate(),
         typicality_reuses: memo.typicality_reuses,
         last_annotations,
+        represent_time,
+        score_time,
         total_time: started.elapsed(),
     };
     let _ = run_span
@@ -551,7 +565,7 @@ pub(crate) fn gale_loop<S: Stages>(
         gale_obs::event!("gale.run_report", report = outcome.run_report().to_json());
         gale_obs::trace::flush();
     }
-    (outcome, represent_time)
+    outcome
 }
 
 #[cfg(test)]
@@ -766,5 +780,81 @@ mod tests {
         assert!(!outcome.last_annotations.is_empty());
         let last_iter = outcome.history.last().unwrap();
         assert_eq!(outcome.last_annotations.len(), last_iter.queries.len());
+    }
+
+    #[test]
+    fn booked_stages_add_up_to_the_run() {
+        let (_, outcome, _) = run_once(QueryStrategy::DiversifiedTypicality, 37);
+        let booked = outcome.represent_time
+            + outcome.total_select_time()
+            + outcome.total_annotate_time()
+            + outcome.total_train_time()
+            + outcome.score_time;
+        assert!(
+            booked <= outcome.total_time,
+            "{booked:?} > {:?}",
+            outcome.total_time
+        );
+        assert!(
+            booked.as_secs_f64() >= 0.95 * outcome.total_time.as_secs_f64(),
+            "{booked:?} of {:?}",
+            outcome.total_time
+        );
+    }
+
+    /// Pins the bits of one small run's scores with early stopping on (a
+    /// validation fold and a patience that stops the cold start at epoch
+    /// 56) and detector signals on, so a change to how the loop reaches
+    /// them, such as the library's report or the early-stopping forward,
+    /// shows up without a parent build.
+    #[test]
+    fn early_stopped_run_scores_are_pinned() {
+        let d = prepare(
+            DatasetId::MachineLearning,
+            0.06,
+            &ErrorGenConfig {
+                node_error_rate: 0.12,
+                ..Default::default()
+            },
+            31,
+        );
+        let mut rng = Rng::seed_from_u64(32);
+        let split = DataSplit::paper_default(d.graph.node_count(), &mut rng);
+        let val: Vec<Example> = split
+            .val
+            .iter()
+            .map(|&v| Example {
+                node: v,
+                label: if d.truth.is_erroneous(v) {
+                    Label::Error
+                } else {
+                    Label::Correct
+                },
+            })
+            .collect();
+        assert!(!val.is_empty());
+        let mut cfg = quick_cfg(31);
+        cfg.iterations = 2;
+        cfg.sgan.d_lr = 1e-2;
+        cfg.sgan.early_stop_patience = 3;
+        assert!(cfg.augment.feat.detector_signals);
+        let mut oracle = GroundTruthOracle::new(&d.truth);
+        let outcome = run_gale(
+            &d.graph,
+            &d.constraints,
+            &split,
+            &[],
+            &val,
+            &mut oracle,
+            &cfg,
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in &outcome.error_scores {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0xa9cd_da36_f85d_c4de, "{h:#018x}");
     }
 }

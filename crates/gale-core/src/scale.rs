@@ -257,7 +257,7 @@ where
         seed: cfg.seed,
         ..GaleConfig::default()
     };
-    let (outcome, represent_time) = gale_loop(&loop_cfg, &[], cfg.eval_chunk, |rng| {
+    let outcome = gale_loop(&loop_cfg, &[], cfg.eval_chunk, |rng| {
         let s = SymNormalized::new(adj);
         let mut gae = Gae::train_sampled(x, adj, &s, &cfg.gae, &cfg.minibatch, rng);
         let mut z = Matrix::zeros(0, 0);
@@ -283,7 +283,7 @@ where
     });
     gale_tensor::heap::release_free_pages();
     ScaleOutcome {
-        train_time: represent_time + outcome.total_train_time(),
+        train_time: outcome.represent_time + outcome.total_train_time(),
         select_time: outcome.total_select_time(),
         annotate_time: outcome.total_annotate_time(),
         total_time: outcome.total_time,

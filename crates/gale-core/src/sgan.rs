@@ -432,6 +432,10 @@ impl Sgan {
     /// Full joint training (procedure SGAN): alternates generator and
     /// discriminator updates, decays learning rates, and early-stops on the
     /// validation loss when `val_targets` is non-empty.
+    ///
+    /// The validation loss reads only the fold's rows, so they are copied
+    /// out once and each epoch forwards just those. Evaluation mode is
+    /// row-independent, so the loss is the one the full forward gives.
     pub fn train(
         &mut self,
         x_r: &Matrix,
@@ -443,6 +447,19 @@ impl Sgan {
         let mut stats = TrainStats::default();
         let mut best_val = f64::INFINITY;
         let mut stale = 0usize;
+        let early_stop = self.cfg.early_stop_patience > 0 && !val_targets.is_empty();
+        // Row `i` of `x_val` is target `i`'s row of `x_r`.
+        let (x_val, val_local) = if early_stop {
+            let rows: Vec<usize> = val_targets.iter().map(|&(r, _)| r).collect();
+            let local: Vec<(usize, usize)> = val_targets
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, c))| (i, c))
+                .collect();
+            (x_r.select_rows(&rows), local)
+        } else {
+            (Matrix::zeros(0, 0), Vec::new())
+        };
         for epoch in 0..self.cfg.epochs {
             stats.epochs_run = epoch + 1;
             let unsup_rows = rng.sample_indices(x_r.rows(), self.cfg.batch_unsup);
@@ -462,9 +479,9 @@ impl Sgan {
             self.d_opt.decay_lr(self.cfg.lr_decay);
             self.g_opt.decay_lr(self.cfg.lr_decay);
 
-            if self.cfg.early_stop_patience > 0 && !val_targets.is_empty() {
-                let logits = self.d.forward(x_r, false);
-                let (val_loss, _) = softmax_cross_entropy(&logits, val_targets);
+            if early_stop {
+                let logits = self.d.forward(&x_val, false);
+                let (val_loss, _) = softmax_cross_entropy(&logits, &val_local);
                 if val_loss + 1e-6 < best_val {
                     best_val = val_loss;
                     stale = 0;

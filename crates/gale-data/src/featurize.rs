@@ -6,7 +6,7 @@
 //! reduces with PCA to cut training cost. This module reproduces that
 //! pipeline with hash embeddings in place of pretrained word vectors.
 
-use gale_detect::{Constraint, DetectorLibrary};
+use gale_detect::{Constraint, DetectorLibrary, LibraryReport};
 use gale_graph::{AttrKind, FeatureRepr, Graph};
 use gale_nn::{Gae, GaeConfig, HashEmbedder};
 use gale_tensor::{stats, Matrix, Pca, Rng, SparseMatrix};
@@ -281,8 +281,13 @@ fn select_cols(m: &Matrix, cols: &[usize]) -> Matrix {
 /// Raha-style feature block that lets the classifier *learn* which detector
 /// patterns to trust instead of unioning them.
 pub fn detector_signal_features(g: &Graph, lib: &DetectorLibrary) -> Matrix {
-    let report = lib.run(g);
-    let mut x: Matrix = Matrix::zeros(g.node_count(), lib.len().max(1));
+    signal_columns(&lib.run(g), g.node_count())
+}
+
+/// [`detector_signal_features`] from a report already taken on a graph of
+/// `n` nodes.
+fn signal_columns(report: &LibraryReport, n: usize) -> Matrix {
+    let mut x: Matrix = Matrix::zeros(n, report.per_detector.len().max(1));
     for (i, dets) in report.per_detector.iter().enumerate() {
         for d in dets {
             x[(d.node, i)] = x[(d.node, i)].max(d.confidence);
@@ -300,7 +305,9 @@ pub struct FeaturePipeline {
     cfg: FeaturizeConfig,
     pca: Option<Pca>,
     gae: Option<Gae>,
-    lib: Option<DetectorLibrary>,
+    /// The library Ψ and its report on the fitted graph, when detector
+    /// signals are on.
+    detectors: Option<(DetectorLibrary, LibraryReport)>,
     token_cols: Vec<usize>,
     diag_cols: Vec<usize>,
     attr_dim: usize,
@@ -332,13 +339,12 @@ impl FeaturePipeline {
         };
         let diag_block = select_cols(&raw, &diag_cols);
         let mut attr_block = diag_block.hstack(&reduced);
-        let lib = if cfg.detector_signals {
+        let detectors = cfg.detector_signals.then(|| {
             let lib = DetectorLibrary::standard(constraints.to_vec());
-            attr_block = attr_block.hstack(&detector_signal_features(g, &lib));
-            Some(lib)
-        } else {
-            None
-        };
+            let report = lib.run(g);
+            attr_block = attr_block.hstack(&signal_columns(&report, g.node_count()));
+            (lib, report)
+        });
         let attr_block_dim = attr_block.cols();
         let a = g.adjacency();
         let s_norm = a.sym_normalized_with_self_loops();
@@ -354,7 +360,7 @@ impl FeaturePipeline {
             cfg: cfg.clone(),
             pca,
             gae,
-            lib,
+            detectors,
             token_cols,
             diag_cols,
             attr_dim: attr_block_dim,
@@ -375,7 +381,7 @@ impl FeaturePipeline {
         };
         let diag_block = select_cols(&raw, &self.diag_cols);
         let mut attr_block = diag_block.hstack(&reduced);
-        if let Some(lib) = &self.lib {
+        if let Some((lib, _)) = &self.detectors {
             attr_block = attr_block.hstack(&detector_signal_features(g, lib));
         }
         match &mut self.gae {
@@ -386,6 +392,13 @@ impl FeaturePipeline {
             }
             None => attr_block,
         }
+    }
+
+    /// The library Ψ and its report on the graph the pipeline was fitted
+    /// on, or `None` when detector signals are off. A caller that needs
+    /// both for that graph takes them here instead of running Ψ again.
+    pub fn into_detectors(self) -> Option<(DetectorLibrary, LibraryReport)> {
+        self.detectors
     }
 
     /// Output feature dimensionality.

@@ -229,9 +229,11 @@ impl Constraint {
                 let v = g.node(node).get(attr)?;
                 let s = v.canonical();
                 // Closest allowed value by edit distance (string repair).
+                // Ties go to the smallest value, not the set's iteration
+                // order (std seeds it per process).
                 allowed
                     .iter()
-                    .min_by_key(|a| gale_tensor::distance::levenshtein(&s, a))
+                    .min_by_key(|a| (gale_tensor::distance::levenshtein(&s, a), *a))
                     .map(|best| AttrValue::Text(best.clone()))
             }
             Constraint::EdgeRule { .. } => None, // inherently ambiguous
@@ -422,6 +424,31 @@ mod tests {
             rule.enforce(&g2, ids[0], st),
             Some(AttrValue::Text("marvel".into()))
         );
+    }
+
+    #[test]
+    fn domain_repair_ties_go_to_the_smallest_value() {
+        let (mut g, ids) = film_graph();
+        let film = g.schema.find_node_type("film").unwrap();
+        let st = g.schema.find_attr("studio").unwrap();
+        // "dx" is one edit from each of the four allowed values.
+        g.node_mut(ids[0]).set(st, "dx".into());
+        // Each rule holds a fresh set with its own iteration order.
+        for _ in 0..10 {
+            let rule = Constraint::Domain {
+                node_type: film,
+                attr: st,
+                allowed: ["dz", "dy", "ax", "bx"]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect(),
+                confidence: 1.0,
+            };
+            assert_eq!(
+                rule.enforce(&g, ids[0], st),
+                Some(AttrValue::Text("ax".into()))
+            );
+        }
     }
 
     #[test]

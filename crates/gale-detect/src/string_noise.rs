@@ -4,8 +4,7 @@
 use crate::detector::{BaseDetector, Detection, DetectorClass};
 use gale_graph::value::AttrValue;
 use gale_graph::{AttrId, AttrKind, Graph, NodeId, NodeTypeId};
-use gale_tensor::distance::levenshtein;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Flags `null` values on attributes that are populated nearly everywhere
 /// else in the same `(type, attribute)` slice.
@@ -31,8 +30,9 @@ impl BaseDetector for NullDetector {
     }
 
     fn detect(&self, g: &Graph) -> Vec<Detection> {
-        // (type, attr) -> (total, nulls, null node list)
-        let mut slices: HashMap<(NodeTypeId, AttrId), (usize, Vec<NodeId>)> = HashMap::new();
+        // (type, attr) -> (total, null node list). Ordered, so detections
+        // come out in (type, attr) order on every run.
+        let mut slices: BTreeMap<(NodeTypeId, AttrId), (usize, Vec<NodeId>)> = BTreeMap::new();
         for (id, node) in g.nodes() {
             for (attr, v) in node.attrs() {
                 let entry = slices.entry((node.node_type, attr)).or_default();
@@ -84,27 +84,122 @@ impl Default for MisspellingDetector {
 }
 
 impl MisspellingDetector {
-    fn dictionary(&self, g: &Graph, t: NodeTypeId, attr: AttrId) -> HashMap<String, usize> {
-        g.value_counts(t, attr)
-            .into_iter()
-            .filter(|(_, c)| *c >= self.min_dict_count)
-            .collect()
+    /// The dictionary of one `(type, attribute)` slice, from its value
+    /// counts.
+    fn dictionary(&self, counts: &HashMap<String, usize>) -> Dictionary {
+        Dictionary::new(
+            counts
+                .iter()
+                .filter(|(_, &c)| c >= self.min_dict_count)
+                .map(|(w, _)| w.as_str()),
+        )
+    }
+}
+
+/// A slice's frequent values, each decoded to `char`s once and bucketed by
+/// length, so a search visits only the lengths within its bound of the
+/// value's.
+struct Dictionary {
+    /// `by_len[l]` holds the words of `l` chars.
+    by_len: Vec<Vec<(String, Vec<char>)>>,
+}
+
+impl Dictionary {
+    fn new<'w>(words: impl Iterator<Item = &'w str>) -> Dictionary {
+        let mut by_len: Vec<Vec<(String, Vec<char>)>> = Vec::new();
+        for w in words {
+            let chars: Vec<char> = w.chars().collect();
+            if by_len.len() <= chars.len() {
+                by_len.resize_with(chars.len() + 1, Vec::new);
+            }
+            by_len[chars.len()].push((w.to_string(), chars));
+        }
+        Dictionary { by_len }
     }
 
-    /// The nearest dictionary word within `max_distance`. Ties go to the
-    /// smallest word, so the answer does not depend on the map's
-    /// iteration order (std seeds it per process).
-    fn closest<'d>(
-        &self,
-        dict: &'d HashMap<String, usize>,
-        value: &str,
-    ) -> Option<(&'d str, usize)> {
-        dict.iter()
-            .filter(|(w, _)| *w != value)
-            .map(|(w, _)| (w.as_str(), levenshtein(value, w)))
-            .filter(|(_, d)| *d <= self.max_distance && *d > 0)
-            .min_by_key(|&(w, d)| (d, w))
+    fn is_empty(&self) -> bool {
+        self.by_len.is_empty()
     }
+
+    /// The nearest word other than `value` within `max_distance` edits,
+    /// with its distance. Ties go to the smallest word, so the answer does
+    /// not depend on the order the words came in. The bound tightens to the
+    /// best distance found so far; lengths are visited nearest first.
+    fn closest(&self, value: &str, max_distance: usize) -> Option<(&str, usize)> {
+        let v: Vec<char> = value.chars().collect();
+        let mut rows = (Vec::new(), Vec::new());
+        let mut best: Option<(usize, &str)> = None;
+        let mut bound = max_distance;
+        // A length gap is a lower bound on the distance.
+        for gap in 0..=max_distance {
+            if gap > bound {
+                break;
+            }
+            let lens = [v.len().checked_sub(gap), (gap > 0).then(|| v.len() + gap)];
+            for len in lens.into_iter().flatten() {
+                for (w, chars) in self.by_len.get(len).into_iter().flatten() {
+                    if w == value {
+                        continue;
+                    }
+                    let Some(d) = bounded_levenshtein(&v, chars, bound, &mut rows) else {
+                        continue;
+                    };
+                    if best.is_some_and(|b| b <= (d, w.as_str())) {
+                        continue;
+                    }
+                    best = Some((d, w));
+                    bound = d;
+                }
+            }
+        }
+        best.map(|(d, w)| (w, d))
+    }
+}
+
+/// The Levenshtein distance between `a` and `b` when it is at most `bound`,
+/// `None` otherwise. Only the band `|i - j| <= bound` of the DP is filled,
+/// since an alignment that leaves it costs more than `bound`, and the scan
+/// stops at the first row whose minimum exceeds `bound`. `rows` is scratch.
+fn bounded_levenshtein(
+    a: &[char],
+    b: &[char],
+    bound: usize,
+    rows: &mut (Vec<usize>, Vec<usize>),
+) -> Option<usize> {
+    let (m, n) = (a.len(), b.len());
+    if m.abs_diff(n) > bound {
+        return None;
+    }
+    // Every distance past the bound reads as `over`. Cells right of a
+    // row's band are never written, so they keep it from the fill below.
+    let over = bound + 1;
+    let (prev, cur) = rows;
+    prev.clear();
+    prev.extend((0..=n).map(|j| j.min(over)));
+    cur.clear();
+    cur.resize(n + 1, over);
+    for i in 1..=m {
+        let lo = i.saturating_sub(bound);
+        let hi = (i + bound).min(n);
+        let mut row_min = over;
+        if lo == 0 {
+            cur[0] = i;
+            row_min = i;
+        } else {
+            cur[lo - 1] = over;
+        }
+        for j in lo.max(1)..=hi {
+            let sub = prev[j - 1] + usize::from(a[i - 1] != b[j - 1]);
+            let d = sub.min(prev[j] + 1).min(cur[j - 1] + 1).min(over);
+            cur[j] = d;
+            row_min = row_min.min(d);
+        }
+        if row_min > bound {
+            return None;
+        }
+        std::mem::swap(prev, cur);
+    }
+    (prev[n] <= bound).then_some(prev[n])
 }
 
 impl BaseDetector for MisspellingDetector {
@@ -127,7 +222,7 @@ impl BaseDetector for MisspellingDetector {
                 if counts.len() < 2 {
                     continue;
                 }
-                let dict = self.dictionary(g, t, attr);
+                let dict = self.dictionary(&counts);
                 if dict.is_empty() {
                     continue;
                 }
@@ -142,7 +237,7 @@ impl BaseDetector for MisspellingDetector {
                     if counts.get(&s).copied().unwrap_or(0) >= self.min_dict_count {
                         continue;
                     }
-                    if let Some((w, d)) = self.closest(&dict, &s) {
+                    if let Some((w, d)) = dict.closest(&s, self.max_distance) {
                         out.push(Detection {
                             node: id,
                             attr,
@@ -160,9 +255,9 @@ impl BaseDetector for MisspellingDetector {
 
     fn suggest(&self, g: &Graph, node: NodeId, attr: AttrId) -> Option<AttrValue> {
         let t = g.node(node).node_type;
-        let dict = self.dictionary(g, t, attr);
         let s = g.node(node).get(attr)?.canonical();
-        self.closest(&dict, &s)
+        self.dictionary(&g.value_counts(t, attr))
+            .closest(&s, self.max_distance)
             .map(|(w, _)| AttrValue::Text(w.to_string()))
     }
 }
@@ -270,6 +365,7 @@ impl BaseDetector for GarbageStringDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn species_graph() -> Graph {
         let mut g = Graph::new();
@@ -299,6 +395,34 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].node, 3);
         assert_eq!(d[0].attr, order);
+    }
+
+    #[test]
+    fn null_detections_come_out_in_attribute_order() {
+        let mut g = Graph::new();
+        for i in 0..20 {
+            let v = |name: &str| format!("{name}{}", i % 2);
+            g.add_node_with(
+                "t",
+                &[
+                    ("a", AttrKind::Text, v("a").into()),
+                    ("b", AttrKind::Text, v("b").into()),
+                    ("c", AttrKind::Text, v("c").into()),
+                ],
+            );
+        }
+        for attr in 0..3 {
+            g.node_mut(7).set(attr, AttrValue::Null);
+        }
+        // Each call groups the slices in a fresh map.
+        for _ in 0..10 {
+            let attrs: Vec<AttrId> = NullDetector::default()
+                .detect(&g)
+                .iter()
+                .map(|d| d.attr)
+                .collect();
+            assert_eq!(attrs, [0, 1, 2]);
+        }
     }
 
     #[test]
@@ -347,6 +471,30 @@ mod tests {
         // Each call builds a fresh map with its own iteration order.
         for _ in 0..10 {
             assert_eq!(det.suggest(&g, rare, attr), Some("Axle".into()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bounded search gives what a full scan gives: the minimum by
+        /// `(distance, word)` over the other words within the bound.
+        #[test]
+        fn bounded_search_matches_a_full_scan(
+            words in proptest::collection::vec("[abcé]{0,8}", 0..40),
+            value in "[abcé]{0,8}",
+            max_distance in 0usize..4,
+        ) {
+            use gale_tensor::distance::levenshtein;
+            let want = words
+                .iter()
+                .filter(|w| **w != value)
+                .map(|w| (levenshtein(&value, w), w.as_str()))
+                .filter(|&(d, _)| d <= max_distance)
+                .min()
+                .map(|(d, w)| (w, d));
+            let dict = Dictionary::new(words.iter().map(String::as_str));
+            prop_assert_eq!(dict.closest(&value, max_distance), want);
         }
     }
 
