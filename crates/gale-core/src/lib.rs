@@ -35,7 +35,7 @@ pub use oracle::{EnsembleOracle, GroundTruthOracle, NoisyOracle, Oracle};
 pub use pipeline::{run_gale, GaleConfig, GaleOutcome, IterationRecord};
 pub use scale::{run_gale_scale, ScaleGaleConfig, ScaleOutcome};
 pub use select::{objective, qselect};
-pub use sgan::{Sgan, SganConfig, SganInfer, TrainStats, SYNTHETIC_CLASS};
+pub use sgan::{verdict, Sgan, SganConfig, TrainStats, Verdict, SYNTHETIC_CLASS};
 pub use standardize::ColumnStandardizer;
 pub use strategies::{cold_start_queries, select_queries, QueryStrategy, SelectionInputs};
 pub use typicality::{

@@ -21,14 +21,39 @@ use gale_nn::checkpoint::{
     need_f64, need_usize, open_envelope, CkptError,
 };
 use gale_nn::{
-    feature_matching_loss, sgan_unsupervised_loss, softmax_cross_entropy, Activation, Adam,
-    InferNet, Layer, Mlp, Params,
+    feature_matching_loss, sgan_unsupervised_loss, softmax_cross_entropy, Activation, Adam, Layer,
+    Mlp, Params,
 };
 use gale_tensor::{Matrix, Rng};
 use std::path::Path;
 
 /// Class index of synthetic examples in the discriminator output.
 pub const SYNTHETIC_CLASS: usize = 2;
+
+/// The classifier `M` of Section III on one row of the discriminator's
+/// {error, correct, synthetic} probabilities.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The error probability with the synthetic class dropped and the
+    /// other two renormalized: the node's error score.
+    pub error: f64,
+    /// The correct probability, renormalized the same way.
+    pub correct: f64,
+    /// Whether `M` calls the node erroneous (error outweighs correct).
+    pub erroneous: bool,
+}
+
+/// `M`'s verdict from a row's error and correct probabilities `pe`, `pc`.
+/// Every scoring surface (the loop's evaluation, served `/score`, the
+/// stream engine) derives its scores and verdicts here.
+pub fn verdict(pe: f64, pc: f64) -> Verdict {
+    let z = (pe + pc).max(1e-12);
+    Verdict {
+        error: pe / z,
+        correct: pc / z,
+        erroneous: pe > pc,
+    }
+}
 
 /// SGAN hyper-parameters.
 #[derive(Debug, Clone)]
@@ -536,8 +561,10 @@ impl Sgan {
     /// Full 3-class probabilities {error, correct, synthetic} in evaluation
     /// mode, written into a reusable caller buffer.
     ///
-    /// This is the serving path: one batched forward through the
-    /// discriminator's `_into` kernels followed by an in-place softmax that
+    /// This is the serving path: gale-serve's shards and gale-stream's
+    /// engine call it on a model decoded from the checkpoint. One batched
+    /// evaluation forward through the discriminator's `_into` kernels (no
+    /// backward caches written) is followed by an in-place softmax that
     /// mirrors [`Matrix::softmax_rows`] operation-for-operation, so scores
     /// served out-of-process are bitwise equal to in-process evaluation.
     pub fn probs3_into(&mut self, x: &Matrix, out: &mut Matrix) {
@@ -565,11 +592,9 @@ impl Sgan {
         self.probs3_into(x, &mut probs);
         let mut out = Matrix::zeros(x.rows(), 2);
         for r in 0..x.rows() {
-            let pe = probs[(r, 0)];
-            let pc = probs[(r, 1)];
-            let z = (pe + pc).max(1e-12);
-            out[(r, 0)] = pe / z;
-            out[(r, 1)] = pc / z;
+            let v = verdict(probs[(r, 0)], probs[(r, 1)]);
+            out[(r, 0)] = v.error;
+            out[(r, 1)] = v.correct;
         }
         out
     }
@@ -628,10 +653,9 @@ impl Sgan {
             let tap = self.d.tap(self.tap);
             for r in 0..p3.rows() {
                 h.row_mut(lo + r).copy_from_slice(tap.row(r));
-                let (pe, pc) = (p3[(r, 0)], p3[(r, 1)]);
-                let z = (pe + pc).max(1e-12);
-                probs[(lo + r, 0)] = pe / z;
-                probs[(lo + r, 1)] = pc / z;
+                let v = verdict(p3[(r, 0)], p3[(r, 1)]);
+                probs[(lo + r, 0)] = v.error;
+                probs[(lo + r, 1)] = v.correct;
             }
             lo = hi;
         }
@@ -693,64 +717,6 @@ impl Sgan {
     /// truncated, or version-mismatched files surface as a typed error.
     pub fn load(path: impl AsRef<Path>) -> Result<Sgan, CkptError> {
         Sgan::from_json(&checkpoint::read_file(path.as_ref())?)
-    }
-}
-
-/// Forward-only serving replica of a trained [`Sgan`]: the discriminator
-/// alone (see `gale_nn::infer`), reproducing [`Sgan::probs3_into`] bit for
-/// bit.
-pub struct SganInfer {
-    d: InferNet,
-    /// Index of the tapped (embedding) layer inside `d`.
-    tap: usize,
-    input_dim: usize,
-}
-
-impl SganInfer {
-    /// Encoding dimensionality this replica was built for.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Full 3-class probabilities {error, correct, synthetic}, mirroring
-    /// [`Sgan::probs3_into`] operation for operation: one batched forward
-    /// through the `_into` kernels, then an in-place row softmax with the
-    /// same max-subtract / exp / renormalize chain.
-    pub fn probs3_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        out.copy_from(self.d.forward_inplace(x));
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut z = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                z += *v;
-            }
-            if z > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= z;
-                }
-            }
-        }
-    }
-
-    /// Node embeddings from the tapped intermediate layer, mirroring
-    /// [`Sgan::embeddings_into`].
-    pub fn embeddings_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        let _ = self.d.forward_inplace(x);
-        out.copy_from(self.d.tap(self.tap));
-    }
-}
-
-impl Sgan {
-    /// Copies the discriminator into a forward-only serving replica.
-    /// One-way: nothing converts back into training state.
-    pub fn to_infer(&self) -> SganInfer {
-        SganInfer {
-            d: self.d.to_infer(),
-            tap: self.tap,
-            input_dim: self.input_dim,
-        }
     }
 }
 
@@ -1086,8 +1052,7 @@ mod tests {
         assert!(stats.d_loss.is_finite());
     }
 
-    /// A briefly trained SGAN plus its real-encoding matrix, for the
-    /// replica parity test.
+    /// A briefly trained SGAN plus its real-encoding matrix.
     fn tiny_trained_sgan(rng: &mut Rng) -> (Sgan, Matrix) {
         let (x_r, x_s, labels) = toy_data(rng, 40, 5);
         let targets: Vec<(usize, usize)> = (0..40)
@@ -1099,16 +1064,15 @@ mod tests {
         (sgan, x_r)
     }
 
-    /// The parity test below compares the replica with the training
-    /// object; this pins the replica's bits, so a change to the served
-    /// forward's arithmetic shows up here. Weights come from the Xavier
-    /// uniform init and inputs from `Rng::f64`, so the softmax's `exp` is
-    /// the only libm call that reaches a pinned value. The row counts are
-    /// one row, a ragged tile, and a ragged batch past the 64-row budget.
+    /// Pins the bits of the served forward, so a change to its arithmetic
+    /// shows up here. Weights come from the Xavier uniform init and inputs
+    /// from `Rng::f64`, so the softmax's `exp` is the only libm call that
+    /// reaches a pinned value. The row counts are one row, a ragged tile,
+    /// and a ragged batch past the 64-row budget.
     #[test]
     fn infer_probs3_bits_are_pinned() {
         let mut rng = Rng::seed_from_u64(8);
-        let mut replica = Sgan::new(5, &small_cfg(), &mut rng).to_infer();
+        let mut sgan = Sgan::new(5, &small_cfg(), &mut rng);
         let mut out = Matrix::zeros(0, 0);
         let pins = [
             (1usize, 0x9ced_318a_f737_9a1au64),
@@ -1117,7 +1081,7 @@ mod tests {
         ];
         for (rows, pin) in pins {
             let x = Matrix::rand_uniform(rows, 5, -2.0, 2.0, &mut rng);
-            replica.probs3_into(&x, &mut out);
+            sgan.probs3_into(&x, &mut out);
             assert_eq!(out.shape(), (rows, 3));
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for v in out.data() {
@@ -1131,42 +1095,52 @@ mod tests {
     }
 
     #[test]
-    fn f64_infer_replica_matches_probs3_bitwise() {
-        // Every served f64 score rests on this parity. The row counts are
+    fn batched_probs3_matches_rows_scored_alone() {
+        // A shard scores whatever jobs share its batch in one forward, so
+        // every row must come out as it would alone. The row counts are
         // the shapes a coalesced serving batch can take, crossing the 4x8
         // GEMM tile edges; each runs at 1, 2 and 8 threads. Probabilities
         // and the embedding tap must both match bit for bit.
         let mut rng = Rng::seed_from_u64(5);
         let (mut sgan, x_r) = tiny_trained_sgan(&mut rng);
-        let mut replica = sgan.to_infer();
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut batches = vec![x_r];
         for rows in [1usize, 3, 4, 7, 64, 65, 129] {
             batches.push(Matrix::randn(rows, 5, 1.5, &mut rng));
         }
-        let (mut want, mut got) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let (mut one, mut got) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         for x in &batches {
+            let rows = x.rows();
+            let (mut want_p, mut want_h) = (Vec::new(), Vec::new());
+            for r in 0..rows {
+                let row = x.select_rows(&[r]);
+                sgan.probs3_into(&row, &mut one);
+                want_p.extend(bits(&one));
+                sgan.embeddings_into(&row, &mut one);
+                want_h.extend(bits(&one));
+            }
             for threads in [1usize, 2, 8] {
                 gale_tensor::par::with_threads(threads, || {
-                    let rows = x.rows();
-                    sgan.probs3_into(x, &mut want);
-                    replica.probs3_into(x, &mut got);
-                    assert_eq!(got.shape(), want.shape());
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "probs: {rows} rows, {threads} threads"
-                    );
-                    sgan.embeddings_into(x, &mut want);
-                    replica.embeddings_into(x, &mut got);
-                    assert_eq!(got.shape(), want.shape());
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "tap: {rows} rows, {threads} threads"
-                    );
+                    sgan.probs3_into(x, &mut got);
+                    assert_eq!(got.shape(), (rows, 3));
+                    assert_eq!(bits(&got), want_p, "probs: {rows} rows, {threads} threads");
+                    sgan.embeddings_into(x, &mut got);
+                    assert_eq!(bits(&got), want_h, "tap: {rows} rows, {threads} threads");
                 });
             }
         }
+    }
+
+    #[test]
+    fn verdict_renormalizes_and_calls_the_larger_class() {
+        let v = verdict(0.6, 0.2);
+        assert!(v.erroneous && (v.error - 0.75).abs() < 1e-12);
+        assert!((v.correct - 0.25).abs() < 1e-12);
+        let v = verdict(0.1, 0.7);
+        assert!(!v.erroneous && (v.error - 0.125).abs() < 1e-12);
+        // A tie is not an error, and an all-synthetic row stays finite.
+        assert!(!verdict(0.3, 0.3).erroneous);
+        let v = verdict(0.0, 0.0);
+        assert_eq!((v.error, v.correct, v.erroneous), (0.0, 0.0, false));
     }
 }

@@ -9,7 +9,7 @@
 use crate::constraints::{Constraint, EdgeRelation};
 use gale_graph::value::AttrValue;
 use gale_graph::{AttrKind, Graph};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Mining thresholds.
 #[derive(Debug, Clone)]
@@ -86,14 +86,15 @@ fn mine_type_fds(g: &Graph, cfg: &DiscoveryConfig) -> Vec<Constraint> {
                     continue;
                 }
                 // Confidence: fraction of rows agreeing with their group's
-                // majority RHS value.
+                // majority RHS value; a tied count binds the smallest
+                // canonical value, so the binding never rests on hash order.
                 let mut agree = 0usize;
                 let mut bindings = HashMap::new();
                 for (lv, rhs_counts) in &groups {
                     let (best_count, best_val) = rhs_counts
-                        .values()
-                        .max_by_key(|(c, _)| *c)
-                        .map(|(c, v)| (*c, v.clone()))
+                        .iter()
+                        .max_by(|(ka, (ca, _)), (kb, (cb, _))| ca.cmp(cb).then(kb.cmp(ka)))
+                        .map(|(_, (c, v))| (*c, v.clone()))
                         .expect("non-empty group");
                     agree += best_count;
                     bindings.insert(lv.clone(), best_val);
@@ -117,10 +118,11 @@ fn mine_type_fds(g: &Graph, cfg: &DiscoveryConfig) -> Vec<Constraint> {
     rules
 }
 
-/// Mines equal/differ rules per (src type, edge type, dst type, attribute).
+/// Mines equal/differ rules per (src type, edge type, dst type, attribute),
+/// emitted in that key order.
 fn mine_edge_rules(g: &Graph, cfg: &DiscoveryConfig) -> Vec<Constraint> {
     // Key: (src_type, edge_type, dst_type, attr) -> (matches, equal_count).
-    let mut counts: HashMap<(u32, u32, u32, u32), (usize, usize)> = HashMap::new();
+    let mut counts: BTreeMap<(u32, u32, u32, u32), (usize, usize)> = BTreeMap::new();
     for e in g.edges() {
         let (s, d) = (g.node(e.src), g.node(e.dst));
         for (attr, sv) in s.attrs() {
@@ -349,6 +351,98 @@ mod tests {
                 r.violations(&g).is_empty(),
                 "rule {} has violations on the data it was mined from",
                 r.describe(&g)
+            );
+        }
+    }
+
+    #[test]
+    fn edge_rules_come_out_in_key_order() {
+        // Six categorical attributes, half constant and half alternating,
+        // over two edge types: `next` links neighbours (alternating values
+        // differ), `skip` links every other node (they agree). Each
+        // (edge type, attribute) pair yields one rule.
+        let mut g = Graph::new();
+        let ids: Vec<usize> = (0..30)
+            .map(|i| {
+                let attrs: Vec<(String, AttrKind, AttrValue)> = (0..6)
+                    .map(|k| {
+                        let v = if k % 2 == 0 {
+                            "same"
+                        } else {
+                            ["odd", "even"][i % 2]
+                        };
+                        (format!("c{k}"), AttrKind::Categorical, v.into())
+                    })
+                    .collect();
+                let attrs: Vec<(&str, AttrKind, AttrValue)> = attrs
+                    .iter()
+                    .map(|(n, k, v)| (n.as_str(), *k, v.clone()))
+                    .collect();
+                g.add_node_with("film", &attrs)
+            })
+            .collect();
+        for i in 0..ids.len() - 2 {
+            g.add_edge_named(ids[i], ids[i + 1], "next");
+            g.add_edge_named(ids[i], ids[i + 2], "skip");
+        }
+        let keys: Vec<(u32, u32, u32, u32)> = discover_constraints(&g, &DiscoveryConfig::default())
+            .iter()
+            .filter_map(|r| match r {
+                Constraint::EdgeRule {
+                    src_type,
+                    edge_type,
+                    dst_type,
+                    attr,
+                    ..
+                } => Some((*src_type, *edge_type, *dst_type, *attr)),
+                _ => None,
+            })
+            .collect();
+        assert!(keys.len() >= 6, "only {} edge rules mined", keys.len());
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "edge rules out of key order: {keys:?}"
+        );
+    }
+
+    #[test]
+    fn a_tied_majority_binds_the_smallest_value() {
+        // `k -> v` holds (19 of 22 rows agree), but group `a` is a
+        // four-way tie: its binding must be the smallest canonical value
+        // in every mining, whatever order a fresh hash map visits them.
+        let mut g = Graph::new();
+        let rows = ["delta", "alpha", "charlie", "bravo"]
+            .iter()
+            .map(|&v| ("a", v))
+            .chain(std::iter::repeat_n(("b", "beta"), 18));
+        for (k, v) in rows {
+            g.add_node_with(
+                "item",
+                &[
+                    ("k", AttrKind::Categorical, k.into()),
+                    ("v", AttrKind::Categorical, v.into()),
+                ],
+            );
+        }
+        let (k, v) = (
+            g.schema.find_attr("k").unwrap(),
+            g.schema.find_attr("v").unwrap(),
+        );
+        for mining in 0..16 {
+            let rules = discover_constraints(&g, &DiscoveryConfig::default());
+            let bindings = rules
+                .iter()
+                .find_map(|r| match r {
+                    Constraint::TypeFd {
+                        lhs, rhs, bindings, ..
+                    } if *lhs == k && *rhs == v => Some(bindings),
+                    _ => None,
+                })
+                .expect("k -> v mined");
+            assert_eq!(
+                bindings.get("a"),
+                Some(&AttrValue::Text("alpha".into())),
+                "mining {mining}"
             );
         }
     }

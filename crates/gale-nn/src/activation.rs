@@ -119,32 +119,25 @@ impl Params for ActivationLayer {
 }
 
 impl Layer for ActivationLayer {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, x: &Matrix, _train: bool, out: &mut Matrix) {
-        self.cached_in.copy_from(x);
-        self.cached_out.copy_from(x);
-        for v in self.cached_out.data_mut() {
+    fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
+        out.copy_from(x);
+        for v in out.data_mut() {
             *v = self.act.apply(*v);
         }
-        out.copy_from(&self.cached_out);
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
+        if train {
+            self.cached_in.copy_from(x);
+            self.cached_out.copy_from(out);
+        } else {
+            self.cached_in.resize(0, 0);
+            self.cached_out.resize(0, 0);
+        }
     }
 
     fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         assert_eq!(
             grad_out.shape(),
             self.cached_in.shape(),
-            "ActivationLayer::backward before forward or shape changed"
+            "ActivationLayer::backward without a training forward, or shape changed"
         );
         grad_in.copy_from(grad_out);
         for i in 0..grad_in.data().len() {

@@ -17,10 +17,9 @@ pub struct BatchNorm {
     running_var: Vec<f64>,
     momentum: f64,
     eps: f64,
-    // Forward caches for backward.
+    // Training-forward caches for backward.
     x_hat: Matrix,
     std_inv: Vec<f64>,
-    train_pass: bool,
 }
 
 impl BatchNorm {
@@ -37,7 +36,6 @@ impl BatchNorm {
             eps: 1e-5,
             x_hat: Matrix::zeros(0, 0),
             std_inv: Vec::new(),
-            train_pass: false,
         }
     }
 
@@ -72,7 +70,6 @@ impl BatchNorm {
             eps,
             x_hat: Matrix::zeros(0, 0),
             std_inv: Vec::new(),
-            train_pass: false,
         }
     }
 }
@@ -85,19 +82,28 @@ impl Params for BatchNorm {
 }
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
         let (n, d) = x.shape();
         assert_eq!(d, self.gamma.cols(), "BatchNorm: dim mismatch");
-        self.train_pass = train;
-        // Batch statistics live in `batch`; eval mode reads the running
-        // statistics directly instead of cloning them.
-        let batch = if train && n > 1 {
+        if !train {
+            // Inference: the running statistics, and no backward state.
+            self.x_hat.resize(0, 0);
+            self.std_inv.clear();
+            out.copy_from(x);
+            for c in 0..d {
+                let std_inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
+                let (mean, gamma, beta) =
+                    (self.running_mean[c], self.gamma[(0, c)], self.beta[(0, c)]);
+                for r in 0..n {
+                    let o = &mut out[(r, c)];
+                    *o = ((*o - mean) * std_inv) * gamma + beta;
+                }
+            }
+            return;
+        }
+        // Batch statistics live in `batch`; a one-row batch reads the
+        // running statistics directly instead of cloning them.
+        let batch = if n > 1 {
             let mean = x.mean_rows();
             let mut var = vec![0.0; d];
             for r in 0..n {
@@ -142,15 +148,13 @@ impl Layer for BatchNorm {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
     fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         let (n, d) = grad_out.shape();
-        assert_eq!(self.x_hat.shape(), (n, d), "BatchNorm::backward shape");
+        assert_eq!(
+            self.x_hat.shape(),
+            (n, d),
+            "BatchNorm::backward without a training forward, or shape changed"
+        );
         // Parameter gradients.
         for c in 0..d {
             let mut gg = 0.0;
@@ -162,8 +166,9 @@ impl Layer for BatchNorm {
             self.g_gamma[(0, c)] += gg;
             self.g_beta[(0, c)] += gb;
         }
-        if !self.train_pass || n <= 1 {
-            // Eval mode: statistics are constants; dx = g * gamma * std_inv.
+        if n <= 1 {
+            // A one-row batch normalized with the running statistics:
+            // they are constants, so dx = g * gamma * std_inv.
             grad_in.copy_from(grad_out);
             for r in 0..n {
                 for (c, v) in grad_in.row_mut(r).iter_mut().enumerate() {

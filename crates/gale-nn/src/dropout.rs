@@ -39,12 +39,6 @@ impl Params for Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, train, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
         self.train_pass = train;
         if !train || self.p == 0.0 {
@@ -61,12 +55,6 @@ impl Layer for Dropout {
         for (o, m) in out.data_mut().iter_mut().zip(self.mask.data()) {
             *o *= m;
         }
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {

@@ -348,15 +348,11 @@ mod tests {
     }
 
     impl<N: Pass> Layer for OnGraph<'_, N> {
-        fn forward(&mut self, x: &Matrix, _train: bool) -> Matrix {
-            let mut out = Matrix::zeros(0, 0);
-            self.0.fwd(self.1, x, &mut out);
-            out
+        fn forward_into(&mut self, x: &Matrix, _train: bool, out: &mut Matrix) {
+            self.0.fwd(self.1, x, out);
         }
-        fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-            let mut grad_in = Matrix::zeros(0, 0);
-            self.0.bwd(self.1, grad_out, &mut grad_in);
-            grad_in
+        fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+            self.0.bwd(self.1, grad_out, grad_in);
         }
     }
 

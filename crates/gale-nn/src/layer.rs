@@ -1,8 +1,9 @@
 //! The layer abstraction shared by all manual-gradient networks.
 //!
-//! Layers cache whatever they need during `forward` and return input
-//! gradients from `backward`; optimizers visit `(parameter, gradient)` pairs
-//! in a stable order through [`Params::visit_params`].
+//! Layers cache whatever they need during a training-mode `forward` and
+//! return input gradients from `backward`; optimizers visit
+//! `(parameter, gradient)` pairs in a stable order through
+//! [`Params::visit_params`].
 
 use crate::checkpoint::LayerState;
 use gale_tensor::Matrix;
@@ -29,30 +30,38 @@ pub trait Params {
 
 /// A differentiable network layer with manually implemented backprop.
 ///
+/// `train = false` is inference: evaluation-mode forwards read only the
+/// parameters (and batch norm's running statistics) and write no backward
+/// state, so [`Layer::backward_into`] is defined only after a
+/// training-mode forward. A backward after an evaluation forward fails
+/// the layer's shape asserts instead of reading stale rows.
+///
 /// `Send` is a supertrait so whole models can move into a serving thread;
 /// every layer is plain owned data, so the bound costs implementors nothing.
 pub trait Layer: Params + Send {
-    /// Forward pass. `train` enables stochastic behaviour (dropout) and
-    /// batch statistics (batch norm).
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
+    /// Forward pass into a caller-owned buffer, so loops reuse activation
+    /// storage across steps. `train` enables stochastic behaviour
+    /// (dropout), batch statistics (batch norm) and the caches backward
+    /// reads.
+    fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix);
 
-    /// Backward pass: receives dL/d(output), returns dL/d(input), and
-    /// accumulates dL/d(params) internally.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
+    /// Backward pass after a training-mode forward: receives dL/d(output),
+    /// writes dL/d(input) into `grad_in`, and accumulates dL/d(params)
+    /// internally.
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix);
 
-    /// [`Layer::forward`] writing into a caller-owned buffer, so training
-    /// loops can reuse activation storage across steps. The default
-    /// delegates to `forward` and copies; hot layers override it with a
-    /// genuinely allocation-free path. Results are bitwise identical to
-    /// `forward` either way.
-    fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
-        out.copy_from(&self.forward(x, train));
+    /// [`Layer::forward_into`] returning a fresh matrix.
+    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, train, &mut out);
+        out
     }
 
-    /// [`Layer::backward`] writing into a caller-owned gradient buffer.
-    /// Same contract as [`Layer::forward_into`].
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-        grad_in.copy_from(&self.backward(grad_out));
+    /// [`Layer::backward_into`] returning a fresh matrix.
+    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let mut grad_in = Matrix::zeros(0, 0);
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
     }
 
     /// Serializable snapshot of this layer for checkpointing, or `None` for
@@ -65,10 +74,12 @@ pub trait Layer: Params + Send {
 /// Numerically checks a layer's input gradient with central differences.
 ///
 /// Returns the maximum absolute error between analytic and numeric gradients
-/// of the scalar loss `0.5 * ||forward(x)||^2`. Test helper only.
+/// of the scalar loss `0.5 * ||forward(x)||^2`, every forward in training
+/// mode (backward needs its caches). Meant for stacks whose training
+/// forward is deterministic (no dropout). Test helper only.
 pub fn input_gradient_error(layer: &mut dyn Layer, x: &Matrix, eps: f64) -> f64 {
     // Analytic: dL/dx = backward(forward(x)) since dL/dy = y for this loss.
-    let y = layer.forward(x, false);
+    let y = layer.forward(x, true);
     let analytic = layer.backward(&y);
 
     let mut max_err = 0.0f64;
@@ -79,7 +90,7 @@ pub fn input_gradient_error(layer: &mut dyn Layer, x: &Matrix, eps: f64) -> f64 
             xp[(r, c)] = orig + eps;
             let lp = 0.5
                 * layer
-                    .forward(&xp, false)
+                    .forward(&xp, true)
                     .data()
                     .iter()
                     .map(|v| v * v)
@@ -87,7 +98,7 @@ pub fn input_gradient_error(layer: &mut dyn Layer, x: &Matrix, eps: f64) -> f64 
             xp[(r, c)] = orig - eps;
             let lm = 0.5
                 * layer
-                    .forward(&xp, false)
+                    .forward(&xp, true)
                     .data()
                     .iter()
                     .map(|v| v * v)
@@ -98,4 +109,41 @@ pub fn input_gradient_error(layer: &mut dyn Layer, x: &Matrix, eps: f64) -> f64 
         }
     }
     max_err
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Activation, ActivationLayer, BatchNorm, Linear};
+    use gale_tensor::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn backward_after_an_eval_forward_panics() {
+        let mut rng = Rng::seed_from_u64(57);
+        let x = Matrix::randn(5, 3, 1.0, &mut rng);
+        let layers: [(&str, Box<dyn Layer>); 3] = [
+            ("Linear", Box::new(Linear::new(3, 3, &mut rng))),
+            (
+                "ActivationLayer",
+                Box::new(ActivationLayer::new(Activation::Tanh)),
+            ),
+            ("BatchNorm", Box::new(BatchNorm::new(3))),
+        ];
+        for (name, mut layer) in layers {
+            // A training step first, so caches of the very shape the
+            // backward below asks for would be there to read.
+            let y = layer.forward(&x, true);
+            let _ = layer.backward(&y);
+            let y = layer.forward(&x, false);
+            let after_eval = catch_unwind(AssertUnwindSafe(|| layer.backward(&y)));
+            assert!(
+                after_eval.is_err(),
+                "{name}: backward after an eval forward read stale caches"
+            );
+            // A training forward makes backward defined again.
+            let y = layer.forward(&x, true);
+            assert_eq!(layer.backward(&y).shape(), x.shape(), "{name}");
+        }
+    }
 }

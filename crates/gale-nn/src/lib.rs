@@ -21,7 +21,6 @@ pub mod dropout;
 pub mod embedding;
 pub mod gae;
 pub mod gcn;
-pub mod infer;
 pub mod layer;
 pub mod linear;
 pub mod loss;
@@ -36,12 +35,11 @@ pub use dropout::Dropout;
 pub use embedding::HashEmbedder;
 pub use gae::{Gae, GaeConfig, MiniBatchConfig};
 pub use gcn::{Gcn, GcnLayer};
-pub use infer::{InferLayer, InferNet};
 pub use layer::{Layer, Params};
 pub use linear::Linear;
 pub use loss::{
     bce_with_logit_grad, feature_matching_loss, sgan_unsupervised_loss, softmax_cross_entropy,
 };
-pub use mlp::{backward_from_tap, backward_from_tap_into, Mlp};
+pub use mlp::{backward_from_tap_into, Mlp};
 pub use optim::{Adam, Sgd};
 pub use sampler::{Block, NeighborSampler, SamplerConfig};

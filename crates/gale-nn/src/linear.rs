@@ -73,13 +73,13 @@ impl Linear {
 }
 
 impl Linear {
-    /// Shared parameter-gradient accumulation for both backward paths:
-    /// `dW += x^T g` (tiled, accumulating in place) and `db += colsums(g)`.
+    /// Parameter-gradient accumulation: `dW += x^T g` (tiled,
+    /// accumulating in place) and `db += colsums(g)`.
     fn accumulate_param_grads(&mut self, grad_out: &Matrix) {
         assert_eq!(
             grad_out.rows(),
             self.cached_in.rows(),
-            "Linear::backward before forward or batch changed"
+            "Linear::backward without a training forward, or batch changed"
         );
         self.cached_in.matmul_tn_acc(grad_out, &mut self.gw);
         let col_sums = grad_out.sum_rows();
@@ -97,13 +97,7 @@ impl Params for Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_into(x, train, &mut y);
-        y
-    }
-
-    fn forward_into(&mut self, x: &Matrix, _train: bool, out: &mut Matrix) {
+    fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
             self.w.rows(),
@@ -111,18 +105,17 @@ impl Layer for Linear {
             x.cols(),
             self.w.rows()
         );
-        self.cached_in.copy_from(x);
+        if train {
+            self.cached_in.copy_from(x);
+        } else {
+            self.cached_in.resize(0, 0);
+        }
         x.matmul_into(&self.w, out);
         out.add_row_broadcast(self.b.row(0));
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // dW += x^T g ; db += column sums of g ; dx = g W^T.
-        self.accumulate_param_grads(grad_out);
-        grad_out.matmul_nt(&self.w)
-    }
-
     fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+        // dW += x^T g ; db += column sums of g ; dx = g W^T.
         self.accumulate_param_grads(grad_out);
         grad_out.matmul_nt_into(&self.w, grad_in);
     }
@@ -169,7 +162,7 @@ mod tests {
         let x = Matrix::randn(4, 3, 1.0, &mut rng);
 
         // Analytic dL/dW for L = 0.5 ||y||^2.
-        let y = l.forward(&x, false);
+        let y = l.forward(&x, true);
         l.zero_grad();
         let _ = l.backward(&y);
         let analytic = l.gw.clone();
@@ -208,7 +201,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(54);
         let mut l = Linear::new(2, 2, &mut rng);
         let x = Matrix::randn(3, 2, 1.0, &mut rng);
-        let y = l.forward(&x, false);
+        let y = l.forward(&x, true);
         let _ = l.backward(&y);
         assert!(l.gw.max_abs() > 0.0);
         l.zero_grad();

@@ -146,19 +146,9 @@ impl Params for Mlp {
 }
 
 impl Layer for Mlp {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        self.forward_inplace(x, train).clone()
-    }
-
     fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix) {
         self.forward_inplace(x, train);
         out.copy_from(self.taps.last().expect("taps sized by forward_inplace"));
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
     }
 
     fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
@@ -195,17 +185,12 @@ impl Layer for Mlp {
 }
 
 /// Backward pass starting from an intermediate tap: propagates `grad` from
-/// layer `tap_index` down to the input, skipping the layers above it.
+/// layer `tap_index` down to the input, skipping the layers above it, and
+/// writes dL/d(input) into `out`. Like [`Layer::backward_into`], it needs
+/// a training-mode forward first.
 ///
 /// Used by the generator's feature-matching update, whose loss is defined on
-/// an intermediate discriminator layer rather than on the logits.
-pub fn backward_from_tap(net: &mut Mlp, tap_index: usize, grad: &Matrix) -> Matrix {
-    let mut g = Matrix::zeros(0, 0);
-    backward_from_tap_into(net, tap_index, grad, &mut g);
-    g
-}
-
-/// [`backward_from_tap`] writing into a caller-owned buffer; the
+/// an intermediate discriminator layer rather than on the logits. The
 /// intermediate gradients ping-pong through the network's persistent
 /// scratch, so the pass allocates nothing in steady state.
 pub fn backward_from_tap_into(net: &mut Mlp, tap_index: usize, grad: &Matrix, out: &mut Matrix) {
@@ -291,12 +276,13 @@ mod tests {
         let mut rng = Rng::seed_from_u64(85);
         let mut full = Mlp::dense(&[4, 6, 2], Activation::Tanh, false, 0.0, &mut rng);
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
-        let _ = full.forward(&x, false);
+        let _ = full.forward(&x, true);
         let tap = full.last_hidden_index(); // activation after first linear
         let h = full.tap(tap).clone();
         let g = h.scaled(1.0); // pretend dL/dh = h
         full.zero_grad();
-        let gin = backward_from_tap(&mut full, tap, &g);
+        let mut gin = Matrix::zeros(0, 0);
+        backward_from_tap_into(&mut full, tap, &g, &mut gin);
         assert_eq!(gin.shape(), x.shape());
         // Gradients on the output layer must remain zero (untouched).
         let mut visited = Vec::new();

@@ -1,15 +1,15 @@
 //! The sharded micro-batching layer between connection handling and the
-//! scorer threads that own the model replicas.
+//! scorer threads that own the model copies.
 //!
-//! A [`ShardPool`] holds `N` scorer shards. Every shard owns a
-//! forward-only [`SganInfer`] replica copied from one decoded model, so
-//! all shards score bitwise-identically, plus a *bounded* job queue.
+//! A [`ShardPool`] holds `N` scorer shards. Every shard owns an [`Sgan`]
+//! decoded from one checkpoint document, so all shards score
+//! bitwise-identically, plus a *bounded* job queue.
 //! [`ShardPool::submit`] dispatches to the shard with the least queue
 //! depth, breaking ties round-robin; when every queue is full the
 //! submission fails immediately and the caller sheds load with `503`. Each
 //! shard pops the first waiting job, takes every job already queued behind
 //! it until `max_batch` rows are in hand, and runs **one** forward pass
-//! over the combined batch through [`SganInfer::probs3_into`]. By default
+//! over the combined batch through [`Sgan::probs3_into`]. By default
 //! a shard never waits for more work: a job that reaches an idle shard is
 //! scored at once, and under load the jobs that queued during one forward
 //! ride the next one together, so batches grow with the load rather than
@@ -18,14 +18,16 @@
 //! from per-shard [`Workspace`] pools, so steady-state serving does not
 //! allocate.
 //!
-//! Every replica scores bit for bit like [`Sgan::probs3_into`] (tested
-//! across batch shapes and thread counts), so which shard answers, and
+//! A batched forward scores every row bit for bit like that row alone
+//! (tested across batch shapes and thread counts), and the checkpoint
+//! document's hexfloats round-trip exactly, so which shard answers, and
 //! which jobs shared its batch, never shows in a reply.
 //!
 //! Hot reload rides a second, unbounded control channel per shard: a
-//! [`ShardPool::reload`] decodes and validates the new checkpoint *once*
-//! (all-or-nothing — a checkpoint that fails to decode swaps nothing),
-//! copies it into one replica per shard, and sends each shard its swap.
+//! [`ShardPool::reload`] reads the new checkpoint *once*, decodes one
+//! model per shard from it and validates them (all-or-nothing — a
+//! checkpoint that fails to decode swaps nothing), and sends each shard
+//! its swap.
 //! Shards apply swaps only **between** batches, so every row of any single
 //! batch is scored by exactly one model version, and no request is ever
 //! dropped: jobs queued across the swap simply score on whichever version
@@ -36,8 +38,9 @@
 //! reply — and exits. No job is ever dropped on the floor.
 
 use crate::metrics;
-use gale_core::{Sgan, SganInfer};
-use gale_nn::checkpoint::CkptError;
+use gale_core::Sgan;
+use gale_json::Value;
+use gale_nn::checkpoint::{self, CkptError};
 use gale_tensor::Workspace;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -155,9 +158,9 @@ impl From<CkptError> for ReloadError {
 
 /// Control messages delivered outside the job queue (never shed).
 enum Ctrl {
-    /// Replace the shard's replica between batches.
+    /// Replace the shard's model between batches.
     Swap {
-        model: SganInfer,
+        model: Sgan,
         version: u64,
         ack: Sender<()>,
     },
@@ -202,8 +205,8 @@ struct Shard {
 }
 
 impl Shard {
-    /// Spawns shard `id`'s scorer thread around a replica of `model`.
-    fn spawn(id: usize, model: &Sgan, cfg: &BatchConfig) -> (Shard, JoinHandle<()>) {
+    /// Spawns shard `id`'s scorer thread around `model`.
+    fn spawn(id: usize, model: Sgan, cfg: &BatchConfig) -> (Shard, JoinHandle<()>) {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let (ctrl, ctrl_rx) = mpsc::channel();
         let depth = Arc::new(AtomicI64::new(0));
@@ -216,10 +219,9 @@ impl Shard {
             stats: stats.clone(),
             cfg: cfg.clone(),
         };
-        let replica = model.to_infer();
         let handle = std::thread::Builder::new()
             .name(format!("gale-shard-{id}"))
-            .spawn(move || scorer.run(replica))
+            .spawn(move || scorer.run(model))
             .expect("spawning a shard thread");
         let shard = Shard {
             tx,
@@ -243,19 +245,25 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawns `shards` scorer threads, each serving its own replica of
-    /// `model`, and returns the pool plus the thread handles (join them
-    /// after dropping the pool to wait for the drain).
+    /// Spawns `shards` scorer threads, each serving its own copy of
+    /// `model` decoded from one encoding of it, and returns the pool plus
+    /// the thread handles (join them after dropping the pool to wait for
+    /// the drain).
     pub fn spawn(
         model: Sgan,
         shards: usize,
         cfg: &BatchConfig,
     ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
         metrics::register_all();
-        let mut handles = Vec::with_capacity(shards.max(1));
-        let mut slots = Vec::with_capacity(shards.max(1));
-        for i in 0..shards.max(1) {
-            let (shard, handle) = Shard::spawn(i, &model, cfg);
+        let input_dim = model.input_dim();
+        let doc = model
+            .to_json()
+            .expect("every Sgan layer has a checkpoint encoding");
+        let models = decode_per_shard(&doc, shards.max(1)).expect("a freshly encoded Sgan decodes");
+        let mut handles = Vec::with_capacity(models.len());
+        let mut slots = Vec::with_capacity(models.len());
+        for (i, model) in models.into_iter().enumerate() {
+            let (shard, handle) = Shard::spawn(i, model, cfg);
             slots.push(shard);
             handles.push(handle);
         }
@@ -265,7 +273,7 @@ impl ShardPool {
                 shards: slots,
                 rr: AtomicUsize::new(0),
                 version: AtomicU64::new(INITIAL_VERSION),
-                input_dim: model.input_dim(),
+                input_dim,
                 reload_lock: Mutex::new(()),
             }),
             handles,
@@ -370,8 +378,8 @@ impl ShardPool {
 
     /// Loads, validates, and atomically swaps a new checkpoint into every
     /// shard. Runs entirely off the scoring hot path: file IO, JSON
-    /// parsing, and replica construction happen on the calling thread;
-    /// shards only exchange a replica between batches.
+    /// parsing, and decoding happen on the calling thread; shards only
+    /// exchange a model between batches.
     ///
     /// All-or-nothing: any read/decode/validation failure returns the typed
     /// error *before* any shard has been touched, and the old model keeps
@@ -381,10 +389,12 @@ impl ShardPool {
             .reload_lock
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Decode once and copy that one model for every shard, so all
-        // shards keep scoring bit-identically after the swap.
-        let model = Sgan::load(path.as_ref())?;
-        let found = model.input_dim();
+        // Read once and decode every shard's model from that one
+        // document, so all shards keep scoring bit-identically after the
+        // swap.
+        let doc = checkpoint::read_file(path.as_ref())?;
+        let models = decode_per_shard(&doc, self.shards.len())?;
+        let found = models[0].input_dim();
         if found != self.input_dim {
             return Err(ReloadError::DimMismatch {
                 expected: self.input_dim,
@@ -393,10 +403,10 @@ impl ShardPool {
         }
         let new_version = self.version.load(Ordering::SeqCst) + 1;
         let mut acks = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
+        for (shard, model) in self.shards.iter().zip(models) {
             let (ack, ack_rx) = mpsc::channel();
             let swap = Ctrl::Swap {
-                model: model.to_infer(),
+                model,
                 version: new_version,
                 ack,
             };
@@ -417,6 +427,11 @@ impl ShardPool {
 
 /// Model generation a freshly booted pool serves.
 pub const INITIAL_VERSION: u64 = 1;
+
+/// Decodes `shards` copies of the model in one checkpoint document.
+fn decode_per_shard(doc: &Value, shards: usize) -> Result<Vec<Sgan>, CkptError> {
+    (0..shards).map(|_| Sgan::from_json(doc)).collect()
+}
 
 /// How long a shard sleeps in `recv_timeout` between control-channel polls
 /// while its job queue is idle. Bounds swap latency on an idle server.
@@ -442,7 +457,7 @@ impl ShardLoop {
     /// Scores batches through `model` until the pool (every job sender)
     /// is dropped, then drains the queue — each remaining job still gets
     /// its reply — and exits.
-    fn run(self, mut model: SganInfer) {
+    fn run(self, mut model: Sgan) {
         let dim = model.input_dim();
         let mut ws = Workspace::new();
         let mut version = INITIAL_VERSION;

@@ -2,9 +2,10 @@
 //! inference server for checkpointed GALE SGAN discriminators.
 //!
 //! The server loads a [`gale_core::Sgan`] from a `gale-checkpoint` file,
-//! copies it into a forward-only [`gale_core::SganInfer`] replica per
-//! scorer shard (bit-exact with the source checkpoint), and exposes plain
-//! HTTP/1.1 endpoints:
+//! gives every scorer shard its own copy decoded from one checkpoint
+//! document (bit-exact with the source checkpoint; evaluation mode is
+//! inference, so a shard runs the trained model's own forward), and
+//! exposes plain HTTP/1.1 endpoints:
 //!
 //! - `POST /score` — a JSON batch of feature rows, answered with per-class
 //!   probabilities, renormalized error scores, error/correct verdicts, and

@@ -43,7 +43,7 @@ pub struct ServeConfig {
     /// Value of the `Retry-After` header on shed (`503`) responses,
     /// seconds.
     pub retry_after_secs: u32,
-    /// Scorer shards, each owning a model replica.
+    /// Scorer shards, each owning a decoded copy of the model.
     pub shards: usize,
     /// Idle keep-alive connections are closed after this many seconds.
     pub keep_alive_secs: u64,
@@ -527,8 +527,8 @@ fn score_request(
     }
 }
 
-/// Spawns the reload worker. File IO, JSON parsing, replica construction,
-/// and the shard swaps all happen on the worker thread — the event loop
+/// Spawns the reload worker. File IO, JSON parsing, decoding the shards'
+/// models, and the shard swaps all happen on the worker thread — the event loop
 /// (and every scorer) stays on its hot path.
 fn reload_request(request: &Request, ctx: &Ctx) -> Outcome {
     let ka = request.keep_alive;
@@ -1071,8 +1071,8 @@ fn parse_features(doc: &Value, input_dim: usize) -> Result<(Vec<f64>, usize), St
 }
 
 /// Builds the `/score` response from `rows * 3` probabilities: the raw
-/// 3-class rows, the two-class error score (synthetic class dropped and
-/// renormalized, matching `Sgan::class_probs`), the verdict string, the
+/// 3-class rows, the two-class error score and the verdict string (both
+/// from [`gale_core::verdict`], as everywhere else M scores), the
 /// model generation that scored the batch (every row of a response was
 /// scored by exactly this version), and the request id also stamped into
 /// the request's trace records. Feeds the per-version score-distribution
@@ -1091,10 +1091,10 @@ fn score_body(probs: &[f64], rows: usize, version: u64, request_id: u64) -> Valu
             Value::from(pc),
             Value::from(ps),
         ]));
-        let score = pe / (pe + pc).max(1e-12);
-        series.score.record(score);
-        error_scores.push(Value::from(score));
-        if pe > pc {
+        let verdict = gale_core::verdict(pe, pc);
+        series.score.record(verdict.error);
+        error_scores.push(Value::from(verdict.error));
+        if verdict.erroneous {
             errors += 1;
             verdicts.push(Value::from("error"));
         } else {

@@ -1,8 +1,8 @@
 //! The streaming engine: mutations in, lazily-refreshed verdicts out.
 //!
 //! Owns the [`DeltaGraph`], the feature matrix, the trained GAE encoder,
-//! the SGAN discriminator's f64 inference replica, the frozen input
-//! standardizer, and the cached per-node scoring state. Mutations mark
+//! the trained SGAN (scored through [`Sgan::probs3_into`]), the frozen
+//! input standardizer, and the cached per-node scoring state. Mutations mark
 //! k-hop dirty sets; the next score request triggers a neighborhood-local
 //! refresh whose outputs are bitwise-equal to rebuilding and re-scoring the
 //! mutated graph from scratch with the same model artifacts (gated in
@@ -12,7 +12,7 @@ use crate::admission::{AdmissionConfig, AdmissionFilter, QuarantinedEdge};
 use crate::delta::DeltaGraph;
 use crate::dirty::{DirtyTracker, GCN_HOPS};
 use crate::mutation::{Mutation, MutationLog};
-use gale_core::{ColumnStandardizer, Sgan, SganInfer};
+use gale_core::{ColumnStandardizer, Sgan};
 use gale_json::{json, Value};
 use gale_nn::Gae;
 use gale_tensor::{Matrix, NeighborAccess, SparseMatrix, SymNormalized};
@@ -87,9 +87,8 @@ pub struct StreamEngine {
     graph: DeltaGraph,
     x: Matrix,
     gae: Gae,
-    /// The discriminator's forward-only replica, which scores bit for bit
-    /// like the trainable model.
-    scorer: SganInfer,
+    /// The trained SGAN; only its discriminator's evaluation forward runs.
+    scorer: Sgan,
     standardizer: ColumnStandardizer,
     /// Current embeddings, one row per node (dirty rows are stale).
     z: Matrix,
@@ -118,7 +117,7 @@ impl StreamEngine {
         graph: DeltaGraph,
         x: Matrix,
         mut gae: Gae,
-        sgan: Sgan,
+        mut sgan: Sgan,
         standardizer: Option<ColumnStandardizer>,
         cfg: StreamConfig,
     ) -> Result<Self, String> {
@@ -154,9 +153,8 @@ impl StreamEngine {
                 inputs.cols()
             ));
         }
-        let mut scorer = sgan.to_infer();
         let mut probs = Matrix::zeros(0, 0);
-        scorer.probs3_into(&inputs, &mut probs);
+        sgan.probs3_into(&inputs, &mut probs);
 
         let mut filter = AdmissionFilter::new(cfg.admission);
         seed_admission(&mut filter, &graph, &x);
@@ -165,7 +163,7 @@ impl StreamEngine {
             graph,
             x,
             gae,
-            scorer,
+            scorer: sgan,
             standardizer,
             z,
             probs,
@@ -442,12 +440,12 @@ impl StreamEngine {
     fn node_score(&self, v: usize) -> NodeScore {
         let row = self.probs.row(v);
         let (pe, pc, ps) = (row[0], row[1], row[2]);
+        let verdict = gale_core::verdict(pe, pc);
         NodeScore {
             node: v,
             probs: [pe, pc, ps],
-            // Mirrors gale-serve's verdict derivation exactly.
-            score: pe / (pe + pc).max(1e-12),
-            erroneous: pe > pc,
+            score: verdict.error,
+            erroneous: verdict.erroneous,
             graph_version: self.verdict_version[v],
         }
     }

@@ -41,12 +41,6 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// Manhattan (L1) distance.
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
 /// Cosine similarity in `[-1, 1]`; 0.0 when either vector is ~zero.
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
     let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
@@ -68,16 +62,6 @@ pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn l2_norm(a: &[f64]) -> f64 {
     a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Normalizes a vector to unit L2 norm in place; leaves ~zero vectors alone.
-pub fn normalize_l2(a: &mut [f64]) {
-    let n = l2_norm(a);
-    if n > 1e-12 {
-        for x in a {
-            *x /= n;
-        }
-    }
 }
 
 /// Levenshtein edit distance between two strings (unit costs).
@@ -106,15 +90,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[short.len()]
-}
-
-/// Normalized edit similarity in `[0, 1]`: 1.0 for identical strings.
-pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
 }
 
 /// `n x n` matrix of Euclidean distances between the rows of `points`,
@@ -988,28 +963,6 @@ pub fn indexed_dists_to_row_into(
     });
 }
 
-/// For every row `i` of `points`, the minimum Euclidean distance to any of
-/// the rows indexed by `anchors` (`+inf` when `anchors` is empty). Used by
-/// diversified query selection to measure how far each candidate sits from
-/// the already-picked set. Parallel over row chunks; each output element is
-/// written by exactly one chunk, so results are thread-count independent.
-pub fn min_distance_to_anchors(points: &crate::Matrix, anchors: &[usize]) -> Vec<f64> {
-    let n = points.rows();
-    let mut out = vec![f64::INFINITY; n];
-    crate::par::par_chunks_mut(&mut out, 1, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let i = start + off;
-            for &a in anchors {
-                let d = euclidean(points.row(i), points.row(a));
-                if d < *slot {
-                    *slot = d;
-                }
-            }
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,27 +974,12 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_hand_checked() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[4.0, -2.0]), 7.0);
-    }
-
-    #[test]
     fn cosine_cases() {
         assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-12);
         assert!((cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-12);
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
         assert!((cosine_distance(&[2.0, 0.0], &[5.0, 0.0])).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_makes_unit() {
-        let mut v = vec![3.0, 4.0];
-        normalize_l2(&mut v);
-        assert!((l2_norm(&v) - 1.0).abs() < 1e-12);
-        let mut z = vec![0.0, 0.0];
-        normalize_l2(&mut z);
-        assert_eq!(z, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -1061,15 +999,6 @@ mod tests {
             levenshtein("graph", "graphs"),
             levenshtein("graphs", "graph")
         );
-    }
-
-    #[test]
-    fn edit_similarity_bounds() {
-        assert_eq!(edit_similarity("", ""), 1.0);
-        assert_eq!(edit_similarity("abc", "abc"), 1.0);
-        assert_eq!(edit_similarity("abc", "xyz"), 0.0);
-        let s = edit_similarity("Melvaceae", "Malvaceae");
-        assert!(s > 0.8 && s < 1.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `par` runtime's determinism contract: every parallel kernel must
 //! produce bitwise-identical results at any thread count (1, 2, 8).
 
-use gale_tensor::distance::{min_distance_to_anchors, pairwise_euclidean};
+use gale_tensor::distance::pairwise_euclidean;
 use gale_tensor::par::{self, with_threads};
 use gale_tensor::{kmeans, KMeansConfig, Matrix, Rng};
 use proptest::prelude::*;
@@ -88,26 +88,14 @@ fn kmeans_identical_across_thread_counts() {
 fn pairwise_distance_identical_across_thread_counts() {
     let mut rng = Rng::seed_from_u64(5);
     let points = Matrix::randn(300, 16, 1.0, &mut rng);
-    let anchors = [3usize, 77, 150, 299];
-    let baseline = with_threads(1, || {
-        (
-            pairwise_euclidean(&points),
-            min_distance_to_anchors(&points, &anchors),
-        )
-    });
+    let baseline = with_threads(1, || pairwise_euclidean(&points));
     for t in THREAD_COUNTS {
-        let got = with_threads(t, || {
-            (
-                pairwise_euclidean(&points),
-                min_distance_to_anchors(&points, &anchors),
-            )
-        });
+        let got = with_threads(t, || pairwise_euclidean(&points));
         assert_eq!(
-            bits(got.0.data()),
-            bits(baseline.0.data()),
+            bits(got.data()),
+            bits(baseline.data()),
             "pairwise, {t} threads"
         );
-        assert_eq!(bits(&got.1), bits(&baseline.1), "anchors, {t} threads");
     }
 }
 
@@ -129,12 +117,7 @@ fn telemetry_does_not_change_kernel_output() {
             },
             &mut km_rng,
         );
-        (
-            a.matmul(&b),
-            pairwise_euclidean(&points),
-            min_distance_to_anchors(&points, &[0, 199, 399]),
-            km,
-        )
+        (a.matmul(&b), pairwise_euclidean(&points), km)
     };
 
     gale_obs::set_enabled(false);
@@ -147,14 +130,13 @@ fn telemetry_does_not_change_kernel_output() {
 
     assert_eq!(bits(on.0.data()), bits(off.0.data()), "matmul");
     assert_eq!(bits(on.1.data()), bits(off.1.data()), "pairwise");
-    assert_eq!(bits(&on.2), bits(&off.2), "anchors");
-    assert_eq!(on.3.assignments, off.3.assignments, "kmeans assignments");
+    assert_eq!(on.2.assignments, off.2.assignments, "kmeans assignments");
     assert_eq!(
-        bits(on.3.centroids.data()),
-        bits(off.3.centroids.data()),
+        bits(on.2.centroids.data()),
+        bits(off.2.centroids.data()),
         "kmeans centroids"
     );
-    assert_eq!(on.3.inertia.to_bits(), off.3.inertia.to_bits(), "inertia");
+    assert_eq!(on.2.inertia.to_bits(), off.2.inertia.to_bits(), "inertia");
 
     // The instrumented run actually recorded pool telemetry.
     assert!(gale_obs::metrics::counter("par.chunks").get() > 0);
