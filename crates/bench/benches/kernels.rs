@@ -2,7 +2,8 @@
 //! distances, each timed against the naive formulation it replaced with
 //! [`paired`] (one thread, interleaved passes). Writes
 //! `BENCH_kernels.json` and gates the matmul and SpMM speedups against
-//! the committed report (see `gale_bench::report`).
+//! the committed report (see `gale_bench::report`). Besides the square
+//! products, one pair runs the discriminator's weight-gradient shape.
 
 use gale_bench::report::{paired, timed, Report, Rule};
 use gale_tensor::{spmm_access_into, Matrix, Rng, SparseMatrix};
@@ -15,6 +16,21 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
             let mut acc = 0.0;
             for k in 0..a.cols() {
                 acc += a[(i, k)] * b[(k, j)];
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
+/// Naive `Aᵀ B` over `k` rows, k ascending into one scalar per element.
+fn naive_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    for i in 0..a.cols() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0;
+            for k in 0..a.rows() {
+                acc += a[(k, i)] * b[(k, j)];
             }
             out[(i, j)] = acc;
         }
@@ -68,6 +84,27 @@ fn bench_dense(report: &mut Report) {
     let b = Matrix::randn(512, 512, 1.0, &mut rng);
     let s = timed("matmul/tiled/512", || a.matmul(&b));
     report.rate("matmul/tiled/512", "GFLOP/s", 2e-9 * 512f64.powi(3), &s);
+
+    // The discriminator's first weight gradient in `al_loop`: `dW += Xᵀ G`
+    // over an 810-row batch, 58 inputs by 48 hidden units, after the
+    // step's zero_grad.
+    let (k, m, n) = (810usize, 58usize, 48usize);
+    let mut rng = Rng::seed_from_u64(810);
+    let x = Matrix::randn(k, m, 1.0, &mut rng);
+    let g = Matrix::randn(k, n, 1.0, &mut rng);
+    let mut gw = Matrix::zeros(m, n);
+    let p = paired(
+        &format!("matmul_tn/{k}"),
+        || naive_matmul_tn(&x, &g),
+        || {
+            gw.fill(0.0);
+            x.matmul_tn_acc(&g, &mut gw);
+            gw[(0, 0)]
+        },
+    );
+    let gflop = 2e-9 * (k * m * n) as f64;
+    report.pair_rates("matmul_tn", ["naive", "tiled"], k, "GFLOP/s", gflop, &p);
+    report.ratio(format!("matmul_tn/{k}"), Rule::Speedup, p.ratio.median);
 }
 
 fn bench_spmm(report: &mut Report) {

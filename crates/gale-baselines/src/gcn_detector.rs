@@ -57,7 +57,7 @@ pub fn gcn_detector(
     } else {
         1.0
     };
-    let (mut logits, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut logits = Matrix::zeros(0, 0);
     for _ in 0..cfg.epochs {
         net.forward([s, s], &x, &mut logits);
         let probs = logits.softmax_rows();
@@ -73,7 +73,7 @@ pub fn gcn_detector(
             }
         }
         net.zero_grad();
-        net.backward([s, s], &grad, &mut gx);
+        net.backward(s, &grad);
         opt.step(&mut net);
     }
     net.forward([s, s], &x, &mut logits);

@@ -367,7 +367,7 @@ impl Sgan {
             }
         }
         self.d.zero_grad();
-        let _ = self.d.backward(&grad);
+        self.d.backward_into(&grad, None);
         self.d_opt.step(&mut self.d);
         if self.cfg.weight_decay > 0.0 {
             let shrink = 1.0 - self.cfg.weight_decay;
@@ -449,7 +449,7 @@ impl Sgan {
             .select_rows(&(n_real..self.scratch.grad_fake_input.rows()).collect::<Vec<_>>());
         self.d.zero_grad();
         self.g.zero_grad();
-        let _ = self.g.backward(&grad_fake_only);
+        self.g.backward_into(&grad_fake_only, None);
         self.g_opt.step(&mut self.g);
         loss
     }
@@ -620,10 +620,9 @@ impl Sgan {
     /// (`n × tap_dim`). Evaluation mode is row-independent (batch norm uses
     /// running statistics, dropout is off), so both are bitwise equal to
     /// the one-shot paths at any chunk size — asserted by the module tests.
-    /// When one chunk covers every row, `x` is forwarded as is; smaller
-    /// chunks hold one `chunk`-row activation set instead of `n` rows,
-    /// which is what lets the out-of-core loop score a million nodes under
-    /// the scale bench's memory ceiling.
+    /// Chunks smaller than `n` hold one `chunk`-row activation set instead
+    /// of `n` rows, which is what lets the out-of-core loop score a million
+    /// nodes under the scale bench's memory ceiling.
     pub(crate) fn eval_into(
         &mut self,
         x: &Matrix,
@@ -631,11 +630,45 @@ impl Sgan {
         probs: &mut Matrix,
         h: &mut Matrix,
     ) {
-        assert!(chunk > 0, "eval_into: chunk must be > 0");
         let n = x.rows();
         probs.resize(n, 2);
         let tap_dim = *self.cfg.d_hidden.last().expect("d_hidden is not empty");
         h.resize(n, tap_dim);
+        self.for_each_chunk(x, chunk, |lo, p3, tap| {
+            for r in 0..p3.rows() {
+                h.row_mut(lo + r).copy_from_slice(tap.row(r));
+                let v = verdict(p3[(r, 0)], p3[(r, 1)]);
+                probs[(lo + r, 0)] = v.error;
+                probs[(lo + r, 1)] = v.correct;
+            }
+        });
+    }
+
+    /// [`Sgan::probs3_into`] over `x` in `chunk`-row pieces: the same bits
+    /// row for row (evaluation is row-independent), while the
+    /// discriminator keeps one `chunk`-row activation set resident instead
+    /// of `n` rows. The stream engine scores through it.
+    pub fn probs3_chunked_into(&mut self, x: &Matrix, chunk: usize, out: &mut Matrix) {
+        out.resize(x.rows(), 3);
+        self.for_each_chunk(x, chunk, |lo, p3, _| {
+            for r in 0..p3.rows() {
+                out.row_mut(lo + r).copy_from_slice(p3.row(r));
+            }
+        });
+    }
+
+    /// The one chunk loop of the evaluation passes: forwards rows
+    /// `lo..lo + chunk` of `x` at a time and hands `visit` each piece's
+    /// first row `lo`, its 3-class probabilities and its embedding tap.
+    /// When one chunk covers every row, `x` is forwarded as is.
+    fn for_each_chunk(
+        &mut self,
+        x: &Matrix,
+        chunk: usize,
+        mut visit: impl FnMut(usize, &Matrix, &Matrix),
+    ) {
+        assert!(chunk > 0, "Sgan: evaluation chunk must be > 0");
+        let n = x.rows();
         let (mut xb, mut p3) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let mut lo = 0;
         while lo < n {
@@ -650,13 +683,7 @@ impl Sgan {
                 &xb
             };
             self.probs3_into(rows, &mut p3);
-            let tap = self.d.tap(self.tap);
-            for r in 0..p3.rows() {
-                h.row_mut(lo + r).copy_from_slice(tap.row(r));
-                let v = verdict(p3[(r, 0)], p3[(r, 1)]);
-                probs[(lo + r, 0)] = v.error;
-                probs[(lo + r, 1)] = v.correct;
-            }
+            visit(lo, &p3, self.d.tap(self.tap));
             lo = hi;
         }
     }
@@ -761,17 +788,25 @@ mod tests {
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let full_probs = bits(&sgan.class_probs(&x_r));
         let full_h = sgan.embeddings(&x_r);
+        let mut full_p3 = Matrix::zeros(0, 0);
+        sgan.probs3_into(&x_r, &mut full_p3);
         for threads in [1, 2] {
             for chunk in [1, 37, n] {
-                let (mut probs, mut h) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                let (mut probs, mut h, mut p3) = (
+                    Matrix::zeros(0, 0),
+                    Matrix::zeros(0, 0),
+                    Matrix::zeros(0, 0),
+                );
                 gale_tensor::par::with_threads(threads, || {
-                    sgan.eval_into(&x_r, chunk, &mut probs, &mut h)
+                    sgan.eval_into(&x_r, chunk, &mut probs, &mut h);
+                    sgan.probs3_chunked_into(&x_r, chunk, &mut p3);
                 });
                 assert_eq!(probs.shape(), (n, 2));
                 assert_eq!(h.shape(), full_h.shape());
                 let at = format!("chunk {chunk}, {threads} threads");
                 assert_eq!(bits(&probs), full_probs, "probabilities, {at}");
                 assert_eq!(bits(&h), bits(&full_h), "tap, {at}");
+                assert_eq!(bits(&p3), bits(&full_p3), "3-class probabilities, {at}");
             }
         }
     }
@@ -1142,5 +1177,47 @@ mod tests {
         assert!(!verdict(0.3, 0.3).erroneous);
         let v = verdict(0.0, 0.0);
         assert_eq!((v.error, v.correct, v.erroneous), (0.0, 0.0, false));
+    }
+
+    /// Pins the bits of training, so a change to the arithmetic of either
+    /// player's update shows up here: D's and G's parameters after a short
+    /// `train` plus one `update_discriminator`, with dropout and G's batch
+    /// norm on. The 6-wide input puts the first layers' weight gradients
+    /// (6 x 16) and D's second (16 x 8) on the 4x8 GEMM tile. The
+    /// constants were recorded before either player's update stopped
+    /// computing its unread input gradient, and before the GEMM row chunks
+    /// aligned to the tile.
+    #[test]
+    fn sgan_training_bits_are_pinned() {
+        let mut rng = Rng::seed_from_u64(17);
+        let (x_r, x_s, labels) = toy_data(&mut rng, 60, 6);
+        let targets: Vec<(usize, usize)> = (0..60)
+            .step_by(3)
+            .map(|r| (r, labels[r].class_index()))
+            .collect();
+        let cfg = SganConfig {
+            dropout: 0.2,
+            epochs: 15,
+            incremental_epochs: 4,
+            batch_unsup: 24,
+            ..small_cfg()
+        };
+        let mut sgan = Sgan::new(6, &cfg, &mut rng);
+        let _ = sgan.train(&x_r, &x_s, &targets, &[], &mut rng);
+        let _ = sgan.update_discriminator(&x_r, &x_s, &targets[..12], &mut rng);
+        let hash = |net: &mut Mlp| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            net.visit_params(&mut |p, _| {
+                for v in p.data() {
+                    for byte in v.to_bits().to_le_bytes() {
+                        h ^= u64::from(byte);
+                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            });
+            h
+        };
+        assert_eq!(hash(&mut sgan.d), 0x9b7d_5fab_4b62_8dbe, "discriminator");
+        assert_eq!(hash(&mut sgan.g), 0x6a6f_4021_9921_e5c2, "generator");
     }
 }

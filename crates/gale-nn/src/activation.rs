@@ -133,12 +133,15 @@ impl Layer for ActivationLayer {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>) {
         assert_eq!(
             grad_out.shape(),
             self.cached_in.shape(),
             "ActivationLayer::backward without a training forward, or shape changed"
         );
+        let Some(grad_in) = grad_in else {
+            return;
+        };
         grad_in.copy_from(grad_out);
         for i in 0..grad_in.data().len() {
             let x = self.cached_in.data()[i];

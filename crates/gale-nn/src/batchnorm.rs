@@ -148,7 +148,7 @@ impl Layer for BatchNorm {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>) {
         let (n, d) = grad_out.shape();
         assert_eq!(
             self.x_hat.shape(),
@@ -166,6 +166,9 @@ impl Layer for BatchNorm {
             self.g_gamma[(0, c)] += gg;
             self.g_beta[(0, c)] += gb;
         }
+        let Some(grad_in) = grad_in else {
+            return;
+        };
         if n <= 1 {
             // A one-row batch normalized with the running statistics:
             // they are constants, so dx = g * gamma * std_inv.

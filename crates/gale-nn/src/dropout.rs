@@ -57,7 +57,10 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>) {
+        let Some(grad_in) = grad_in else {
+            return;
+        };
         grad_in.copy_from(grad_out);
         if !self.train_pass || self.p == 0.0 {
             return;

@@ -14,7 +14,7 @@ use crate::layer::Params;
 use crate::loss::bce_with_logit_grad;
 use crate::optim::Adam;
 use crate::sampler::{NeighborSampler, SamplerConfig};
-use gale_tensor::{EdgeSample, Matrix, NeighborAccess, Rng, SparseMatrix, Workspace};
+use gale_tensor::{EdgeSample, Matrix, NeighborAccess, Rng, SparseMatrix};
 
 /// Configuration of a GAE training run.
 #[derive(Debug, Clone)]
@@ -117,13 +117,11 @@ impl Gae {
             }
         }
         let mut final_loss = 0.0;
-        // Epoch-persistent buffers: the embedding, its gradient, and the
-        // pooled input-gradient buffer keep their allocations across
-        // epochs — the training loop is allocation-free in steady state.
-        let mut ws = Workspace::new();
+        // Epoch-persistent buffers: the embedding and its gradient keep
+        // their allocations across epochs — the training loop is
+        // allocation-free in steady state.
         let mut z = Matrix::zeros(0, 0);
         let mut dz = Matrix::zeros(n, cfg.embed_dim);
-        let mut gx = ws.take(n, x.cols());
         for _ in 0..cfg.epochs {
             encoder.forward([s_norm, s_norm], x, &mut z);
             dz.fill(0.0);
@@ -162,10 +160,9 @@ impl Gae {
                 final_loss = loss / samples as f64;
             }
             encoder.zero_grad();
-            encoder.backward([s_norm, s_norm], &dz, &mut gx);
+            encoder.backward(s_norm, &dz);
             opt.step(&mut encoder);
         }
-        ws.give(gx);
         Gae {
             encoder,
             final_loss,
@@ -220,7 +217,6 @@ impl Gae {
         let mut xb = Matrix::zeros(0, 0);
         let mut z = Matrix::zeros(0, 0);
         let mut dz = Matrix::zeros(0, 0);
-        let mut gx = Matrix::zeros(0, 0);
         let mut final_loss = 0.0;
 
         for epoch in 0..cfg.epochs {
@@ -293,7 +289,7 @@ impl Gae {
                 epoch_samples += pairs.len();
 
                 encoder.zero_grad();
-                encoder.backward([&block.ops_t[1], &block.ops_t[0]], &dz, &mut gx);
+                encoder.backward(&block.ops_t[0], &dz);
                 opt.step(&mut encoder);
             }
             if epoch_samples > 0 {
@@ -433,5 +429,56 @@ mod tests {
         let mut z = Matrix::zeros(0, 0);
         gae.embed(&s, &x, &mut z);
         assert_eq!(z.shape(), (10, 7));
+    }
+
+    /// FNV-1a over the bit patterns of every value, in order.
+    fn fnv1a(parts: &[&Matrix]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for m in parts {
+            for v in m.data() {
+                for byte in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins the bits of a short full-graph fit, so a change to the
+    /// arithmetic of GAE training shows up here: the encoder's parameters
+    /// and the embedding they give. The widths put both weight gradients
+    /// (6 x 16 and 16 x 8) and every forward product on the 4x8 GEMM tile.
+    /// The constants were recorded before backward stopped computing the
+    /// encoder's unread input gradient, and before the GEMM row chunks
+    /// aligned to the tile.
+    #[test]
+    fn gae_training_bits_are_pinned() {
+        let mut rng = Rng::seed_from_u64(123);
+        let mut triplets = Vec::new();
+        for _ in 0..90 {
+            let (u, v) = (rng.below(30), rng.below(30));
+            if u != v {
+                triplets.push((u, v, 1.0));
+                triplets.push((v, u, 1.0));
+            }
+        }
+        let a = SparseMatrix::from_triplets(30, 30, triplets);
+        let s = a.sym_normalized_with_self_loops();
+        let x = Matrix::rand_uniform(30, 6, -1.0, 1.0, &mut rng);
+        let cfg = GaeConfig {
+            hidden_dim: 16,
+            embed_dim: 8,
+            epochs: 12,
+            ..Default::default()
+        };
+        let mut gae = Gae::train(&x, &a, &s, &cfg, &mut rng);
+        let mut params = Vec::new();
+        gae.encoder.visit_params(&mut |p, _| params.push(p.clone()));
+        let mut z = Matrix::zeros(0, 0);
+        gae.embed(&s, &x, &mut z);
+        let params: Vec<&Matrix> = params.iter().collect();
+        assert_eq!(fnv1a(&params), 0xc4fa_16a6_92a2_3d35, "encoder parameters");
+        assert_eq!(fnv1a(&[&z]), 0x2ca9_1c35_ad2d_54d9, "embedding");
     }
 }

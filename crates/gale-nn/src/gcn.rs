@@ -6,7 +6,8 @@
 //! it as an argument, so one forward/backward pair serves the materialized
 //! `S`, a sampled block's slices, an on-the-fly normalized view of an
 //! out-of-core store, and a streaming delta view alike. `S` is constant, so
-//! backprop only flows into `W` and `X`.
+//! backprop only flows into `W` and `X`, and no caller reads dL/dX: a
+//! two-layer pass stops at layer 1's parameter gradients.
 
 use crate::activation::Activation;
 use crate::layer::Params;
@@ -88,16 +89,17 @@ impl GcnLayer {
     }
 
     /// Backward for the last [`GcnLayer::forward`]: accumulates the
-    /// parameter gradients and writes `grad_in = op_t (dpre Wᵀ)`, where
-    /// `op_t` is the transpose of the forward operator. `S` is symmetric,
-    /// so the full-graph pass gives `S` again; a sampled block gives its
-    /// stored transpose, whose rows for a full-fanout block over all nodes
-    /// are bitwise `S`'s rows (entries are products of commuting factors).
+    /// parameter gradients and, when `grad_in` is `Some((op_t, out))`,
+    /// writes the input gradient `out = op_t (dpre Wᵀ)`, where `op_t` is the
+    /// transpose of the forward operator. `S` is symmetric, so the
+    /// full-graph pass gives `S` again; a sampled block gives its stored
+    /// transpose, whose rows for a full-fanout block over all nodes are
+    /// bitwise `S`'s rows (entries are products of commuting factors).
+    /// `None` skips the input gradient and its two products.
     pub fn backward<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
-        op_t: &A,
         grad_out: &Matrix,
-        grad_in: &mut Matrix,
+        grad_in: Option<(&A, &mut Matrix)>,
     ) {
         // dL/dpre = grad_out * act'(pre)  (elementwise).
         self.scratch_dpre.copy_from(grad_out);
@@ -136,9 +138,11 @@ impl GcnLayer {
         {
             *gb += s;
         }
-        self.scratch_dpre
-            .matmul_nt_into(&self.w, &mut self.scratch_dxw);
-        spmm_access_into(op_t, &self.scratch_dxw, grad_in);
+        if let Some((op_t, grad_in)) = grad_in {
+            self.scratch_dpre
+                .matmul_nt_into(&self.w, &mut self.scratch_dxw);
+            spmm_access_into(op_t, &self.scratch_dxw, grad_in);
+        }
     }
 }
 
@@ -189,18 +193,15 @@ impl Gcn {
         self.layer2.forward(ops[1], &self.hidden, out);
     }
 
-    /// Backward for the last [`Gcn::forward`]. `ops_t` holds each layer's
-    /// transposed operator in the same order as the forward's `ops`:
-    /// `[s, s]` for the symmetric full graph,
-    /// `[&block.ops_t[1], &block.ops_t[0]]` for a block.
-    pub fn backward<A: NeighborAccess + Sync + ?Sized>(
-        &mut self,
-        ops_t: [&A; 2],
-        grad_out: &Matrix,
-        grad_in: &mut Matrix,
-    ) {
-        self.layer2.backward(ops_t[1], grad_out, &mut self.ghidden);
-        self.layer1.backward(ops_t[0], &self.ghidden, grad_in);
+    /// Backward for the last [`Gcn::forward`]: accumulates both layers'
+    /// parameter gradients. `op_t` is layer 2's transposed operator, which
+    /// carries the gradient down to layer 1: `s` for the symmetric full
+    /// graph, `&block.ops_t[0]` for a 2-hop block. No caller reads dL/dX,
+    /// so layer 1 computes no input gradient and needs no operator.
+    pub fn backward<A: NeighborAccess + Sync + ?Sized>(&mut self, op_t: &A, grad_out: &Matrix) {
+        self.layer2
+            .backward(grad_out, Some((op_t, &mut self.ghidden)));
+        self.layer1.backward::<A>(&self.ghidden, None);
     }
 
     /// Neighborhood-local inference: recomputes only the output rows
@@ -313,46 +314,22 @@ mod tests {
         SparseMatrix::from_triplets(8, 8, triplets).sym_normalized_with_self_loops()
     }
 
-    /// A GCN pass over a fixed full-graph operator.
-    trait Pass: Params + Send {
-        fn fwd(&mut self, s: &SparseMatrix, x: &Matrix, out: &mut Matrix);
-        fn bwd(&mut self, s: &SparseMatrix, grad_out: &Matrix, grad_in: &mut Matrix);
-    }
+    /// Binds a layer to its operator so the shared finite-difference
+    /// check can drive it as a [`Layer`].
+    struct OnGraph<'a>(GcnLayer, &'a SparseMatrix);
 
-    impl Pass for GcnLayer {
-        fn fwd(&mut self, s: &SparseMatrix, x: &Matrix, out: &mut Matrix) {
-            self.forward(s, x, out);
-        }
-        fn bwd(&mut self, s: &SparseMatrix, grad_out: &Matrix, grad_in: &mut Matrix) {
-            self.backward(s, grad_out, grad_in);
-        }
-    }
-
-    impl Pass for Gcn {
-        fn fwd(&mut self, s: &SparseMatrix, x: &Matrix, out: &mut Matrix) {
-            self.forward([s, s], x, out);
-        }
-        fn bwd(&mut self, s: &SparseMatrix, grad_out: &Matrix, grad_in: &mut Matrix) {
-            self.backward([s, s], grad_out, grad_in);
-        }
-    }
-
-    /// Binds a pass to its operator so the shared finite-difference check
-    /// can drive it as a [`Layer`].
-    struct OnGraph<'a, N>(N, &'a SparseMatrix);
-
-    impl<N: Pass> Params for OnGraph<'_, N> {
+    impl Params for OnGraph<'_> {
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
             self.0.visit_params(f);
         }
     }
 
-    impl<N: Pass> Layer for OnGraph<'_, N> {
+    impl Layer for OnGraph<'_> {
         fn forward_into(&mut self, x: &Matrix, _train: bool, out: &mut Matrix) {
-            self.0.fwd(self.1, x, out);
+            self.0.forward(self.1, x, out);
         }
-        fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-            self.0.bwd(self.1, grad_out, grad_in);
+        fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>) {
+            self.0.backward(grad_out, grad_in.map(|g| (self.1, g)));
         }
     }
 
@@ -367,13 +344,49 @@ mod tests {
     }
 
     #[test]
-    fn two_layer_gradient_check() {
+    fn two_layer_weight_gradient_check() {
+        // Central differences of L = 0.5 ||forward(x)||^2 against every
+        // parameter gradient. Layer 1's gradients read layer 2's input
+        // gradient, so this checks the whole chain without dL/dX.
         let s = two_cliques();
         let mut rng = Rng::seed_from_u64(112);
-        let net = Gcn::new(3, 5, 2, Activation::Identity, &mut rng);
+        let mut net = Gcn::new(3, 5, 2, Activation::Identity, &mut rng);
         let x = Matrix::randn(8, 3, 1.0, &mut rng);
-        let err = input_gradient_error(&mut OnGraph(net, &s), &x, 1e-6);
-        assert!(err < 1e-5, "gradient error {err}");
+        let mut y = Matrix::zeros(0, 0);
+        net.forward([&s, &s], &x, &mut y);
+        net.zero_grad();
+        net.backward(&s, &y); // dL/dy = y for this loss
+        let (mut params, mut grads) = (Vec::new(), Vec::new());
+        net.visit_params(&mut |p, g| {
+            params.push(p.clone());
+            grads.push(g.clone());
+        });
+        let set = |net: &mut Gcn, which: usize, i: usize, v: f64| {
+            let mut k = 0;
+            net.visit_params(&mut |p, _| {
+                if k == which {
+                    p.data_mut()[i] = v;
+                }
+                k += 1;
+            });
+        };
+        let mut loss = |net: &mut Gcn| {
+            net.forward([&s, &s], &x, &mut y);
+            0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+        };
+        let eps = 1e-6;
+        let mut max_err = 0.0f64;
+        for (which, (p, g)) in params.iter().zip(&grads).enumerate() {
+            for (i, &orig) in p.data().iter().enumerate() {
+                set(&mut net, which, i, orig + eps);
+                let lp = loss(&mut net);
+                set(&mut net, which, i, orig - eps);
+                let lm = loss(&mut net);
+                set(&mut net, which, i, orig);
+                max_err = max_err.max(((lp - lm) / (2.0 * eps) - g.data()[i]).abs());
+            }
+        }
+        assert!(max_err < 1e-5, "gradient error {max_err}");
     }
 
     #[test]
@@ -385,12 +398,12 @@ mod tests {
         let mut net = Gcn::new(4, 8, 2, Activation::Identity, &mut rng);
         let mut opt = Adam::new(0.05);
         let labels = [(0usize, 0usize), (7, 1)];
-        let (mut logits, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut logits = Matrix::zeros(0, 0);
         for _ in 0..200 {
             net.forward([&s, &s], &x, &mut logits);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
             net.zero_grad();
-            net.backward([&s, &s], &grad, &mut gx);
+            net.backward(&s, &grad);
             opt.step(&mut net);
         }
         net.forward([&s, &s], &x, &mut logits);

@@ -1,9 +1,9 @@
 //! The layer abstraction shared by all manual-gradient networks.
 //!
 //! Layers cache whatever they need during a training-mode `forward` and
-//! return input gradients from `backward`; optimizers visit
-//! `(parameter, gradient)` pairs in a stable order through
-//! [`Params::visit_params`].
+//! return input gradients from `backward` where a caller reads them;
+//! optimizers visit `(parameter, gradient)` pairs in a stable order
+//! through [`Params::visit_params`].
 
 use crate::checkpoint::LayerState;
 use gale_tensor::Matrix;
@@ -46,9 +46,12 @@ pub trait Layer: Params + Send {
     fn forward_into(&mut self, x: &Matrix, train: bool, out: &mut Matrix);
 
     /// Backward pass after a training-mode forward: receives dL/d(output),
-    /// writes dL/d(input) into `grad_in`, and accumulates dL/d(params)
-    /// internally.
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix);
+    /// accumulates dL/d(params) internally, and writes dL/d(input) into
+    /// `grad_in` when it is `Some`. `None` skips the input gradient: a
+    /// network's first layer computes it only if a caller reads it (the
+    /// generator's feature matching reads D's; neither player's own update
+    /// reads its own).
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>);
 
     /// [`Layer::forward_into`] returning a fresh matrix.
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
@@ -60,7 +63,7 @@ pub trait Layer: Params + Send {
     /// [`Layer::backward_into`] returning a fresh matrix.
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in);
+        self.backward_into(grad_out, Some(&mut grad_in));
         grad_in
     }
 

@@ -114,10 +114,12 @@ impl Layer for Linear {
         out.add_row_broadcast(self.b.row(0));
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-        // dW += x^T g ; db += column sums of g ; dx = g W^T.
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>) {
+        // dW += x^T g ; db += column sums of g ; dx = g W^T if wanted.
         self.accumulate_param_grads(grad_out);
-        grad_out.matmul_nt_into(&self.w, grad_in);
+        if let Some(grad_in) = grad_in {
+            grad_out.matmul_nt_into(&self.w, grad_in);
+        }
     }
 
     fn state(&self) -> Option<LayerState> {

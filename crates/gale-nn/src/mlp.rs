@@ -129,6 +129,21 @@ impl Mlp {
         }
         self.taps.last().expect("taps sized above")
     }
+
+    /// Backpropagates `grad`, dL/d(output of layer `top`), down to the
+    /// input: the layers in between ping-pong through the persistent
+    /// scratch, and the first writes `grad_in` directly (or skips it).
+    fn backward_below(&mut self, top: usize, grad: &Matrix, grad_in: Option<&mut Matrix>) {
+        if top == 0 {
+            return self.layers[0].backward_into(grad, grad_in);
+        }
+        self.layers[top].backward_into(grad, Some(&mut self.gbuf_a));
+        for i in (1..top).rev() {
+            self.layers[i].backward_into(&self.gbuf_a, Some(&mut self.gbuf_b));
+            std::mem::swap(&mut self.gbuf_a, &mut self.gbuf_b);
+        }
+        self.layers[0].backward_into(&self.gbuf_a, grad_in);
+    }
 }
 
 impl Default for Mlp {
@@ -151,7 +166,7 @@ impl Layer for Mlp {
         out.copy_from(self.taps.last().expect("taps sized by forward_inplace"));
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: Option<&mut Matrix>) {
         let live = gale_obs::enabled();
         let t = if live {
             Some(std::time::Instant::now())
@@ -164,15 +179,12 @@ impl Layer for Mlp {
             gale_obs::gauge_set!("nn.grad_norm.last", norm);
         }
         match self.layers.len() {
-            0 => grad_in.copy_from(grad_out),
-            n => {
-                self.layers[n - 1].backward_into(grad_out, &mut self.gbuf_a);
-                for i in (0..n - 1).rev() {
-                    self.layers[i].backward_into(&self.gbuf_a, &mut self.gbuf_b);
-                    std::mem::swap(&mut self.gbuf_a, &mut self.gbuf_b);
+            0 => {
+                if let Some(grad_in) = grad_in {
+                    grad_in.copy_from(grad_out);
                 }
-                grad_in.copy_from(&self.gbuf_a);
             }
+            n => self.backward_below(n - 1, grad_out, grad_in),
         }
         if let Some(t) = t {
             gale_obs::hist_record!(
@@ -194,12 +206,7 @@ impl Layer for Mlp {
 /// intermediate gradients ping-pong through the network's persistent
 /// scratch, so the pass allocates nothing in steady state.
 pub fn backward_from_tap_into(net: &mut Mlp, tap_index: usize, grad: &Matrix, out: &mut Matrix) {
-    net.gbuf_a.copy_from(grad);
-    for i in (0..=tap_index).rev() {
-        net.layers[i].backward_into(&net.gbuf_a, &mut net.gbuf_b);
-        std::mem::swap(&mut net.gbuf_a, &mut net.gbuf_b);
-    }
-    out.copy_from(&net.gbuf_a);
+    net.backward_below(tap_index, grad, Some(out));
 }
 
 #[cfg(test)]

@@ -61,15 +61,17 @@ impl SamplerConfig {
 /// `layers[0]` is the (sorted, deduplicated) seed set — the rows the block
 /// ultimately produces output for; `layers[l + 1]` is the frontier feeding
 /// hop `l`. `ops[l]` is the induced `|layers[l]| x |layers[l+1]|` operator
-/// slice and `ops_t[l]` its transpose (the backward gather operator). All
-/// node lists are ascending global ids.
+/// slice and `ops_t[l]` its transpose (the backward gather operator) for
+/// every hop but the outermost: a GCN backward stops at its first layer's
+/// parameter gradients, so nothing gathers through the hop that feeds it.
+/// All node lists are ascending global ids.
 #[derive(Debug, Default)]
 pub struct Block {
     /// Node lists per depth, `layers[0]` = seeds.
     pub layers: Vec<Vec<usize>>,
     /// `ops[l]`: induced operator from `layers[l+1]` to `layers[l]`.
     pub ops: Vec<SparseMatrix>,
-    /// `ops_t[l]`: transpose of `ops[l]`.
+    /// `ops_t[l]`: transpose of `ops[l]`, for `l < depth - 1`.
     pub ops_t: Vec<SparseMatrix>,
 }
 
@@ -170,7 +172,7 @@ impl NeighborSampler {
             .resize_with(depth, || SparseMatrix::zeros(0, 0));
         self.block
             .ops_t
-            .resize_with(depth, || SparseMatrix::zeros(0, 0));
+            .resize_with(depth - 1, || SparseMatrix::zeros(0, 0));
         self.block.layers[0].clear();
         self.block.layers[0].extend_from_slice(seeds);
 
@@ -178,7 +180,7 @@ impl NeighborSampler {
         for (l, &fanout) in fanouts.iter().enumerate() {
             self.build_hop(a, l, fanout, &mut rng);
         }
-        for l in 0..depth {
+        for l in 0..depth - 1 {
             let (ops, ops_t) = (&self.block.ops[l], &mut self.block.ops_t[l]);
             ops.transpose_into(ops_t);
         }
@@ -390,6 +392,7 @@ mod tests {
             seed: 3,
         });
         let block = sampler.sample(&s, &[1, 5, 6, 17], 1, 0);
+        assert_eq!(block.ops_t.len(), 1, "no transpose of the outermost hop");
         for (op, opt) in block.ops.iter().zip(&block.ops_t) {
             assert_eq!((opt.rows(), opt.cols()), (op.cols(), op.rows()));
             for r in 0..op.rows() {

@@ -17,6 +17,17 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.data().iter().map(|f| f.to_bits()).collect()
 }
 
+/// Every parameter gradient, in `visit_params` order.
+fn param_grads(net: &mut Gcn) -> Vec<Matrix> {
+    let mut grads = Vec::new();
+    net.visit_params(&mut |_, g| grads.push(g.clone()));
+    grads
+}
+
+fn grad_bits(grads: &[Matrix]) -> Vec<u64> {
+    grads.iter().flat_map(bits).collect()
+}
+
 /// Random symmetric adjacency (with the odd isolated node) and its
 /// normalized operator.
 fn random_graph(n: usize, edges: usize, seed: u64) -> (SparseMatrix, SparseMatrix) {
@@ -34,8 +45,9 @@ fn random_graph(n: usize, edges: usize, seed: u64) -> (SparseMatrix, SparseMatri
     (a, s)
 }
 
-/// One forward + backward through the full-graph pass.
-fn run_full(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Matrix) {
+/// One forward + backward through the full-graph pass: the output and the
+/// parameter gradients.
+fn run_full(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Vec<Matrix>) {
     let mut net = Gcn::new(
         x.cols(),
         5,
@@ -46,13 +58,12 @@ fn run_full(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, 
     let mut out = Matrix::zeros(0, 0);
     net.forward([s, s], x, &mut out);
     net.zero_grad();
-    let mut gx = Matrix::zeros(0, 0);
-    net.backward([s, s], grad, &mut gx);
-    (out, gx)
+    net.backward(s, grad);
+    (out, param_grads(&mut net))
 }
 
 /// The same pass through a full-fanout block over all nodes.
-fn run_block(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Matrix) {
+fn run_block(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix, Vec<Matrix>) {
     let mut net = Gcn::new(
         x.cols(),
         5,
@@ -71,9 +82,8 @@ fn run_block(s: &SparseMatrix, x: &Matrix, grad: &Matrix, seed: u64) -> (Matrix,
     let mut out = Matrix::zeros(0, 0);
     net.forward([&block.ops[1], &block.ops[0]], x, &mut out);
     net.zero_grad();
-    let mut gx = Matrix::zeros(0, 0);
-    net.backward([&block.ops_t[1], &block.ops_t[0]], grad, &mut gx);
-    (out, gx)
+    net.backward(&block.ops_t[0], grad);
+    (out, param_grads(&mut net))
 }
 
 proptest! {
@@ -95,8 +105,8 @@ proptest! {
             let block = with_threads(t, || run_block(&s, &x, &grad, net_seed));
             prop_assert_eq!(bits(&full.0), bits(&baseline.0), "full fwd, {} threads", t);
             prop_assert_eq!(bits(&block.0), bits(&baseline.0), "block fwd, {} threads", t);
-            prop_assert_eq!(bits(&full.1), bits(&baseline.1), "full bwd, {} threads", t);
-            prop_assert_eq!(bits(&block.1), bits(&baseline.1), "block bwd, {} threads", t);
+            prop_assert_eq!(grad_bits(&full.1), grad_bits(&baseline.1), "full bwd, {} threads", t);
+            prop_assert_eq!(grad_bits(&block.1), grad_bits(&baseline.1), "block bwd, {} threads", t);
         }
     }
 
@@ -178,7 +188,9 @@ fn uniform(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
 /// its bits, so a change to the GCN's arithmetic shows up here. Inputs are
 /// drawn with `Rng::f64` only and the activations are ReLU and identity,
 /// so no libm call reaches a pinned value. A deliberate change to the
-/// arithmetic must update the constants (and say so).
+/// arithmetic must update the constants (and say so). The backward legs
+/// hash the output and the parameter gradients; layer 1's read layer 2's
+/// input gradient, so the whole chain is pinned.
 #[test]
 fn gcn_output_bits_are_pinned() {
     let (_, s) = random_graph(48, 150, 2024);
@@ -186,13 +198,21 @@ fn gcn_output_bits_are_pinned() {
     let x = uniform(48, 5, &mut rng);
     let grad = uniform(48, 3, &mut rng);
     let mut net = Gcn::new(5, 6, 3, Activation::Identity, &mut Rng::seed_from_u64(7));
-    let (mut out, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut out = Matrix::zeros(0, 0);
+    let with_grads = |out: &Matrix, grads: &[Matrix]| {
+        fnv1a(&std::iter::once(out).chain(grads).collect::<Vec<_>>())
+    };
 
     // Over the materialized S.
     net.forward([&s, &s], &x, &mut out);
     net.zero_grad();
-    net.backward([&s, &s], &grad, &mut gx);
-    assert_eq!(fnv1a(&[&out, &gx]), 0xc97a_fd0e_ad5e_5ff1, "full graph");
+    net.backward(&s, &grad);
+    let grads = param_grads(&mut net);
+    assert_eq!(
+        with_grads(&out, &grads),
+        0xa91a_e2a1_a68a_67d6,
+        "full graph"
+    );
 
     // Over a truncated-fanout sampled block.
     let seeds = [1usize, 4, 9, 16, 25, 36];
@@ -206,8 +226,13 @@ fn gcn_output_bits_are_pinned() {
     let gb = grad.select_rows(&seeds);
     net.forward([&block.ops[1], &block.ops[0]], &xb, &mut out);
     net.zero_grad();
-    net.backward([&block.ops_t[1], &block.ops_t[0]], &gb, &mut gx);
-    assert_eq!(fnv1a(&[&out, &gx]), 0x1be0_3520_7a6b_30f9, "sampled block");
+    net.backward(&block.ops_t[0], &gb);
+    let grads = param_grads(&mut net);
+    assert_eq!(
+        with_grads(&out, &grads),
+        0x2a00_fe6e_1c38_5cdf,
+        "sampled block"
+    );
 
     // Through the rows-subset forward.
     net.forward_rows(&s, &[2, 3, 17, 40], &x, &mut out);

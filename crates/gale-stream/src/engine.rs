@@ -1,7 +1,8 @@
 //! The streaming engine: mutations in, lazily-refreshed verdicts out.
 //!
 //! Owns the [`DeltaGraph`], the feature matrix, the trained GAE encoder,
-//! the trained SGAN (scored through [`Sgan::probs3_into`]), the frozen
+//! the trained SGAN (scored through [`Sgan::probs3_chunked_into`], a
+//! bounded number of rows per forward), the frozen
 //! input standardizer, and the cached per-node scoring state. Mutations mark
 //! k-hop dirty sets; the next score request triggers a neighborhood-local
 //! refresh whose outputs are bitwise-equal to rebuilding and re-scoring the
@@ -20,6 +21,12 @@ use gale_tensor::{Matrix, NeighborAccess, SparseMatrix, SymNormalized};
 /// Edges sampled (deterministically, in row order) from the base graph to
 /// seed the admission filter's distance statistics.
 const ADMISSION_SEED_CAP: usize = 4096;
+
+/// Rows per discriminator forward when the engine scores: the
+/// discriminator keeps one output per layer resident afterwards, so a full
+/// pass in one forward would hold `n` rows of each (about 6.8 MiB at 8,000
+/// nodes for the served model) for the engine's lifetime.
+const SCORE_CHUNK: usize = 256;
 
 /// Streaming engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -154,7 +161,7 @@ impl StreamEngine {
             ));
         }
         let mut probs = Matrix::zeros(0, 0);
-        sgan.probs3_into(&inputs, &mut probs);
+        sgan.probs3_chunked_into(&inputs, SCORE_CHUNK, &mut probs);
 
         let mut filter = AdmissionFilter::new(cfg.admission);
         seed_admission(&mut filter, &graph, &x);
@@ -390,7 +397,8 @@ impl StreamEngine {
             self.standardizer.apply_row(row);
         }
         let mut probs_sub = Matrix::zeros(0, 0);
-        self.scorer.probs3_into(&inputs, &mut probs_sub);
+        self.scorer
+            .probs3_chunked_into(&inputs, SCORE_CHUNK, &mut probs_sub);
         for (k, &v) in rows.iter().enumerate() {
             self.probs.set_row(v, probs_sub.row(k));
             self.verdict_version[v] = self.graph_version;
@@ -415,7 +423,8 @@ impl StreamEngine {
         }
         let mut inputs = concat_rows(&self.x, &self.z);
         self.standardizer.apply(&mut inputs);
-        self.scorer.probs3_into(&inputs, &mut self.probs);
+        self.scorer
+            .probs3_chunked_into(&inputs, SCORE_CHUNK, &mut self.probs);
         for version in &mut self.verdict_version {
             *version = self.graph_version;
         }

@@ -11,14 +11,41 @@
 //! `a` value feeds `NR` accumulators and each loaded `b` vector feeds
 //! `MR` rows.
 //!
-//! The kernels operate on a caller-provided *block* of output rows so
-//! [`crate::par::par_chunks_mut`] can hand disjoint row ranges to the
-//! worker pool; row results never depend on which chunk computed them.
+//! The kernels operate on a caller-provided *block* of output rows, which
+//! [`par_rows`] hands to the worker pool. Its chunks ([`row_chunks`]) start
+//! on multiples of `MR`, so every chunk but the last is a whole number of
+//! tiles: a product with at least `MR` output rows and `NR` columns runs
+//! the tile, and only the last chunk's remainder rows and the columns
+//! past the last full `NR` take the edge path. Row results never depend
+//! on which chunk computed them.
+
+use std::ops::Range;
 
 /// Output rows per register tile.
 pub(crate) const MR: usize = 4;
 /// Output columns per register tile.
 pub(crate) const NR: usize = 8;
+
+/// Row chunks of a `rows`-row GEMM output: [`crate::par::chunk_ranges`]
+/// over whole `MR`-row tiles, so every chunk but the last holds a multiple
+/// of `MR` rows. Like `chunk_ranges`, a pure function of `rows`. Cutting
+/// the rows themselves would give one-row chunks below 64 rows and
+/// 1-3-row chunks below 256, where the tile never runs: every weight
+/// gradient and small forward the models compute.
+pub(crate) fn row_chunks(rows: usize) -> Vec<Range<usize>> {
+    crate::par::chunk_ranges(rows.div_ceil(MR))
+        .into_iter()
+        .map(|t| t.start * MR..(t.end * MR).min(rows))
+        .collect()
+}
+
+/// Runs `kernel(row0, block)` in parallel over the [`row_chunks`] of the
+/// row-major `n`-column output `out`; `block` holds rows `row0..` of it.
+pub(crate) fn par_rows(out: &mut [f64], n: usize, kernel: impl Fn(usize, &mut [f64]) + Sync) {
+    let n = n.max(1);
+    let chunks = row_chunks(out.len() / n);
+    crate::par::par_row_ranges_mut(out, n, &chunks, |start, block| kernel(start / n, block));
+}
 
 /// `block = A[row0..row0+rows, :] * B` for row-major `A` (`lda = k_dim`)
 /// and `B` (`k_dim x n`). `block` holds `rows * n` elements and is fully
@@ -213,4 +240,33 @@ pub(crate) fn record_gemm_counters(m: usize, k: usize, n: usize) {
         "kernel.gemm.bytes",
         (std::mem::size_of::<f64>() * (m * k + k * n + m * n)) as u64
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::par::with_threads;
+
+    #[test]
+    fn row_chunks_align_to_the_tile() {
+        for rows in [
+            0usize, 1, 3, 4, 5, 13, 24, 48, 51, 58, 65, 128, 255, 256, 810, 7080,
+        ] {
+            let chunks = with_threads(1, || row_chunks(rows));
+            for threads in [2, 8] {
+                assert_eq!(with_threads(threads, || row_chunks(rows)), chunks);
+            }
+            let mut next = 0;
+            for (c, r) in chunks.iter().enumerate() {
+                assert_eq!(r.start, next, "{rows} rows: chunks tile 0..rows");
+                assert!(!r.is_empty(), "{rows} rows: empty chunk {c}");
+                if c + 1 < chunks.len() {
+                    assert_eq!(r.len() % MR, 0, "{rows} rows: chunk {c} is {r:?}");
+                }
+                next = r.end;
+            }
+            assert_eq!(next, rows);
+            assert!(chunks.len() <= 64, "{rows} rows: {} chunks", chunks.len());
+        }
+    }
 }

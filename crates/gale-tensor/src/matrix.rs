@@ -287,8 +287,7 @@ impl Matrix {
         gemm::record_gemm_counters(self.rows, self.cols, n);
         // Output rows are independent, so row blocks parallelize with
         // bitwise-identical results on any schedule.
-        crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
-            let row0 = start / n.max(1);
+        gemm::par_rows(&mut out.data, n, |row0, block| {
             gemm::gemm_nn_block(
                 &self.data,
                 self.cols,
@@ -343,8 +342,7 @@ impl Matrix {
         gemm::record_gemm_counters(self.cols, self.rows, n);
         // i-outer over output rows (= columns of self) keeps rows
         // independent; each element still accumulates in ascending k.
-        crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
-            let row0 = start / n.max(1);
+        gemm::par_rows(&mut out.data, n, |row0, block| {
             gemm::gemm_tn_block(
                 &self.data,
                 self.cols,
@@ -375,8 +373,7 @@ impl Matrix {
         out.resize(self.rows, other.rows);
         let n = other.rows;
         gemm::record_gemm_counters(self.rows, self.cols, n);
-        crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
-            let row0 = start / n.max(1);
+        gemm::par_rows(&mut out.data, n, |row0, block| {
             gemm::gemm_nt_block(
                 &self.data,
                 self.cols,

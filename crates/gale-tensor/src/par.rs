@@ -371,17 +371,34 @@ pub fn par_chunks_mut<T: Send + Sync>(
         granule,
         data.len()
     );
-    let rows = data.len() / granule;
-    let ranges = chunk_ranges(rows);
+    let ranges = chunk_ranges(data.len() / granule);
+    par_row_ranges_mut(data, granule, &ranges, body);
+}
+
+/// [`par_chunks_mut`] over a caller-chosen row layout: `ranges` must be
+/// disjoint, ascending and cover `0..data.len() / granule`, and should be
+/// a pure function of the row count so results stay schedule-free. The
+/// GEMM entry points pass row chunks aligned to their register tile.
+pub(crate) fn par_row_ranges_mut<T: Send + Sync>(
+    data: &mut [T],
+    granule: usize,
+    ranges: &[Range<usize>],
+    body: impl Fn(usize, &mut [T]) + Sync,
+) {
+    assert!(
+        ranges.windows(2).all(|w| w[0].end <= w[1].start)
+            && ranges.last().map_or(0, |r| r.end) * granule == data.len(),
+        "par_row_ranges_mut: ranges must be ascending, disjoint and end at the last row"
+    );
     let base = data.as_mut_ptr() as usize;
     par_run(ranges.len(), &|c| {
         let rows_range = &ranges[c];
         let start = rows_range.start * granule;
         let len = rows_range.len() * granule;
-        // SAFETY: `chunk_ranges` yields disjoint row ranges covering
-        // `0..rows`, so every reconstructed slice is disjoint from the
-        // others and in-bounds; `data` is exclusively borrowed for the
-        // duration of `par_run`.
+        // SAFETY: the ranges are ascending, disjoint and end at the last
+        // row (checked above), so every reconstructed slice is disjoint
+        // from the others and in-bounds; `data` is exclusively borrowed
+        // for the duration of `par_run`.
         let chunk = unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), len) };
         body(start, chunk);
     });

@@ -1,7 +1,9 @@
 //! Property tests for the tiled/parallel kernel rewrite: every kernel must
 //! be bitwise identical to a naive sequential reference, at every thread
 //! count, for ragged shapes (not multiples of the 4x8 register tile) and
-//! for CSR matrices with empty rows.
+//! for CSR matrices with empty rows. GEMM row chunks start on multiples of
+//! the tile's 4 rows, so every product with 4 or more output rows and 8 or
+//! more columns runs the tile as well as the ragged edge.
 
 use gale_tensor::distance::pairwise_euclidean_into;
 use gale_tensor::par::with_threads;
@@ -41,6 +43,21 @@ fn naive_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
                 acc += a[(k, i)] * b[(k, j)];
             }
             out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
+/// `start + A^T B` as one seeded scalar chain per element, k ascending:
+/// the reference for `matmul_tn_acc` (not `start + tn`, which rounds
+/// twice).
+fn naive_matmul_tn_acc(start: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = start.clone();
+    for i in 0..a.cols() {
+        for j in 0..b.cols() {
+            for k in 0..a.rows() {
+                out[(i, j)] += a[(k, i)] * b[(k, j)];
+            }
         }
     }
     out
@@ -246,8 +263,8 @@ fn empty_csr_and_all_empty_rows() {
 
 #[test]
 fn exact_tile_multiple_shapes() {
-    // Shapes landing exactly on the 4x8 tile grid exercise the pure tile
-    // path with no ragged remainder.
+    // Shapes landing exactly on the 4x8 tile grid run the pure tile path
+    // with no ragged remainder: each row chunk is a whole number of tiles.
     for (m, k, n) in [(4, 8, 8), (8, 16, 16), (16, 4, 24)] {
         let a = random_matrix(m, k, (m * 31 + n) as u64);
         let b = random_matrix(k, n, (k * 17 + m) as u64);
@@ -256,6 +273,59 @@ fn exact_tile_multiple_shapes() {
             bits(naive_matmul(&a, &b).data()),
             "{m}x{k}x{n}"
         );
+    }
+}
+
+/// The products the AL loop and the served forward run, against the naive
+/// references at 1, 2 and 8 threads: the discriminator's first weight
+/// gradient (810 rows into 58 x 48), the GAE's (7,080 rows into 51 x 24),
+/// and forwards and input gradients of 1, 3, 4, 5 and 65 rows through a
+/// 58 x 48 layer. The accumulators start non-zero, as they do after a
+/// first backward.
+#[test]
+fn workload_shapes_match_naive() {
+    for (k, m, n) in [(810usize, 58usize, 48usize), (7080, 51, 24)] {
+        let a = random_matrix(k, m, k as u64);
+        let b = random_matrix(k, n, k as u64 + 1);
+        let start = random_matrix(m, n, k as u64 + 2);
+        let tn = naive_matmul_tn(&a, &b);
+        let want = naive_matmul_tn_acc(&start, &a, &b);
+        for t in THREAD_COUNTS {
+            let mut acc = start.clone();
+            with_threads(t, || a.matmul_tn_acc(&b, &mut acc));
+            assert_eq!(
+                bits(acc.data()),
+                bits(want.data()),
+                "tn_acc {k} rows, {t} threads"
+            );
+            let got = with_threads(t, || a.matmul_tn(&b));
+            assert_eq!(
+                bits(got.data()),
+                bits(tn.data()),
+                "tn {k} rows, {t} threads"
+            );
+        }
+    }
+    let w = random_matrix(58, 48, 58);
+    for rows in [1usize, 3, 4, 5, 65] {
+        let x = random_matrix(rows, 58, rows as u64);
+        let g = random_matrix(rows, 48, rows as u64 + 100);
+        let fwd = naive_matmul(&x, &w);
+        let dx = naive_matmul_nt(&g, &w);
+        for t in THREAD_COUNTS {
+            let got = with_threads(t, || x.matmul(&w));
+            assert_eq!(
+                bits(got.data()),
+                bits(fwd.data()),
+                "forward {rows} rows, {t} threads"
+            );
+            let got = with_threads(t, || g.matmul_nt(&w));
+            assert_eq!(
+                bits(got.data()),
+                bits(dx.data()),
+                "dx {rows} rows, {t} threads"
+            );
+        }
     }
 }
 
@@ -269,18 +339,10 @@ fn matmul_tn_acc_accumulates_on_top() {
     a.matmul_tn_acc(&b, &mut acc);
     assert_eq!(bits(acc.data()), bits(naive_matmul_tn(&a, &b).data()));
     // Second accumulation folds the products onto the prior value, still
-    // k-ascending: reference is a seeded scalar chain, not `tn + tn`.
+    // k-ascending.
+    let want = naive_matmul_tn_acc(&acc, &a, &b);
     a.matmul_tn_acc(&b, &mut acc);
-    let tn = naive_matmul_tn(&a, &b);
-    for i in 0..5 {
-        for j in 0..6 {
-            let mut want = tn[(i, j)];
-            for k in 0..a.rows() {
-                want += a[(k, i)] * b[(k, j)];
-            }
-            assert_eq!(acc[(i, j)].to_bits(), want.to_bits(), "({i},{j})");
-        }
-    }
+    assert_eq!(bits(acc.data()), bits(want.data()));
 }
 
 #[test]
@@ -334,11 +396,13 @@ fn uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 /// The tests above compare each kernel with a reference; these pin the
 /// bits themselves, so any change to the dense kernels' arithmetic shows
-/// up here. The shapes cross the 4x8 GEMM tile edges (13 rows, 21
-/// columns) and the eight-lane dot chain's remainder (21 columns); `sqrt`
-/// is correctly rounded, so the pins hold on any IEEE-754 host. A
-/// deliberate change to the arithmetic must update the constants (and say
-/// so).
+/// up here. The GEMM shapes run the 4x8 tile on rows 0-11 and columns
+/// 0-15 and the ragged edge on the rest (13 rows, 21 columns); the
+/// constants were recorded when every GEMM row chunk was one row, so they
+/// also pin that the tile gives the edge path's bits. The distance shapes
+/// cross the eight-lane dot chain's remainder (21 columns); `sqrt` is
+/// correctly rounded, so the pins hold on any IEEE-754 host. A deliberate
+/// change to the arithmetic must update the constants (and say so).
 #[test]
 fn gemm_output_bits_are_pinned() {
     let a = uniform(13, 11, 1);
