@@ -3,7 +3,9 @@
 //! [`paired`] (one thread, interleaved passes). Writes
 //! `BENCH_kernels.json` and gates the matmul and SpMM speedups against
 //! the committed report (see `gale_bench::report`). Besides the square
-//! products, one pair runs the discriminator's weight-gradient shape.
+//! products, three pairs run shapes the AL loop trains with: the
+//! discriminator's and the GAE's weight gradients and the discriminator's
+//! first input gradient.
 
 use gale_bench::report::{paired, timed, Report, Rule};
 use gale_tensor::{spmm_access_into, Matrix, Rng, SparseMatrix};
@@ -31,6 +33,21 @@ fn naive_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
             let mut acc = 0.0;
             for k in 0..a.rows() {
                 acc += a[(k, i)] * b[(k, j)];
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
+/// Naive `A Bᵀ`, k ascending into one scalar per element.
+fn naive_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut acc = 0.0;
+            for k in 0..a.cols() {
+                acc += a[(i, k)] * b[(j, k)];
             }
             out[(i, j)] = acc;
         }
@@ -85,26 +102,47 @@ fn bench_dense(report: &mut Report) {
     let s = timed("matmul/tiled/512", || a.matmul(&b));
     report.rate("matmul/tiled/512", "GFLOP/s", 2e-9 * 512f64.powi(3), &s);
 
-    // The discriminator's first weight gradient in `al_loop`: `dW += Xᵀ G`
-    // over an 810-row batch, 58 inputs by 48 hidden units, after the
-    // step's zero_grad.
-    let (k, m, n) = (810usize, 58usize, 48usize);
-    let mut rng = Rng::seed_from_u64(810);
-    let x = Matrix::randn(k, m, 1.0, &mut rng);
-    let g = Matrix::randn(k, n, 1.0, &mut rng);
-    let mut gw = Matrix::zeros(m, n);
+    // Weight gradients in `al_loop`, `dW += Xᵀ G` after the step's
+    // zero_grad: the discriminator's first layer over an 810-row batch
+    // (58 inputs by 48 hidden units), and the GAE's over every node of
+    // the sub-scenario (7,080 rows into 51 x 24).
+    for (k, m, n) in [(810usize, 58usize, 48usize), (7080, 51, 24)] {
+        let mut rng = Rng::seed_from_u64(k as u64);
+        let x = Matrix::randn(k, m, 1.0, &mut rng);
+        let g = Matrix::randn(k, n, 1.0, &mut rng);
+        let mut gw = Matrix::zeros(m, n);
+        let p = paired(
+            &format!("matmul_tn/{k}"),
+            || naive_matmul_tn(&x, &g),
+            || {
+                gw.fill(0.0);
+                x.matmul_tn_acc(&g, &mut gw);
+                gw[(0, 0)]
+            },
+        );
+        let gflop = 2e-9 * (k * m * n) as f64;
+        report.pair_rates("matmul_tn", ["naive", "tiled"], k, "GFLOP/s", gflop, &p);
+        report.ratio(format!("matmul_tn/{k}"), Rule::Speedup, p.ratio.median);
+    }
+
+    // The discriminator's first input gradient, `dX = G Wᵀ`: an 800-row
+    // batch through the 58 x 48 weight (`Wᵀ` packed per call).
+    let (m, k, n) = (800usize, 48usize, 58usize);
+    let mut rng = Rng::seed_from_u64(800);
+    let g = Matrix::randn(m, k, 1.0, &mut rng);
+    let w = Matrix::randn(n, k, 1.0, &mut rng);
+    let mut dx = Matrix::zeros(m, n);
     let p = paired(
-        &format!("matmul_tn/{k}"),
-        || naive_matmul_tn(&x, &g),
+        &format!("matmul_nt/{m}"),
+        || naive_matmul_nt(&g, &w),
         || {
-            gw.fill(0.0);
-            x.matmul_tn_acc(&g, &mut gw);
-            gw[(0, 0)]
+            g.matmul_nt_into(&w, &mut dx);
+            dx[(0, 0)]
         },
     );
-    let gflop = 2e-9 * (k * m * n) as f64;
-    report.pair_rates("matmul_tn", ["naive", "tiled"], k, "GFLOP/s", gflop, &p);
-    report.ratio(format!("matmul_tn/{k}"), Rule::Speedup, p.ratio.median);
+    let gflop = 2e-9 * (m * k * n) as f64;
+    report.pair_rates("matmul_nt", ["naive", "tiled"], m, "GFLOP/s", gflop, &p);
+    report.ratio(format!("matmul_nt/{m}"), Rule::Speedup, p.ratio.median);
 }
 
 fn bench_spmm(report: &mut Report) {

@@ -17,9 +17,11 @@ use crate::label::Label;
 use gale_detect::{DetectorLibrary, LibraryReport};
 use gale_graph::value::AttrValue;
 use gale_graph::{
-    degree_assortativity, ppr_smooth_matrix, AttrId, AttrKind, Graph, NodeId, PropagationConfig,
+    degree_assortativity, ppr_smooth_matrix, AttrId, AttrKind, Graph, NodeId, NodeTypeId,
+    PropagationConfig,
 };
 use gale_tensor::{Matrix, SparseMatrix};
+use std::collections::HashMap;
 
 /// One node of a Type-1 soft subgraph.
 #[derive(Debug, Clone)]
@@ -107,17 +109,27 @@ pub fn annotate(
         one_hots[(q, j)] = 1.0;
     }
     let ppr = ppr_smooth_matrix(s_norm, &one_hots, propagation);
+    let populations = numeric_populations(g);
     queries
         .iter()
         .enumerate()
         .map(|(j, &q)| {
-            // Keep the query's strongest neighbors.
+            // Keep the query's strongest neighbors: weight descending, ties
+            // node-ascending. Only the top `SOFT_SUBGRAPH_SIZE` are sorted.
             let mut ranked: Vec<(NodeId, f64)> = (0..ppr.rows())
                 .map(|v| (v, ppr[(v, j)]))
                 .filter(|&(v, w)| v != q && w > 1e-9)
                 .collect();
-            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN PPR weight"));
-            ranked.truncate(SOFT_SUBGRAPH_SIZE);
+            let by_influence = |a: &(NodeId, f64), b: &(NodeId, f64)| {
+                b.1.partial_cmp(&a.1)
+                    .expect("NaN PPR weight")
+                    .then(a.0.cmp(&b.0))
+            };
+            if ranked.len() > SOFT_SUBGRAPH_SIZE {
+                ranked.select_nth_unstable_by(SOFT_SUBGRAPH_SIZE, by_influence);
+                ranked.truncate(SOFT_SUBGRAPH_SIZE);
+            }
+            ranked.sort_unstable_by(by_influence);
             let soft_subgraph = ranked
                 .iter()
                 .map(|&(v, w)| SoftNeighbor {
@@ -160,23 +172,15 @@ pub fn annotate(
                 .collect();
 
             // Numeric distribution context for the oracle.
-            let mut numeric_percentiles = Vec::new();
             let node = g.node(q);
-            for (attr, value) in node.attrs() {
-                if g.schema.attr_kind(attr) != AttrKind::Numeric {
-                    continue;
-                }
-                let Some(x) = value.as_f64() else { continue };
-                let population: Vec<f64> = g
-                    .nodes()
-                    .filter(|(_, n)| n.node_type == node.node_type)
-                    .filter_map(|(_, n)| n.get(attr).and_then(AttrValue::as_f64))
-                    .collect();
-                if population.len() >= 8 {
-                    let below = population.iter().filter(|&&p| p < x).count();
-                    numeric_percentiles.push((attr, below as f64 / population.len() as f64));
-                }
-            }
+            let numeric_percentiles = node
+                .attrs()
+                .filter_map(|(attr, value)| {
+                    let x = value.as_f64()?;
+                    let population = populations.get(&(node.node_type, attr))?;
+                    (population.len >= 8).then(|| (attr, population.fraction_below(x)))
+                })
+                .collect();
             Annotation {
                 node: q,
                 soft_subgraph,
@@ -189,6 +193,50 @@ pub fn annotate(
             }
         })
         .collect()
+}
+
+/// The numeric values of one `(node type, attribute)` population.
+struct NumericPopulation {
+    /// The values that are not NaN, ascending.
+    sorted: Vec<f64>,
+    /// Every value, NaN included.
+    len: usize,
+}
+
+impl NumericPopulation {
+    /// Share of the population strictly below `x`. A NaN is never below
+    /// anything, so it counts in the denominator only.
+    fn fraction_below(&self, x: f64) -> f64 {
+        self.sorted.partition_point(|&p| p < x) as f64 / self.len as f64
+    }
+}
+
+/// Every numeric attribute's population per node type, built once per
+/// [`annotate`] call: each value [`AttrValue::as_f64`] reads.
+fn numeric_populations(g: &Graph) -> HashMap<(NodeTypeId, AttrId), NumericPopulation> {
+    let mut populations: HashMap<(NodeTypeId, AttrId), NumericPopulation> = HashMap::new();
+    for (_, n) in g.nodes() {
+        for (attr, value) in n.attrs() {
+            if g.schema.attr_kind(attr) != AttrKind::Numeric {
+                continue;
+            }
+            let Some(x) = value.as_f64() else { continue };
+            let population = populations
+                .entry((n.node_type, attr))
+                .or_insert(NumericPopulation {
+                    sorted: Vec::new(),
+                    len: 0,
+                });
+            population.len += 1;
+            if !x.is_nan() {
+                population.sorted.push(x);
+            }
+        }
+    }
+    for population in populations.values_mut() {
+        population.sorted.sort_unstable_by(f64::total_cmp);
+    }
+    populations
 }
 
 impl Annotation {
@@ -429,6 +477,53 @@ mod tests {
         );
         // Rendered output mentions the percentile line.
         assert!(anns[0].render(&g).contains("percentile"));
+    }
+
+    #[test]
+    fn tied_influences_rank_node_ascending() {
+        // A star: hub 4 and twelve leaves, which all get the same PPR
+        // weight bit for bit. The soft subgraph keeps the eight lowest
+        // leaf ids, ascending, as a stable sort of the whole column would.
+        let mut g = Graph::new();
+        for _ in 0..13 {
+            g.add_node_with("species", &[("population", AttrKind::Numeric, 1.0.into())]);
+        }
+        for v in (0..13).filter(|&v| v != 4) {
+            g.add_edge_named(4, v, "rel");
+        }
+        let lib = DetectorLibrary::standard(Vec::new());
+        let report = lib.run(&g);
+        let s = g.adjacency().sym_normalized_with_self_loops();
+        let cfg = PropagationConfig::default();
+        let anns = annotate(&[4], &g, &lib, &report, &s, &[], &[None; 13], &cfg);
+        let sub = &anns[0].soft_subgraph;
+        let ids: Vec<NodeId> = sub.iter().map(|n| n.node).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 5, 6, 7, 8]);
+        let w = sub[0].influence.to_bits();
+        assert!(sub.iter().all(|n| n.influence.to_bits() == w), "{sub:?}");
+    }
+
+    #[test]
+    fn nan_values_count_in_the_denominator_only() {
+        // Ten values 0..9 and one that parses to NaN: 9.0 has nine of the
+        // eleven below it, and the NaN itself has none.
+        let mut g = Graph::new();
+        for i in 0..11 {
+            let value = if i < 10 {
+                AttrValue::Float(i as f64)
+            } else {
+                AttrValue::Text("NaN".into())
+            };
+            g.add_node_with("species", &[("population", AttrKind::Numeric, value)]);
+        }
+        let lib = DetectorLibrary::new();
+        let report = lib.run(&g);
+        let s = g.adjacency().sym_normalized_with_self_loops();
+        let cfg = PropagationConfig::default();
+        let anns = annotate(&[9, 10], &g, &lib, &report, &s, &[], &[None; 11], &cfg);
+        let pct = |a: &Annotation| a.numeric_percentiles[0].1;
+        assert_eq!(pct(&anns[0]), 9.0 / 11.0);
+        assert_eq!(pct(&anns[1]), 0.0);
     }
 
     #[test]

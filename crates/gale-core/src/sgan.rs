@@ -195,7 +195,7 @@ struct SganScratch {
     combined: Matrix,
     fake_in: Matrix,
     real_x: Matrix,
-    grad_h: Matrix,
+    h_real: Matrix,
     grad_fake_input: Matrix,
 }
 
@@ -210,7 +210,7 @@ impl Default for SganScratch {
             combined: empty(),
             fake_in: empty(),
             real_x: empty(),
-            grad_h: empty(),
+            h_real: empty(),
             grad_fake_input: empty(),
         }
     }
@@ -394,62 +394,28 @@ impl Sgan {
             self.g
                 .forward_into(&scratch.fake_in, true, &mut scratch.fake_x);
         }
-        let n_real = self.scratch.real_x.rows();
-        // Forward the real and fake blocks together so both taps come from
-        // identical discriminator state.
-        {
-            let scratch = &mut self.scratch;
-            scratch
-                .combined
-                .resize(n_real + scratch.fake_x.rows(), self.input_dim);
-            for r in 0..n_real {
-                scratch
-                    .combined
-                    .row_mut(r)
-                    .copy_from_slice(scratch.real_x.row(r));
-            }
-            for r in 0..scratch.fake_x.rows() {
-                scratch
-                    .combined
-                    .row_mut(n_real + r)
-                    .copy_from_slice(scratch.fake_x.row(r));
-            }
-        }
-        let _ = self.d.forward_inplace(&self.scratch.combined, true);
-        // Borrow the tap instead of cloning the full n x d embedding block.
-        let h = self.d.tap(self.tap);
-        let h_real = h.select_rows(&(0..n_real).collect::<Vec<_>>());
-        let h_fake = h.select_rows(&(n_real..h.rows()).collect::<Vec<_>>());
-        let (h_rows, h_cols) = h.shape();
-        let (loss, grad_h_fake) = feature_matching_loss(&h_real, &h_fake);
+        // Forward the real and fake blocks one after the other and keep a
+        // copy of the real tap. D has no batch norm and each dropout layer
+        // draws its mask row by row from its own RNG, so the two forwards
+        // give the rows, and draw the masks, that one forward of
+        // `[real | fake]` would; only the fake block is backpropagated.
+        self.d.forward_inplace(&self.scratch.real_x, true);
+        self.scratch.h_real.copy_from(self.d.tap(self.tap));
+        self.d.forward_inplace(&self.scratch.fake_x, true);
+        let (loss, grad_h_fake) = feature_matching_loss(&self.scratch.h_real, self.d.tap(self.tap));
 
         // Backprop dL/dh through the discriminator prefix to get dL/d(fake
-        // input of D) — zeroing the real block's gradient.
-        self.scratch.grad_h.resize(h_rows, h_cols);
-        self.scratch.grad_h.fill(0.0);
-        for r in 0..h_fake.rows() {
-            self.scratch
-                .grad_h
-                .row_mut(n_real + r)
-                .copy_from_slice(grad_h_fake.row(r));
-        }
+        // input of D).
         self.d.zero_grad(); // discard: D's params are NOT updated here
-        {
-            let scratch = &mut self.scratch;
-            gale_nn::backward_from_tap_into(
-                &mut self.d,
-                self.tap,
-                &scratch.grad_h,
-                &mut scratch.grad_fake_input,
-            );
-        }
-        let grad_fake_only = self
-            .scratch
-            .grad_fake_input
-            .select_rows(&(n_real..self.scratch.grad_fake_input.rows()).collect::<Vec<_>>());
+        gale_nn::backward_from_tap_into(
+            &mut self.d,
+            self.tap,
+            &grad_h_fake,
+            &mut self.scratch.grad_fake_input,
+        );
         self.d.zero_grad();
         self.g.zero_grad();
-        self.g.backward_into(&grad_fake_only, None);
+        self.g.backward_into(&self.scratch.grad_fake_input, None);
         self.g_opt.step(&mut self.g);
         loss
     }

@@ -1,10 +1,13 @@
 //! Register-tiled dense GEMM micro-kernels.
 //!
-//! All three dense products (`A·B`, `Aᵀ·B`, `A·Bᵀ`) funnel through the
-//! micro-kernels here. The tiling scheme unrolls over *output elements*
-//! only — an `MR x NR` register tile accumulates `MR * NR` independent
-//! sums — while the reduction dimension `k` is always traversed in a
-//! single ascending scalar chain per output element. That keeps every
+//! All three dense products funnel through the two micro-kernels here:
+//! `A·B` and `Aᵀ·B` directly, and `A·Bᵀ` through the `A·B` tile over a
+//! packed `Bᵀ` (`Matrix::matmul_nt_into`; `B` is a weight matrix or a
+//! centroid block, so the packing costs `1/m` of the product). The
+//! tiling scheme unrolls over *output elements* only — an `MR x NR`
+//! register tile accumulates `MR * NR` independent sums — while the
+//! reduction dimension `k` is always traversed in a single ascending
+//! scalar chain per output element. That keeps every
 //! output bitwise identical to the textbook three-loop formulation (and
 //! therefore identical across tile paths, ragged edges, and thread
 //! counts), yet cuts load traffic by `~MR`/`~NR` per operand: each loaded
@@ -18,7 +21,18 @@
 //! the tile, and only the last chunk's remainder rows and the columns
 //! past the last full `NR` take the edge path. Row results never depend
 //! on which chunk computed them.
+//!
+//! Each tile body is one `#[inline(always)]` function compiled three
+//! times: as written, for baseline x86-64 (two-lane SSE2 registers), and
+//! inside `#[target_feature]` wrappers for AVX-512 and AVX, where an
+//! `NR`-wide accumulator row fills one or two registers. The block entries
+//! run the copy for the process's SIMD tier (`crate::simd`, detected once
+//! and shared with the distance kernels). The copies give the same bits:
+//! Rust never contracts a separate multiply and add into an FMA, so every
+//! output element is still one ascending-`k` chain of the same rounded
+//! products and sums, whatever the register width.
 
+use crate::simd;
 use std::ops::Range;
 
 /// Output rows per register tile.
@@ -49,8 +63,43 @@ pub(crate) fn par_rows(out: &mut [f64], n: usize, kernel: impl Fn(usize, &mut [f
 
 /// `block = A[row0..row0+rows, :] * B` for row-major `A` (`lda = k_dim`)
 /// and `B` (`k_dim x n`). `block` holds `rows * n` elements and is fully
-/// overwritten.
+/// overwritten. Runs the process's SIMD tier.
 pub(crate) fn gemm_nn_block(
+    a: &[f64],
+    lda: usize,
+    k_dim: usize,
+    b: &[f64],
+    n: usize,
+    row0: usize,
+    block: &mut [f64],
+) {
+    tiers::nn(simd::tier(), a, lda, k_dim, b, n, row0, block);
+}
+
+/// `Aᵀ·B` counterpart of [`gemm_nn_block`]: `block = (Aᵀ B)[row0.., :]`
+/// for row-major `A` (`k_dim x lda`, so output row `i` reads `A[:, i]`)
+/// and `B` (`k_dim x n`). When `acc0` is true the tile accumulators start
+/// from the existing block contents (the `C += Aᵀ B` form used for
+/// gradient accumulation); otherwise the block is fully overwritten. Runs
+/// the process's SIMD tier.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tn_block(
+    a: &[f64],
+    lda: usize,
+    k_dim: usize,
+    b: &[f64],
+    n: usize,
+    row0: usize,
+    block: &mut [f64],
+    acc0: bool,
+) {
+    tiers::tn(simd::tier(), a, lda, k_dim, b, n, row0, block, acc0);
+}
+
+/// The `A·B` tile body of [`gemm_nn_block`], compiled into each tier's
+/// copy.
+#[inline(always)]
+fn nn_body(
     a: &[f64],
     lda: usize,
     k_dim: usize,
@@ -102,13 +151,11 @@ pub(crate) fn gemm_nn_block(
     }
 }
 
-/// `block = (Aᵀ B)[row0..row0+rows, :]` for row-major `A` (`k_dim x lda`,
-/// so output row `i` reads `A[:, i]`) and `B` (`k_dim x n`). When `acc0`
-/// is true the tile accumulators start from the existing block contents
-/// (the `C += Aᵀ B` form used for gradient accumulation); otherwise the
-/// block is fully overwritten.
+/// The `Aᵀ·B` tile body of [`gemm_tn_block`], compiled into each tier's
+/// copy.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tn_block(
+#[inline(always)]
+fn tn_body(
     a: &[f64],
     lda: usize,
     k_dim: usize,
@@ -172,61 +219,128 @@ pub(crate) fn gemm_tn_block(
     }
 }
 
-/// `block = (A Bᵀ)[row0..row0+rows, :]` for row-major `A` (`lda = k_dim`)
-/// and `B` (`n x k_dim`); output column `j` reads `B`'s row `j`. `block`
-/// holds `rows * n` elements and is fully overwritten.
-pub(crate) fn gemm_nt_block(
-    a: &[f64],
-    lda: usize,
-    k_dim: usize,
-    b: &[f64],
-    n: usize,
-    row0: usize,
-    block: &mut [f64],
-) {
-    if n == 0 {
-        return;
-    }
-    let rows = block.len() / n;
-    let mut ib = 0;
-    while ib < rows {
-        let il = MR.min(rows - ib);
-        let mut jb = 0;
-        while jb < n {
-            let jl = NR.min(n - jb);
-            if il == MR && jl == NR {
-                let mut acc = [[0.0f64; NR]; MR];
-                for k in 0..k_dim {
-                    let mut bvals = [0.0f64; NR];
-                    for jj in 0..NR {
-                        bvals[jj] = b[(jb + jj) * k_dim + k];
-                    }
-                    for ii in 0..MR {
-                        let aik = a[(row0 + ib + ii) * lda + k];
-                        for jj in 0..NR {
-                            acc[ii][jj] += aik * bvals[jj];
-                        }
-                    }
-                }
-                for ii in 0..MR {
-                    block[(ib + ii) * n + jb..(ib + ii) * n + jb + NR].copy_from_slice(&acc[ii]);
-                }
-            } else {
-                for ii in 0..il {
-                    let arow = &a[(row0 + ib + ii) * lda..(row0 + ib + ii) * lda + k_dim];
-                    for jj in 0..jl {
-                        let brow = &b[(jb + jj) * k_dim..(jb + jj) * k_dim + k_dim];
-                        let mut s = 0.0;
-                        for k in 0..k_dim {
-                            s += arow[k] * brow[k];
-                        }
-                        block[(ib + ii) * n + jb + jj] = s;
-                    }
-                }
-            }
-            jb += jl;
+/// The tile bodies' per-tier copies and the dispatch into them.
+// Scoped allowance: the only unsafe operation is calling a tier's
+// `#[target_feature]` copy, which needs the CPU to offer the tier's
+// features. Only `simd::offer` makes a `Tier`, after detecting them.
+#[allow(unsafe_code)]
+mod tiers {
+    use super::{nn_body, tn_body};
+    use crate::simd::{Isa, Tier};
+
+    /// [`nn_body`] in `tier`'s copy: the run-on-this-tier entry.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn nn(
+        tier: Tier,
+        a: &[f64],
+        lda: usize,
+        k_dim: usize,
+        b: &[f64],
+        n: usize,
+        row0: usize,
+        block: &mut [f64],
+    ) {
+        match tier.isa() {
+            // SAFETY: `tier` proves the CPU offers AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { nn_avx512(a, lda, k_dim, b, n, row0, block) },
+            // SAFETY: `tier` proves the CPU offers AVX.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx => unsafe { nn_avx(a, lda, k_dim, b, n, row0, block) },
+            _ => nn_body(a, lda, k_dim, b, n, row0, block),
         }
-        ib += il;
+    }
+
+    /// [`tn_body`] in `tier`'s copy: the run-on-this-tier entry.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn tn(
+        tier: Tier,
+        a: &[f64],
+        lda: usize,
+        k_dim: usize,
+        b: &[f64],
+        n: usize,
+        row0: usize,
+        block: &mut [f64],
+        acc0: bool,
+    ) {
+        match tier.isa() {
+            // SAFETY: `tier` proves the CPU offers AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { tn_avx512(a, lda, k_dim, b, n, row0, block, acc0) },
+            // SAFETY: `tier` proves the CPU offers AVX.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx => unsafe { tn_avx(a, lda, k_dim, b, n, row0, block, acc0) },
+            _ => tn_body(a, lda, k_dim, b, n, row0, block, acc0),
+        }
+    }
+
+    /// # Safety
+    /// The CPU must offer AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn nn_avx512(
+        a: &[f64],
+        lda: usize,
+        k_dim: usize,
+        b: &[f64],
+        n: usize,
+        row0: usize,
+        block: &mut [f64],
+    ) {
+        nn_body(a, lda, k_dim, b, n, row0, block);
+    }
+
+    /// # Safety
+    /// The CPU must offer AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn nn_avx(
+        a: &[f64],
+        lda: usize,
+        k_dim: usize,
+        b: &[f64],
+        n: usize,
+        row0: usize,
+        block: &mut [f64],
+    ) {
+        nn_body(a, lda, k_dim, b, n, row0, block);
+    }
+
+    /// # Safety
+    /// The CPU must offer AVX-512F.
+    #[allow(clippy::too_many_arguments)]
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tn_avx512(
+        a: &[f64],
+        lda: usize,
+        k_dim: usize,
+        b: &[f64],
+        n: usize,
+        row0: usize,
+        block: &mut [f64],
+        acc0: bool,
+    ) {
+        tn_body(a, lda, k_dim, b, n, row0, block, acc0);
+    }
+
+    /// # Safety
+    /// The CPU must offer AVX.
+    #[allow(clippy::too_many_arguments)]
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn tn_avx(
+        a: &[f64],
+        lda: usize,
+        k_dim: usize,
+        b: &[f64],
+        n: usize,
+        row0: usize,
+        block: &mut [f64],
+        acc0: bool,
+    ) {
+        tn_body(a, lda, k_dim, b, n, row0, block, acc0);
     }
 }
 
@@ -246,6 +360,100 @@ pub(crate) fn record_gemm_counters(m: usize, k: usize, n: usize) {
 mod tests {
     use super::*;
     use crate::par::with_threads;
+    use crate::simd::{Isa, Tier};
+    use crate::{Matrix, Rng};
+
+    fn bits(data: &[f64]) -> Vec<u64> {
+        data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `A·B` through [`par_rows`], in `tier`'s copy of the tile body.
+    fn nn_on(tier: Tier, a: &Matrix, b: &Matrix) -> Vec<u64> {
+        let n = b.cols();
+        let mut out = vec![f64::NAN; a.rows() * n];
+        par_rows(&mut out, n, |row0, block| {
+            tiers::nn(tier, a.data(), a.cols(), a.cols(), b.data(), n, row0, block);
+        });
+        bits(&out)
+    }
+
+    /// `Aᵀ·B`, or `start + Aᵀ·B` when `start` is given, through
+    /// [`par_rows`] in `tier`'s copy of the tile body.
+    fn tn_on(tier: Tier, a: &Matrix, b: &Matrix, start: Option<&Matrix>) -> Vec<u64> {
+        let n = b.cols();
+        let mut out = start.map_or_else(|| vec![f64::NAN; a.cols() * n], |s| s.data().to_vec());
+        par_rows(&mut out, n, |row0, block| {
+            let (lda, k) = (a.cols(), a.rows());
+            tiers::tn(
+                tier,
+                a.data(),
+                lda,
+                k,
+                b.data(),
+                n,
+                row0,
+                block,
+                start.is_some(),
+            );
+        });
+        bits(&out)
+    }
+
+    /// Every tier this CPU offers gives the portable copy's bits at the
+    /// shapes the models run: weight gradients of 810 and 7,080 rows (from
+    /// zero and accumulating onto a non-zero start), and 1-65-row forwards.
+    /// The pinned tests elsewhere run only the process's tier.
+    #[test]
+    fn every_tier_matches_the_portable_body() {
+        let mut offered = vec![Tier::PORTABLE];
+        for isa in [Isa::Avx512, Isa::Avx] {
+            match simd::offer(isa) {
+                Some(tier) => offered.push(tier),
+                None => println!("skipped tier {isa:?}: this CPU does not offer it"),
+            }
+        }
+        let threads = [1usize, 2, 8];
+        let mut rng = Rng::seed_from_u64(23);
+        for k in [810usize, 7080] {
+            for (m, n) in [(58usize, 48usize), (51, 24), (24, 12), (24, 3)] {
+                let a = Matrix::randn(k, m, 1.0, &mut rng);
+                let b = Matrix::randn(k, n, 1.0, &mut rng);
+                let start = Matrix::randn(m, n, 1.0, &mut rng);
+                let want = with_threads(1, || tn_on(Tier::PORTABLE, &a, &b, None));
+                let want_acc = with_threads(1, || tn_on(Tier::PORTABLE, &a, &b, Some(&start)));
+                for &tier in &offered {
+                    for t in threads {
+                        let got = with_threads(t, || tn_on(tier, &a, &b, None));
+                        assert!(
+                            got == want,
+                            "tn {k} rows into {m}x{n}, {tier:?}, {t} threads"
+                        );
+                        let got = with_threads(t, || tn_on(tier, &a, &b, Some(&start)));
+                        assert!(
+                            got == want_acc,
+                            "tn acc {k} rows into {m}x{n}, {tier:?}, {t} threads"
+                        );
+                    }
+                }
+            }
+        }
+        for (k, n) in [(58usize, 48usize), (24, 3)] {
+            let w = Matrix::randn(k, n, 1.0, &mut rng);
+            for rows in [1usize, 3, 4, 5, 65] {
+                let x = Matrix::randn(rows, k, 1.0, &mut rng);
+                let want = with_threads(1, || nn_on(Tier::PORTABLE, &x, &w));
+                for &tier in &offered {
+                    for t in threads {
+                        let got = with_threads(t, || nn_on(tier, &x, &w));
+                        assert!(
+                            got == want,
+                            "nn {rows} rows through {k}x{n}, {tier:?}, {t} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn row_chunks_align_to_the_tile() {

@@ -12,10 +12,11 @@
 
 // `deny` rather than `forbid`: `par` (lifetime-erased job dispatch and
 // disjoint slice splitting), `distance::lanes8` (SIMD intrinsics behind
-// runtime feature detection), `aligned` (raw-slice views over the
-// 64-byte-aligned lane storage) and `heap` (one `malloc_trim` call) carry
-// scoped allowances for their audited unsafe blocks; everything else stays
-// safe.
+// runtime feature detection), `gemm::tiers` (calls into the GEMM tile's
+// `#[target_feature]` copies for a detected `simd::Tier`), `aligned`
+// (raw-slice views over the 64-byte-aligned lane storage) and `heap` (one
+// `malloc_trim` call) carry scoped allowances for their audited unsafe
+// blocks; everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Index-based loops are the clearer idiom in the dense math kernels below.
@@ -32,6 +33,7 @@ pub mod matrix;
 pub mod par;
 pub mod pca;
 pub mod rng;
+mod simd;
 pub mod sparse;
 pub mod stats;
 pub mod workspace;

@@ -356,7 +356,9 @@ impl Matrix {
         });
     }
 
-    /// `self * other^T` without materializing the transpose.
+    /// `self * other^T`. Packs `other^T` and runs the [`Matrix::matmul`]
+    /// tile: `other` is the small operand (a weight matrix or a centroid
+    /// block), so the packing costs `1/self.rows()` of the product.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_nt_into(other, &mut out);
@@ -370,20 +372,10 @@ impl Matrix {
             "matmul_nt: {}x{} * {}x{} ^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        out.resize(self.rows, other.rows);
-        let n = other.rows;
-        gemm::record_gemm_counters(self.rows, self.cols, n);
-        gemm::par_rows(&mut out.data, n, |row0, block| {
-            gemm::gemm_nt_block(
-                &self.data,
-                self.cols,
-                self.cols,
-                &other.data,
-                n,
-                row0,
-                block,
-            );
-        });
+        // The packed `Bᵀ` (k x n) gives the `A·B` tile contiguous rows;
+        // packing costs 1/m of the product, and every element is still
+        // one ascending-k chain.
+        self.matmul_into(&other.transpose(), out);
     }
 
     /// Matrix-vector product `self * v`.

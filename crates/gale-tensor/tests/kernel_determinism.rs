@@ -3,7 +3,10 @@
 //! count, for ragged shapes (not multiples of the 4x8 register tile) and
 //! for CSR matrices with empty rows. GEMM row chunks start on multiples of
 //! the tile's 4 rows, so every product with 4 or more output rows and 8 or
-//! more columns runs the tile as well as the ragged edge.
+//! more columns runs the tile as well as the ragged edge. `A·Bᵀ` packs
+//! `Bᵀ` and runs the `A·B` tile, so its tests cover that packed path. All
+//! of these run the process's SIMD tier; `gemm`'s unit tests compare every
+//! tier the CPU offers with the portable copy.
 
 use gale_tensor::distance::pairwise_euclidean_into;
 use gale_tensor::par::with_threads;
@@ -160,7 +163,7 @@ proptest! {
         n in 1usize..33,
         seed in 0u64..1000,
     ) {
-        // b is n x k, so a b^T is m x n.
+        // b is n x k, so a b^T is m x n: the A·B tile over the packed b^T.
         let a = random_matrix(m, k, seed);
         let b = random_matrix(n, k, seed.wrapping_add(1));
         let want = bits(naive_matmul_nt(&a, &b).data());
@@ -280,8 +283,9 @@ fn exact_tile_multiple_shapes() {
 /// references at 1, 2 and 8 threads: the discriminator's first weight
 /// gradient (810 rows into 58 x 48), the GAE's (7,080 rows into 51 x 24),
 /// and forwards and input gradients of 1, 3, 4, 5 and 65 rows through a
-/// 58 x 48 layer. The accumulators start non-zero, as they do after a
-/// first backward.
+/// 58 x 48 layer; an input gradient runs the `A·B` tile over the packed
+/// `Wᵀ`. The accumulators start non-zero, as they do after a first
+/// backward.
 #[test]
 fn workload_shapes_match_naive() {
     for (k, m, n) in [(810usize, 58usize, 48usize), (7080, 51, 24)] {
@@ -399,7 +403,9 @@ fn uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
 /// up here. The GEMM shapes run the 4x8 tile on rows 0-11 and columns
 /// 0-15 and the ragged edge on the rest (13 rows, 21 columns); the
 /// constants were recorded when every GEMM row chunk was one row, so they
-/// also pin that the tile gives the edge path's bits. The distance shapes
+/// also pin that the tile gives the edge path's bits, and
+/// `matmul_nt_into`'s was recorded before it packed `Bᵀ`, so it pins
+/// that the packed path gives the strided gather's bits. The distance shapes
 /// cross the eight-lane dot chain's remainder (21 columns); `sqrt` is
 /// correctly rounded, so the pins hold on any IEEE-754 host. A deliberate
 /// change to the arithmetic must update the constants (and say so).
